@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """From moments to orthogonal polynomials, recurrences, and connection coefficients.
 
-The Stieltjes walk turns a moment prefix with strictly positive Hankel
-determinants into the monic orthogonal family of the underlying measure.
+One pass of Chebyshev's algorithm over a moment prefix with strictly
+positive Hankel determinants yields the squared norms and three-term
+recurrence of the monic orthogonal family of the underlying measure, and the
+recurrence builds the family.
 Everything stays rational: coefficients, squared norms, recurrence triples,
 and the triangular change-of-basis coefficients between two families.
 """
@@ -48,7 +50,7 @@ print("norms recomputed from the bilinear form match construction:",
 
 print()
 print("=" * 72)
-print("Degenerate measures stop the walk")
+print("Degenerate measures stop the construction")
 print("=" * 72)
 
 try:
@@ -56,7 +58,7 @@ try:
 except DegenerateMeasureError as err:
     print(f"point mass at 2: {err}")
 trunc = basis_from_moments(builtin("geometric", 9, 2), 4, allow_truncation=True)
-print(f"with truncation allowed the walk returns order {trunc.order} and explains itself:")
+print(f"with truncation allowed the build returns order {trunc.order} and explains itself:")
 print(f"  status: {trunc.status}")
 
 print()

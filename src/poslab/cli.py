@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -292,8 +293,22 @@ def _cmd_mehler_demo(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_REFUTED
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads "-3/10" and "-1,0,1" as option values.
+
+    Stock argparse takes an argument that starts with "-" and is not a plain
+    integer or decimal for an option, so "--rho -3/10" would fail with
+    "expected one argument".  No option here starts with a digit,
+    so "-" followed by a digit (or by "." and a digit) is always a value.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="poslab",
         description="Exact finite-order positivity tests for orthogonal series.",
     )

@@ -11,6 +11,13 @@ is nonnegative.  With only finitely many moments in hand we can only ever
 certify "pm to order K" and never beyond; every verdict in this module is
 explicit about the order it was tested at.
 
+One exact engine serves both the Hankel battery here and the orthogonal
+family in :mod:`poslab.orthopoly`: a single O(K^2) pass of Chebyshev's
+algorithm (Gautschi, SIAM J. Sci. Stat. Comput. 3, 1982) over the moments
+yields the monic norms h_k and the recurrence (a_k, b_k), and with them
+d_k = h_0 ... h_k.  Only orders at or past a zero h_k, where the recurrence
+does not exist, fall back to a fraction-free (Bareiss) determinant per order.
+
 All values are immutable and every function is pure, so everything here is
 safe for unrestricted concurrent use.
 """
@@ -188,12 +195,58 @@ class PmReport:
         }
 
 
+def _chebyshev(values) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
+    """Chebyshev's algorithm: one exact pass from moments to the monic recurrence.
+
+    For the moment functional behind ``values`` = m_0..m_{L-1}, returns
+    (h, a, b) with h_k = <pi_k, pi_k> for the monic orthogonal polynomials
+    pi_{k+1} = (x - a_k) pi_k - b_k pi_{k-1}, b_0 = 0.  h_k needs m_{2k};
+    a_k and b_k need m_{2k+1}.  The pass runs through negative h_k (a signed
+    functional still has a recurrence) and ends at the first zero h_k, which
+    is then the last entry of h: no recurrence exists past it.  O(L^2)
+    rational operations; see Gautschi, *Orthogonal Polynomials: Computation
+    and Approximation* (2004), section 2.1.7.
+    """
+    size = len(values)
+    h: list[Fraction] = []
+    a: list[Fraction] = []
+    b: list[Fraction] = []
+    # sigma_k[l] = <pi_k, x^l>, meaningful for k <= l <= size - 1 - k
+    prev = [Fraction(0)] * size
+    cur = list(values)
+    for k in range((size + 1) // 2):
+        hk = cur[k]
+        h.append(hk)
+        if hk == 0 or 2 * k + 2 > size:
+            break
+        if k:
+            ak = cur[k + 1] / hk - prev[k] / h[k - 1]
+            bk = hk / h[k - 1]
+        else:
+            ak = cur[1] / hk
+            bk = Fraction(0)
+        a.append(ak)
+        b.append(bk)
+        nxt = [Fraction(0)] * size
+        for j in range(k + 1, size - 1 - k):
+            nxt[j] = cur[j + 1] - ak * cur[j] - bk * prev[j]
+        prev, cur = cur, nxt
+    return h, a, b
+
+
 def is_pm(m: MomentSequence, max_order: int) -> PmReport:
     """Run the Hankel positivity battery on m up to the given order.
 
     Needs 2*max_order+1 moments for the plain determinants; shifted
     determinants are computed as far as the available length allows.  The
     report never claims anything beyond the tested orders.
+
+    One Chebyshev pass gives every determinant up to the first zero h_k:
+    d_k = h_0 ... h_k and, from the determinantal form of the monic
+    orthogonal polynomials at x = 0, d'_k = (-1)^(k+1) d_k pi_{k+1}(0).
+    Orders from a zero h_k on (finite support, or a degenerate signed
+    sequence) are computed one by one with :func:`hankel_det` and
+    :func:`shifted_hankel_det`.
     """
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
@@ -201,9 +254,22 @@ def is_pm(m: MomentSequence, max_order: int) -> PmReport:
         raise InsufficientMomentsError(
             f"pm test to order {max_order} needs {2 * max_order + 1} moments, got {len(m)}"
         )
-    dets = tuple(hankel_det(m, k) for k in range(max_order + 1))
     shifted_max = min(max_order, (len(m) - 2) // 2)
-    shifted = tuple(shifted_hankel_det(m, k) for k in range(shifted_max + 1))
+    h, a, b = _chebyshev(m.values[: max(2 * max_order + 1, 2 * shifted_max + 2)])
+    dets: list[Fraction] = []
+    shifted: list[Fraction] = []
+    product = Fraction(1)
+    pi_prev, pi_cur = Fraction(0), Fraction(1)  # pi_{k-1}(0), pi_k(0)
+    for k, hk in enumerate(h):
+        if hk == 0:
+            break
+        product *= hk
+        dets.append(product)
+        if k < min(len(a), shifted_max + 1):
+            pi_prev, pi_cur = pi_cur, -a[k] * pi_cur - b[k] * pi_prev
+            shifted.append((-1) ** (k + 1) * product * pi_cur)
+    dets += [hankel_det(m, k) for k in range(len(dets), max_order + 1)]
+    shifted += [shifted_hankel_det(m, k) for k in range(len(shifted), shifted_max + 1)]
 
     pm_order = -1
     for k, d in enumerate(dets):
@@ -216,8 +282,8 @@ def is_pm(m: MomentSequence, max_order: int) -> PmReport:
             notes.append(f"zero Hankel determinant at order {k}: finite support possible")
             break
     return PmReport(
-        hankel_dets=dets,
-        shifted_dets=shifted,
+        hankel_dets=tuple(dets),
+        shifted_dets=tuple(shifted),
         is_pm_to_order=pm_order,
         strictly_positive=all(d > 0 for d in dets),
         nonneg_support=all(d >= 0 for d in shifted),

@@ -1,10 +1,10 @@
 """Orthogonal polynomial families built from exact moment sequences.
 
 Given the moments of a measure with strictly positive Hankel determinants,
-the Stieltjes walk (Gram-Schmidt under the moment bilinear form) produces the
-monic orthogonal family together with its squared norms and three-term
-recurrence.  Monic is the canonical normalization here: it keeps every
-coefficient rational.  Orthonormal quantities are always handled as a
+the Chebyshev pass of :mod:`poslab.moments` yields the squared norms and
+three-term recurrence of the monic orthogonal family, and the recurrence
+builds the polynomials.  Monic is the canonical normalization here: it keeps
+every coefficient rational.  Orthonormal quantities are always handled as a
 (monic polynomial, squared norm) pair so that square roots are only ever
 taken of perfect rational squares.
 
@@ -25,7 +25,7 @@ from .errors import (
     RecurrenceError,
     SchemaError,
 )
-from .moments import MomentSequence, builtin
+from .moments import MomentSequence, _chebyshev, builtin
 from .rationals import rat, rat_str, rational_sqrt
 
 
@@ -264,10 +264,11 @@ def basis_from_moments(
 ) -> OrthoBasis:
     """Monic orthogonal polynomials of the measure behind m, up to the given order.
 
-    Runs the Stieltjes walk: each squared norm is the moment functional of
-    p_n^2 and the recurrence coefficients fall out along the way.  The walk
-    requires every Hankel determinant d_0..d_order to be strictly positive;
-    a zero or negative determinant means the measure is degenerate (finite
+    One Chebyshev pass over m_0..m_{2 order} gives the squared norms h_k and
+    the recurrence p_{k+1} = (x - a_k) p_k - b_k p_{k-1}, which builds the
+    family.  The family requires every Hankel determinant d_0..d_order to be
+    strictly positive; since d_k = h_0 ... h_k, the first nonpositive h_k
+    marks a zero or negative d_k, meaning the measure is degenerate (finite
     support) or signed, and construction stops there.  With
     ``allow_truncation`` the basis built so far is returned with an
     explanatory status instead of raising.
@@ -279,45 +280,29 @@ def basis_from_moments(
             f"basis to order {order} needs {2 * order + 1} moments, got {len(m)}"
         )
 
-    def fail(k: int, det_zero: bool):
-        kind = "zero" if det_zero else "negative"
-        message = (
-            f"Hankel determinant d_{k} of {m.label or 'input'} is {kind}; "
-            f"orthogonal family stops at order {k - 1}"
-        )
-        if allow_truncation and k >= 1:
-            return message
-        raise DegenerateMeasureError(k, message)
-
-    polys = [Polynomial.one()]
-    norms: list[Fraction] = []
-    triples: list[tuple[Fraction, Fraction, Fraction]] = []
+    h, a, b = _chebyshev(m.values[: 2 * order + 1])
+    top = order
     status = "ok"
-
-    h0 = m[0]
-    if h0 <= 0:
-        fail(0, h0 == 0)
-    norms.append(h0)
+    bad = next((k for k, hk in enumerate(h) if hk <= 0), None)
+    if bad is not None:
+        kind = "zero" if h[bad] == 0 else "negative"
+        status = (
+            f"Hankel determinant d_{bad} of {m.label or 'input'} is {kind}; "
+            f"orthogonal family stops at order {bad - 1}"
+        )
+        if not (allow_truncation and bad >= 1):
+            raise DegenerateMeasureError(bad, status)
+        top = bad - 1
 
     x = Polynomial.x()
-    for k in range(order):
-        pk = polys[k]
-        ak = _inner(x * pk, pk, m) / norms[k]
-        nxt = (x - Polynomial((ak,))) * pk
+    polys = [Polynomial.one()]
+    for k in range(top):
+        nxt = (x - Polynomial((a[k],))) * polys[k]
         if k >= 1:
-            bk = norms[k] / norms[k - 1]
-            nxt = nxt - bk * polys[k - 1]
-        else:
-            bk = Fraction(0)
-        h = _inner(nxt, nxt, m)
-        if h <= 0:
-            status = fail(k + 1, h == 0)
-            break
+            nxt = nxt - b[k] * polys[k - 1]
         polys.append(nxt)
-        norms.append(h)
-        triples.append((Fraction(1), -ak, bk))
-
-    return OrthoBasis(tuple(polys), tuple(norms), tuple(triples), m, status)
+    triples = tuple((Fraction(1), -a[k], b[k]) for k in range(top))
+    return OrthoBasis(tuple(polys), tuple(h[: top + 1]), triples, m, status)
 
 
 def squared_norms(basis: OrthoBasis) -> tuple[Fraction, ...]:

@@ -178,6 +178,31 @@ class TestLancaster:
         assert code == 2 and "--grid" in err
 
 
+class TestNegativeRationalArguments:
+    def test_negative_rho_as_separate_argument(self, capsys):
+        argv = ["lancaster", "--preset", "mehler", "--problem-order", "6", "--json"]
+        code, out, _ = run(capsys, *argv, "--rho", "-3/10")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "positive"
+        assert run(capsys, *argv, "--rho=-3/10") == (code, out, "")
+
+    def test_negative_rho_in_mehler_demo(self, capsys):
+        code, out, _ = run(capsys, "mehler-demo", "--rho", "-1/2")
+        assert code == 0
+        assert "reference battery at rho = -1/2" in out
+
+    def test_grid_starting_with_a_negative_point(self, capsys):
+        code, out, _ = run(
+            capsys, "lancaster", "--preset", "harmonic", "--problem-order", "6", "--grid", "-1,0,1"
+        )
+        assert code == 0
+        assert "side a @ -1/1" in out and "side b @ 1/1" in out
+
+    def test_unknown_dash_word_is_still_an_option(self, capsys):
+        code, _, err = run(capsys, "lancaster", "--preset", "mehler", "--rho", "-x")
+        assert code == 2 and "expected one argument" in err
+
+
 class TestMehlerDemo:
     def test_all_checks_pass(self, capsys):
         code, out, _ = run(capsys, "mehler-demo", "--rho", "1/2", "--order", "10")

@@ -1,7 +1,12 @@
 import random
 from fractions import Fraction as F
+from itertools import accumulate
+from math import factorial
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poslab.errors import InsufficientMomentsError
 from poslab.moments import (
@@ -103,6 +108,50 @@ class TestIsPm:
     def test_insufficient(self):
         with pytest.raises(InsufficientMomentsError):
             is_pm(ms([1, 0, 1]), 3)
+
+
+# zero-heavy signed rationals, so zero and negative pivots come up often
+_entries = st.one_of(
+    st.just(F(0)),
+    st.sampled_from([F(1), F(-1)]),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+@st.composite
+def _battery_inputs(draw):
+    order = draw(st.integers(0, 6))
+    length = 2 * order + 1 + draw(st.integers(0, 1))
+    return ms(draw(st.lists(_entries, min_size=length, max_size=length))), order
+
+
+class TestBatteryEngine:
+    """is_pm's single pass against per-order Bareiss determinants."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_battery_inputs())
+    def test_matches_per_order_determinants(self, case):
+        seq, order = case
+        rep = is_pm(seq, order)
+        shifted_max = min(order, (len(seq) - 2) // 2)
+        assert rep.hankel_dets == tuple(hankel_det(seq, k) for k in range(order + 1))
+        assert rep.shifted_dets == tuple(
+            shifted_hankel_det(seq, k) for k in range(shifted_max + 1)
+        )
+
+    def test_closed_forms_at_order_80(self):
+        def running_products(terms):
+            return tuple(accumulate(terms, mul))
+
+        rep = is_pm(builtin("catalan", 162), 80)
+        assert rep.hankel_dets == rep.shifted_dets == (1,) * 81
+        rep = is_pm(builtin("gaussian", 162), 80)
+        assert rep.hankel_dets == running_products(factorial(k) for k in range(81))
+        rep = is_pm(builtin("factorial", 162), 80)
+        assert rep.hankel_dets == running_products(factorial(k) ** 2 for k in range(81))
+        assert rep.shifted_dets == running_products(
+            factorial(k) * factorial(k + 1) for k in range(81)
+        )
 
 
 class TestPmAlgebra:

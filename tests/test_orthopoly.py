@@ -118,25 +118,53 @@ class TestBasisFromMoments:
             basis_from_moments(builtin("gaussian", 5), 3)
 
     def test_degenerate_measure_reports_failing_order(self):
-        with pytest.raises(DegenerateMeasureError) as err:
-            basis_from_moments(builtin("geometric", 9, 2), 4)
-        assert err.value.order == 1
+        cases = [
+            (builtin("geometric", 9, 2), 1),
+            (builtin("geometric", 9, -3), 1),
+            (builtin("geometric", 9, F(1, 2)), 1),
+            (builtin("fib_shift", 9), 2),  # two atoms
+            (builtin("fib_scaled", 9), 2),
+        ]
+        for seq, order in cases:
+            with pytest.raises(DegenerateMeasureError) as err:
+                basis_from_moments(seq, 4)
+            assert err.value.order == order
+            assert str(err.value) == (
+                f"Hankel determinant d_{order} of {seq.label} is zero; "
+                f"orthogonal family stops at order {order - 1}"
+            )
 
     def test_degenerate_measure_truncates_on_request(self):
         basis = basis_from_moments(builtin("geometric", 9, 2), 4, allow_truncation=True)
         assert basis.order == 0
         assert "stops at order 0" in basis.status
+        basis = basis_from_moments(builtin("fib_shift", 9), 4, allow_truncation=True)
+        assert basis.order == 1 and basis.norms == (F(1), F(1))
+        assert "d_2 of fib_shift is zero" in basis.status
 
     def test_signed_sequence_rejected(self):
         seq = MomentSequence((F(0), F(1), F(0)))
         with pytest.raises(DegenerateMeasureError):
             basis_from_moments(seq, 1)
 
+    def test_negative_norm_is_reported_as_negative(self):
+        # d_1 = 1, d_2 = -7: construction stops before the negative norm
+        seq = MomentSequence((F(1), F(1), F(2), F(0), F(1)), "signed")
+        with pytest.raises(DegenerateMeasureError) as err:
+            basis_from_moments(seq, 2)
+        assert err.value.order == 2
+        assert "d_2 of signed is negative; orthogonal family stops at order 1" in str(err.value)
+        basis = basis_from_moments(seq, 2, allow_truncation=True)
+        assert basis.order == 1 and basis.status == str(err.value)
+
 
 class TestNormsAndRecurrence:
     def test_recomputed_norms_match_construction(self):
-        basis = basis_from_moments(builtin("catalan", 17), 8)
-        assert squared_norms(basis) == basis.norms
+        keys = ["gaussian", "catalan", "factorial", "fib_ratio", "fib_even", "fib_odd"]
+        seqs = [builtin(name, 17) for name in keys] + [builtin("log_kernel", 17, 1)]
+        for seq in seqs:
+            basis = basis_from_moments(seq, 8)
+            assert squared_norms(basis) == basis.norms, seq.label
 
     def test_hermite_norms_by_bilinear_form(self):
         assert squared_norms(hermite(8)) == tuple(F(factorial(n)) for n in range(9))
@@ -204,7 +232,7 @@ class TestDeterminantFormulaOracle:
         lead = coeffs[n]
         return Polynomial(tuple(c / lead for c in coeffs))
 
-    def test_matches_stieltjes_walk_to_order_six(self):
+    def test_matches_recurrence_build_to_order_six(self):
         for seq in (builtin("gaussian", 13), builtin("catalan", 13), builtin("factorial", 13)):
             basis = basis_from_moments(seq, 6)
             for n in range(1, 7):
