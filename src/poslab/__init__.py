@@ -58,7 +58,6 @@ from .orthopoly import (
     Polynomial,
     basis_from_moments,
     connection,
-    eval_poly,
     hermite,
     hermite_addition_holds,
     hermite_addition_sides,
@@ -106,7 +105,6 @@ __all__ = [
     "certify_positive",
     "coefficients_from_moments",
     "connection",
-    "eval_poly",
     "full_order_check",
     "hankel_det",
     "hermite",

@@ -519,12 +519,27 @@ def _hermite_sum_formula(n: int) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
+# mehler_kernel divides by n! in floats, which overflow past 170!
+_KERNEL_MAX_TERMS = 160
+
+
+def _kernel_tail(rho: Fraction, terms: int) -> float:
+    """Bound on the kernel terms past ``terms`` for |x|, |y| <= 2.
+
+    Cramer's inequality |He_n(x)| <= 1.0865 sqrt(n!) e^(x^2/4) bounds the
+    n-th term by 1.0865^2 e^2 |rho|^n; the geometric tail follows.
+    """
+    r = abs(float(rho))
+    return 1.0865**2 * math.e**2 * r ** (terms + 1) / (1 - r)
+
+
 def mehler_demo_battery(rho, order: int = 10) -> list[CheckResult]:
     """Run the full exact-identity battery on the Gaussian reference instance.
 
     Returns one named pass/fail result per check; everything rational is
-    compared exactly and the two float cross-checks carry explicit
-    tolerances.
+    compared exactly.  The kernel cross-check sums the smallest number of
+    terms, at least 30, whose proven tail is at most 1e-8 (capped at
+    ``_KERNEL_MAX_TERMS``, past which the proven tail is the tolerance).
     """
     rho = _check_rho(rho)
     if order < 4:
@@ -616,7 +631,14 @@ def mehler_demo_battery(rho, order: int = 10) -> list[CheckResult]:
     if origin_ok:
         target = 1.0 / math.sqrt(float(one_m))
         origin_detail = f"truncated {float(nec.origin_sum):.6f} vs limit {target:.6f}"
-        origin_ok = abs(float(nec.origin_sum) - target) < 1e-3
+        # The limit 1/sqrt(1 - rho^2) sums t_k = rho^(2k) C(2k,k) / 4^k, and
+        # t_(k+1) / t_k < rho^2, so the terms past the truncation add up to at
+        # most the next one over 1 - rho^2.  Squaring keeps the test exact:
+        # S <= limit <= S + tail.
+        k = order // 2 + 1
+        tail = rho ** (2 * k) * comb(2 * k, k) / Fraction(4) ** k / one_m
+        s = nec.origin_sum
+        origin_ok = s * s * one_m <= 1 <= (s + tail) ** 2 * one_m
     record(
         "necessary-conditions",
         all(p < bound for p in nec.square_sum_partials)
@@ -634,11 +656,13 @@ def mehler_demo_battery(rho, order: int = 10) -> list[CheckResult]:
         "Hankel collapses beyond d_0 for c_n = rho^n",
     )
 
-    rho_f = float(rho)
+    terms = 30
+    while terms < _KERNEL_MAX_TERMS and _kernel_tail(rho, terms) > 1e-8:
+        terms += 1
     worst = 0.0
     for xi in range(-2, 3):
         for yi in range(-2, 3):
-            kernel = mehler_kernel(float(xi), float(yi), rho, 30)
+            kernel = mehler_kernel(float(xi), float(yi), rho, terms)
             oracle = (
                 mehler_density(float(xi), float(yi), rho)
                 * math.sqrt(2 * math.pi)
@@ -647,8 +671,8 @@ def mehler_demo_battery(rho, order: int = 10) -> list[CheckResult]:
             worst = max(worst, abs(kernel - oracle))
     record(
         "kernel-vs-density",
-        worst <= 1e-8,
-        f"max deviation {worst:.3e} on the integer grid, 30 terms",
+        worst <= max(1e-8, _kernel_tail(rho, terms)),
+        f"max deviation {worst:.3e} on the integer grid, {terms} terms",
     )
 
     h_good = [rho**n * hb.polys[n] for n in range(order + 1)]

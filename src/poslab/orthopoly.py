@@ -8,6 +8,11 @@ every coefficient rational.  Orthonormal quantities are always handled as a
 (monic polynomial, squared norm) pair so that square roots are only ever
 taken of perfect rational squares.
 
+A :class:`Polynomial` keeps integer numerators over one common denominator
+(the representation FLINT uses for ``fmpq_poly``): sums, products, scaling
+and evaluation run on integers and reduce once per result, and the Fraction
+coefficients are only built when read.
+
 Connection coefficients between two families come from an exact triangular
 solve; the constant column of that triangle is what links series
 coefficients to recovered measure moments in :mod:`poslab.positivity`.
@@ -17,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from functools import cached_property
+from math import comb, factorial, gcd, lcm
 
 from .errors import (
     DegenerateMeasureError,
@@ -29,84 +35,142 @@ from .moments import MomentSequence, _chebyshev, builtin
 from .rationals import rat, rat_str, rational_sqrt
 
 
-@dataclass(frozen=True)
 class Polynomial:
     """Univariate polynomial with exact rational coefficients, constant term first.
 
-    Trailing zero coefficients are stripped on construction; the zero
-    polynomial is the empty tuple and has degree -1.
+    Stored as a tuple of integer numerators over one positive common
+    denominator, in lowest terms (no prime divides the denominator and every
+    numerator) with trailing zeros stripped, so equal polynomials have equal
+    storage.  Arithmetic runs on the integers and reduces once per result;
+    evaluation at p/q is homogeneous Horner, sum_i n_i p^i q^(d-i), which
+    ends in a single Fraction.  ``coeffs`` gives the Fraction coefficients,
+    built on first use; the zero polynomial has no coefficients and degree -1.
     """
 
-    coeffs: tuple[Fraction, ...] = ()
+    __slots__ = ("_num", "_den", "_coeffs")
 
-    def __post_init__(self):
-        vals = [rat(c) for c in self.coeffs]
-        while vals and vals[-1] == 0:
-            vals.pop()
-        object.__setattr__(self, "coeffs", tuple(vals))
+    def __init__(self, coeffs=()):
+        vals = [rat(c) for c in coeffs]
+        den = lcm(*(v.denominator for v in vals))
+        self._store([v.numerator * (den // v.denominator) for v in vals], den)
+
+    def _store(self, num: list[int], den: int) -> None:
+        while num and not num[-1]:
+            num.pop()
+        g = gcd(den, *num) if num else den
+        if g != 1:
+            num = [v // g for v in num]
+            den //= g
+        self._num = tuple(num)
+        self._den = den
+        self._coeffs = None
+
+    @classmethod
+    def _from_ints(cls, num: list[int], den: int) -> "Polynomial":
+        """The polynomial sum_i num[i] x^i / den, for den > 0; takes ownership of ``num``."""
+        out = object.__new__(cls)
+        out._store(num, den)
+        return out
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(v, self._den) for v in self._num)
+        return self._coeffs
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        if 0 <= power < len(self._num):
+            return Fraction(self._num[power], self._den)
         return Fraction(0)
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den)
+
+    def __eq__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self._den == other._den and self._num == other._num
+
+    def __hash__(self):
+        return hash((self._num, self._den))
+
+    def __repr__(self) -> str:
+        return f"Polynomial(coeffs={self.coeffs!r})"
 
     def __call__(self, x) -> Fraction:
         x = rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        p, q = x.numerator, x.denominator
+        num = self._num
+        if not num:
+            return Fraction(0)
+        acc = num[-1]
+        qpow = 1
+        for v in reversed(num[:-1]):
+            qpow *= q
+            acc = acc * p + v * qpow
+        return Fraction(acc, self._den * qpow)
+
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        a, b = self._num, other._num
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, sign * (den // other._den)
+        if len(a) < len(b):
+            a, b, sa, sb = b, a, sb, sa
+        out = [v * sa for v in a]
+        for i, v in enumerate(b):
+            out[i] += v * sb
+        return Polynomial._from_ints(out, den)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            tuple(self.coefficient(i) + other.coefficient(i) for i in range(n))
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial._from_ints([-v for v in self._num], self._den)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
+            a, b = self._num, other._num
+            if not a or not b:
                 return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(tuple(out))
-        return Polynomial(tuple(c * rat(other) for c in self.coeffs))
+            out = [0] * (len(a) + len(b) - 1)
+            for i, u in enumerate(a):
+                if u:
+                    for j, v in enumerate(b):
+                        out[i + j] += u * v
+            return Polynomial._from_ints(out, self._den * other._den)
+        r = rat(other)
+        return Polynomial._from_ints([v * r.numerator for v in self._num], self._den * r.denominator)
 
     __rmul__ = __mul__
 
     @staticmethod
     def one() -> "Polynomial":
-        return Polynomial((Fraction(1),))
+        return Polynomial._from_ints([1], 1)
 
     @staticmethod
     def x() -> "Polynomial":
-        return Polynomial((Fraction(0), Fraction(1)))
+        return Polynomial._from_ints([0, 1], 1)
 
     @staticmethod
     def monomial(power: int, coeff=1) -> "Polynomial":
-        return Polynomial(tuple([Fraction(0)] * power) + (rat(coeff),))
+        c = rat(coeff)
+        return Polynomial._from_ints([0] * power + [c.numerator], c.denominator)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -128,11 +192,6 @@ class Polynomial:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
-
-
-def eval_poly(p: Polynomial, x) -> Fraction:
-    """Exact Horner evaluation of p at a rational point."""
-    return p(x)
 
 
 def _moment_functional(coeffs, m: MomentSequence) -> Fraction:
@@ -203,12 +262,10 @@ class OrthoBasis:
     def order(self) -> int:
         return len(self.polys) - 1
 
-    @property
+    @cached_property
     def monomial_coeffs(self) -> tuple[tuple[Fraction, ...], ...]:
         """Lower-triangular coefficient rows: row n lists the x^j coefficients of p_n."""
-        return tuple(
-            tuple(p.coefficient(j) for j in range(n + 1)) for n, p in enumerate(self.polys)
-        )
+        return tuple(p.coeffs for p in self.polys)
 
     def to_json_dict(self) -> dict:
         return {
@@ -423,6 +480,12 @@ def hermite(order: int) -> OrthoBasis:
     squared norms n! against the standard normal moments.  The orthonormal
     variant is the pair (He_n, n!): scale by 1/sqrt(n!) only when the context
     guarantees the root is rational.
+
+    The closed recurrence is kept on purpose rather than running the
+    Chebyshev pass of :func:`basis_from_moments` over the Gaussian moments:
+    the demo battery's ``hermite-from-gaussian-moments`` check compares the
+    two routes, and building one from the other would turn that check into
+    a comparison of the engine with itself.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")

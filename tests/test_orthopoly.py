@@ -1,7 +1,9 @@
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poslab.errors import DegenerateMeasureError, InsufficientMomentsError, RecurrenceError
 from poslab.moments import MomentSequence, builtin
@@ -10,7 +12,6 @@ from poslab.orthopoly import (
     Polynomial,
     basis_from_moments,
     connection,
-    eval_poly,
     hermite,
     hermite_addition_holds,
     hermite_addition_sides,
@@ -55,12 +56,105 @@ class TestPolynomial:
 
     def test_horner_evaluation(self):
         p = Polynomial((F(3), F(0), F(-1), F(1)))  # 3 - x^2 + x^3
-        assert eval_poly(p, F(2)) == 3 - 4 + 8
-        assert eval_poly(p, F(0)) == 3
+        assert p(F(2)) == 3 - 4 + 8
+        assert p(F(0)) == 3
 
     def test_str_rendering(self):
         assert str(Polynomial((F(-1), F(0), F(1)))) == "x^2 - 1"
         assert str(Polynomial((F(0), F(-3), F(0), F(1)))) == "x^3 - 3*x"
+
+
+def ref_trim(cs):
+    """Reference list-of-Fraction polynomial: constant first, no trailing zeros."""
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = list(a) + [F(0)] * (n - len(a)), list(b) + [F(0)] * (n - len(b))
+    return ref_trim(u + sign * v for u, v in zip(a, b))
+
+
+def ref_mul(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return ref_trim(out)
+
+
+def ref_eval(a, x):
+    return sum((c * x**i for i, c in enumerate(a)), F(0))
+
+
+rationals = st.fractions(min_value=-40, max_value=40, max_denominator=36)
+coeff_lists = st.lists(st.one_of(st.just(F(0)), rationals), max_size=7)
+
+
+def assert_canonical(p):
+    """Integer numerators over the least common denominator, no trailing zeros."""
+    assert all(isinstance(c, F) for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+    assert p._den == lcm(*(c.denominator for c in p.coeffs))
+    assert gcd(p._den, *p._num) == 1
+    assert p.coeffs == tuple(F(v, p._den) for v in p._num)
+
+
+class TestPolynomialAgainstFractionReference:
+    @settings(max_examples=200, deadline=None)
+    @given(coeff_lists, coeff_lists, rationals, st.integers(-30, 30), rationals)
+    def test_operations_match_the_reference(self, a, b, r, k, x):
+        p, q = Polynomial(a), Polynomial(b)
+        cases = [
+            (p + q, ref_add(a, b)),
+            (p - q, ref_add(a, b, -1)),
+            (-p, ref_trim(-c for c in a)),
+            (p * q, ref_mul(a, b)),
+            (r * p, ref_trim(r * c for c in a)),
+            (p * r, ref_trim(r * c for c in a)),
+            (k * p, ref_trim(k * c for c in a)),
+        ]
+        for got, want in cases:
+            assert got.coeffs == want
+            assert got.degree == len(want) - 1
+            assert_canonical(got)
+        assert p(x) == ref_eval(a, x)
+        assert p(k) == ref_eval(a, F(k))
+        assert p(str(x)) == ref_eval(a, x)
+        assert (p * q)(x) == p(x) * q(x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeff_lists, coeff_lists, st.integers(1, 50), st.integers(0, 3))
+    def test_canonical_form(self, a, b, scale, pad):
+        p = Polynomial(a)
+        assert_canonical(p)
+        assert p.coeffs == ref_trim(a)
+        # the same polynomial reached through other denominators
+        unreduced = Polynomial(
+            [f"{c.numerator * scale}/{c.denominator * scale}" for c in a] + ["0"] * pad
+        )
+        q = Polynomial(b)
+        for other in (unreduced, (p + q) - q, (p * F(scale, 7)) * F(7, scale)):
+            assert other == p and hash(other) == hash(p)
+            assert other.coeffs == p.coeffs
+            assert_canonical(other)
+        zero = p - p
+        assert zero.is_zero and zero.degree == -1 and zero.coeffs == ()
+        assert zero == Polynomial() == Polynomial([F(0)] * pad)
+        assert hash(zero) == hash(Polynomial())
+
+    @given(coeff_lists, st.floats(allow_nan=False, allow_infinity=False))
+    def test_floats_are_rejected(self, a, value):
+        p = Polynomial(a)
+        with pytest.raises(TypeError):
+            Polynomial(list(a) + [value])
+        with pytest.raises(TypeError):
+            p(value)
+        with pytest.raises(TypeError):
+            p * value
 
 
 class TestHermite:
