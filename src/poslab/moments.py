@@ -13,10 +13,15 @@ explicit about the order it was tested at.
 
 One exact engine serves both the Hankel battery here and the orthogonal
 family in :mod:`poslab.orthopoly`: a single O(K^2) pass of Chebyshev's
-algorithm (Gautschi, SIAM J. Sci. Stat. Comput. 3, 1982) over the moments
-yields the monic norms h_k and the recurrence (a_k, b_k), and with them
-d_k = h_0 ... h_k.  Only orders at or past a zero h_k, where the recurrence
-does not exist, fall back to a fraction-free (Bareiss) determinant per order.
+algorithm (Gautschi, SIAM J. Sci. Stat. Comput. 3, 1982) over the moments,
+run on integers.  The moments are scaled once by the lcm D of their
+denominators, and the pass returns the integer Hankel minors Delta_k of the
+scaled moments together with the values at 0 of the integral orthogonal
+polynomials, in the fraction-free form of Bareiss (Math. Comp. 22, 1968):
+d_k = Delta_k / D^(k+1), the shifted determinants, and the monic norms and
+recurrence (h_k, a_k, b_k) all follow from them by one division each.  Only
+orders at or past a zero minor, where the recurrence does not exist, fall
+back to a fraction-free (Bareiss) determinant per order.
 
 All values are immutable and every function is pure, so everything here is
 safe for unrestricted concurrent use.
@@ -27,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from .errors import InsufficientMomentsError, SchemaError
 from .rationals import fibonacci, rat, rat_str
@@ -195,42 +200,105 @@ class PmReport:
         }
 
 
-def _chebyshev(values) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-    """Chebyshev's algorithm: one exact pass from moments to the monic recurrence.
+def _chebyshev(values) -> tuple[int, list[int], list[int], list[int]]:
+    """Chebyshev's algorithm on integers: one exact pass from moments to Hankel minors.
 
-    For the moment functional behind ``values`` = m_0..m_{L-1}, returns
-    (h, a, b) with h_k = <pi_k, pi_k> for the monic orthogonal polynomials
-    pi_{k+1} = (x - a_k) pi_k - b_k pi_{k-1}, b_0 = 0.  h_k needs m_{2k};
-    a_k and b_k need m_{2k+1}.  The pass runs through negative h_k (a signed
-    functional still has a recurrence) and ends at the first zero h_k, which
-    is then the last entry of h: no recurrence exists past it.  O(L^2)
-    rational operations; see Gautschi, *Orthogonal Polynomials: Computation
-    and Approximation* (2004), section 2.1.7.
+    Scales m_0..m_{L-1} once to integers M_i = D m_i, with D the lcm of the
+    denominators, and runs the modified Chebyshev recurrence (Gautschi,
+    *Orthogonal Polynomials: Computation and Approximation* (2004), section
+    2.1.7) for the monic orthogonal pi_k of the functional of M.  Returns
+    (D, dets, nexts, zeros), all integer determinants:
+
+    * dets[k] = Delta_k = det[M_{i+j}]_{0 <= i,j <= k}, needing M_{2k};
+    * nexts[k] = s_k[k+1] and zeros[k] = P_{k+1}(0), needing M_{2k+1},
+
+    where P_k = Delta_{k-1} pi_k (Delta_{-1} = 1) is integral and
+    s_k[l] = <P_k, x^l> is the Hankel minor of order k with its last row
+    shifted to M_l..M_{l+k}.  In these terms the recurrence is Bareiss's
+    fraction-free step (Math. Comp. 22, 1968):
+
+        s_{k+1}[l] = (Delta_{k-1} (Delta_k s_k[l+1] - s_k[k+1] s_k[l])
+                      + Delta_k (s_{k-1}[k] s_k[l] - Delta_k s_{k-1}[l]))
+                     // Delta_{k-1}^2,
+
+    exact because both sides are integer determinants; P_k(0) steps by the
+    same formula with <x P_k, 1> read as (x P_k)(0) = 0.
+
+    The pass does not store s_k itself: its entries are as large as the
+    Hankel minors (for n! about 40k bits at k = 80, which makes Bareiss's
+    division the dominant cost at large orders), while <pi_k, x^l> often
+    stays small.  Each row <pi_k, x^l> (k <= l < L - k), pi_k(0) is kept
+    as integer numerators over one common denominator in lowest terms.  The
+    step forms the numerator above from these rows, with their pivots in
+    place of the minors, and divides by the gcd of the row and its
+    denominator instead of by Delta_{k-1}^2.  Delta_k, s_k[k+1] and
+    P_{k+1}(0) come back from the rows by one exact division each.
+
+    The pass runs through negative minors (a signed functional still has a
+    recurrence) and ends at the first zero Delta_k, which is then the last
+    entry of dets: no recurrence exists past it.  O(L^2) integer operations.
     """
+    scale = lcm(*(v.denominator for v in values))
     size = len(values)
-    h: list[Fraction] = []
-    a: list[Fraction] = []
-    b: list[Fraction] = []
-    # sigma_k[l] = <pi_k, x^l>, meaningful for k <= l <= size - 1 - k
-    prev = [Fraction(0)] * size
-    cur = list(values)
+    # cur = den (<pi_k, x^l> for l < size - k, then pi_k(0)) for the
+    # functional of M, in lowest terms; prev is the row of k - 1 (0 at k = 0)
+    cur = [v.numerator * (scale // v.denominator) for v in values] + [1]
+    prev = [0] * (size + 1)
+    den = 1
+    dets: list[int] = []
+    nexts: list[int] = []
+    zeros: list[int] = []
+    det, piv_prev = 1, 1  # Delta_{k-1}, row_{k-1}[k-1]
     for k in range((size + 1) // 2):
-        hk = cur[k]
-        h.append(hk)
-        if hk == 0 or 2 * k + 2 > size:
+        piv = cur[k]
+        det_prev, det = det, det * piv // den
+        dets.append(det)
+        if piv == 0 or 2 * k + 2 > size:
             break
-        if k:
-            ak = cur[k + 1] / hk - prev[k] / h[k - 1]
-            bk = hk / h[k - 1]
-        else:
-            ak = cur[1] / hk
-            bk = Fraction(0)
-        a.append(ak)
-        b.append(bk)
-        nxt = [Fraction(0)] * size
-        for j in range(k + 1, size - 1 - k):
-            nxt[j] = cur[j + 1] - ak * cur[j] - bk * prev[j]
-        prev, cur = cur, nxt
+        nexts.append(det_prev * cur[k + 1] // den)
+        # the numerator of Bareiss's step, with row pivots for the minors
+        lead, back = piv_prev * piv, piv * piv
+        mid = piv * prev[k] - piv_prev * cur[k + 1]
+        nxt = [0] * (k + 1)
+        nxt += [
+            lead * cur[l + 1] + mid * cur[l] - back * prev[l]
+            for l in range(k + 1, size - 1 - k)
+        ]
+        nxt.append(mid * cur[-1] - back * prev[-1])
+        den *= lead
+        g = gcd(den, *nxt)
+        if g > 1:
+            den //= g
+            nxt = [x // g for x in nxt]
+        zeros.append(det * nxt[-1] // den)
+        prev, cur, piv_prev = cur, nxt, piv
+    return scale, dets, nexts, zeros
+
+
+def _recurrence(values) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
+    """The monic recurrence of the functional behind ``values``, from :func:`_chebyshev`.
+
+    Returns (h, a, b) with h_k = <pi_k, pi_k> for the monic orthogonal
+    polynomials pi_{k+1} = (x - a_k) pi_k - b_k pi_{k-1}, b_0 = 0:
+
+        h_k = Delta_k / (Delta_{k-1} D),
+        a_k = s_k[k+1] / Delta_k - s_{k-1}[k] / Delta_{k-1},
+        b_k = Delta_k Delta_{k-2} / Delta_{k-1}^2.
+
+    h ends at the first zero h_k, and a, b stop one entry before it.
+    """
+    scale, dets, nexts, _ = _chebyshev(values)
+    d_prev = [1] + dets  # Delta_{k-1}
+    n_prev = [0] + nexts  # s_{k-1}[k]
+    h = [Fraction(d, p * scale) for p, d in zip(d_prev, dets)]
+    a = [
+        Fraction(n * d_prev[k] - n_prev[k] * dets[k], dets[k] * d_prev[k])
+        for k, n in enumerate(nexts)
+    ]
+    b = [
+        Fraction(dets[k] * d_prev[k - 1], d_prev[k] ** 2) if k else Fraction(0)
+        for k in range(len(nexts))
+    ]
     return h, a, b
 
 
@@ -241,12 +309,13 @@ def is_pm(m: MomentSequence, max_order: int) -> PmReport:
     determinants are computed as far as the available length allows.  The
     report never claims anything beyond the tested orders.
 
-    One Chebyshev pass gives every determinant up to the first zero h_k:
-    d_k = h_0 ... h_k and, from the determinantal form of the monic
-    orthogonal polynomials at x = 0, d'_k = (-1)^(k+1) d_k pi_{k+1}(0).
-    Orders from a zero h_k on (finite support, or a degenerate signed
+    One integer pass (:func:`_chebyshev`) gives every determinant up to the
+    first zero minor: with moments scaled by D, d_k = Delta_k / D^(k+1) and,
+    from the determinantal form of the monic orthogonal polynomials at
+    x = 0, d'_k = (-1)^(k+1) d_k pi_{k+1}(0) = (-1)^(k+1) P_{k+1}(0) / D^(k+1).
+    Orders from a zero minor on (finite support, or a degenerate signed
     sequence) are computed one by one with :func:`hankel_det` and
-    :func:`shifted_hankel_det`.
+    :func:`shifted_hankel_det` (Bareiss).
     """
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
@@ -255,19 +324,17 @@ def is_pm(m: MomentSequence, max_order: int) -> PmReport:
             f"pm test to order {max_order} needs {2 * max_order + 1} moments, got {len(m)}"
         )
     shifted_max = min(max_order, (len(m) - 2) // 2)
-    h, a, b = _chebyshev(m.values[: max(2 * max_order + 1, 2 * shifted_max + 2)])
+    scale, minors, _, zeros = _chebyshev(m.values[: max(2 * max_order + 1, 2 * shifted_max + 2)])
+    if minors[-1] == 0:
+        minors.pop()
     dets: list[Fraction] = []
     shifted: list[Fraction] = []
-    product = Fraction(1)
-    pi_prev, pi_cur = Fraction(0), Fraction(1)  # pi_{k-1}(0), pi_k(0)
-    for k, hk in enumerate(h):
-        if hk == 0:
-            break
-        product *= hk
-        dets.append(product)
-        if k < min(len(a), shifted_max + 1):
-            pi_prev, pi_cur = pi_cur, -a[k] * pi_cur - b[k] * pi_prev
-            shifted.append((-1) ** (k + 1) * product * pi_cur)
+    power = 1
+    for k, dk in enumerate(minors):
+        power *= scale
+        dets.append(Fraction(dk, power))
+        if k < min(len(zeros), shifted_max + 1):
+            shifted.append(Fraction(zeros[k] if k % 2 else -zeros[k], power))
     dets += [hankel_det(m, k) for k in range(len(dets), max_order + 1)]
     shifted += [shifted_hankel_det(m, k) for k in range(len(shifted), shifted_max + 1)]
 

@@ -1,8 +1,8 @@
 """Orthogonal polynomial families built from exact moment sequences.
 
 Given the moments of a measure with strictly positive Hankel determinants,
-the Chebyshev pass of :mod:`poslab.moments` yields the squared norms and
-three-term recurrence of the monic orthogonal family, and the recurrence
+the integer Chebyshev pass of :mod:`poslab.moments` yields the squared norms
+and three-term recurrence of the monic orthogonal family, and the recurrence
 builds the polynomials.  Monic is the canonical normalization here: it keeps
 every coefficient rational.  Orthonormal quantities are always handled as a
 (monic polynomial, squared norm) pair so that square roots are only ever
@@ -31,7 +31,7 @@ from .errors import (
     RecurrenceError,
     SchemaError,
 )
-from .moments import MomentSequence, _chebyshev, builtin
+from .moments import MomentSequence, _recurrence, builtin
 from .rationals import rat, rat_str, rational_sqrt
 
 
@@ -321,9 +321,17 @@ def basis_from_moments(
 ) -> OrthoBasis:
     """Monic orthogonal polynomials of the measure behind m, up to the given order.
 
-    One Chebyshev pass over m_0..m_{2 order} gives the squared norms h_k and
-    the recurrence p_{k+1} = (x - a_k) p_k - b_k p_{k-1}, which builds the
-    family.  The family requires every Hankel determinant d_0..d_order to be
+    One integer Chebyshev pass over m_0..m_{2 order} (scaled by the lcm D of
+    their denominators; see :func:`poslab.moments._chebyshev`) gives the
+    Hankel minors Delta_k and s_k[k+1], the pairing of the integral
+    orthogonal polynomial Delta_{k-1} p_k with x^(k+1).  They give the squared
+    norms h_k = Delta_k / (Delta_{k-1} D) and the recurrence
+    p_{k+1} = (x - a_k) p_k - b_k p_{k-1} with
+    a_k = s_k[k+1] / Delta_k - s_{k-1}[k] / Delta_{k-1} and
+    b_k = Delta_k Delta_{k-2} / Delta_{k-1}^2, which builds the family.
+    Delta_k and s_k[k+1] are integer determinants, so the pass recovers each
+    by an exact integer division, as in Bareiss's elimination (Math. Comp.
+    22, 1968).  The family requires every Hankel determinant d_0..d_order to be
     strictly positive; since d_k = h_0 ... h_k, the first nonpositive h_k
     marks a zero or negative d_k, meaning the measure is degenerate (finite
     support) or signed, and construction stops there.  With
@@ -337,7 +345,7 @@ def basis_from_moments(
             f"basis to order {order} needs {2 * order + 1} moments, got {len(m)}"
         )
 
-    h, a, b = _chebyshev(m.values[: 2 * order + 1])
+    h, a, b = _recurrence(m.values[: 2 * order + 1])
     top = order
     status = "ok"
     bad = next((k for k, hk in enumerate(h) if hk <= 0), None)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from poslab.cli import main
 from poslab.errors import InsufficientMomentsError
 from poslab.lancaster import (
     DEFAULT_GRID,
@@ -334,3 +335,17 @@ class TestPresetsAndBattery:
         # 30 terms up to |rho| = 1/2, more only where the proven tail needs them
         kernel = {r.name: r for r in mehler_demo_battery(rho, 6)}["kernel-vs-density"]
         assert kernel.passed and kernel.detail.endswith(f", {terms} terms")
+
+    def test_kernel_detail_names_the_tail_at_the_term_cap(self):
+        # at rho = 99/100 the 160-term cap leaves a proven tail of about 170,
+        # which is then the tolerance; the detail must say so
+        kernel = {r.name: r for r in mehler_demo_battery(F(99, 100), 6)}["kernel-vs-density"]
+        assert kernel.detail.endswith(
+            ", 160 terms, tolerance is the proven tail 1.729e+02 at the term cap"
+        )
+
+    def test_independent_pair_passes_every_check(self, capsys):
+        # at rho = 0 the square-sum partials equal 1/(1 - rho^2) and
+        # rho^n He_n vanishes for n >= 1
+        assert main(["mehler-demo", "--rho=0", "--order", "4"]) == 0
+        assert capsys.readouterr().out.endswith("13/13 checks passed\n")

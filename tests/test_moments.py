@@ -5,7 +5,7 @@ from math import factorial
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poslab.errors import InsufficientMomentsError
@@ -26,6 +26,8 @@ from poslab.moments import (
     pm_subsample,
     shifted_hankel_det,
 )
+from poslab.moments import _recurrence
+from tests_support import chebyshev_battery, chebyshev_recurrence
 
 
 def det_cofactor(rows):
@@ -152,6 +154,68 @@ class TestBatteryEngine:
         assert rep.shifted_dets == running_products(
             factorial(k) * factorial(k + 1) for k in range(81)
         )
+
+
+def _catalog_prefix(key, param=None):
+    return st.integers(1, 31).map(lambda n: builtin(key, n, param).values)
+
+
+# early zero pivots (point masses, two-atom measures) and negative h_k
+# (1, 0, -1, ...) come up among the random lists, and explicitly here
+_engine_inputs = st.one_of(
+    st.lists(_entries, min_size=1, max_size=31).map(tuple),
+    _catalog_prefix("geometric", F(2)),
+    _catalog_prefix("geometric", F(-1, 3)),
+    _catalog_prefix("fib_shift"),
+)
+
+
+def _assert_engine_matches_oracle(values):
+    assert _recurrence(values) == chebyshev_recurrence(values)
+    seq = MomentSequence(values)
+    for order in {(len(values) - 1) // 2, (len(values) - 2) // 2}:
+        if order >= 0:
+            rep = is_pm(seq, order)
+            assert (rep.hankel_dets, rep.shifted_dets) == chebyshev_battery(seq, order)
+
+
+class TestIntegerEngine:
+    """The integer pass against Chebyshev's algorithm in Fractions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_engine_inputs)
+    @example(builtin("geometric", 9, F(2)).values)
+    @example(builtin("fib_shift", 11).values)
+    @example((F(1), F(0), F(-1), F(0), F(1), F(1, 2), F(-3, 7)))
+    @example((F(2, 3),))
+    def test_matches_rational_chebyshev(self, values):
+        _assert_engine_matches_oracle(values)
+
+    def test_inputs_reach_zero_and_negative_pivots(self):
+        h_geo = chebyshev_recurrence(builtin("geometric", 9, F(2)).values)[0]
+        h_fib = chebyshev_recurrence(builtin("fib_shift", 11).values)[0]
+        h_neg = chebyshev_recurrence((F(1), F(0), F(-1), F(0), F(1)))[0]
+        assert h_geo[-1] == 0 and len(h_geo) == 2
+        assert h_fib[-1] == 0 and len(h_fib) == 3
+        assert h_neg[1] < 0
+
+    def test_perturbed_mehler_grid_to_twelve(self):
+        # conditional moments of Hermite order 8 with c_n = (1/2)^n + k/1000,
+        # on the half-integer grid out to +-12, where d_2 turns negative
+        from poslab.lancaster import LancasterProblem, moment_polynomials
+        from poslab.orthopoly import hermite
+
+        basis = hermite(8)
+        grid = [F(j, 2) for j in range(-24, 25)]
+        negative = 0
+        for k in (-20, -7, 3, 20):
+            coeffs = (F(1),) + tuple(F(1, 2**n) + F(k, 1000) for n in range(1, 9))
+            family = moment_polynomials(LancasterProblem(basis, basis, coeffs)).ma
+            for y in grid:
+                values = tuple(p(y) for p in family)
+                _assert_engine_matches_oracle(values)
+                negative += is_pm(MomentSequence(values), 4).first_negative_order is not None
+        assert negative > 0
 
 
 class TestPmAlgebra:

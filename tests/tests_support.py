@@ -1,13 +1,16 @@
 """Shared exact oracles for the test suite.
 
 Everything here is deliberately independent of the production code paths it
-is used to check: plain formulas, no shared helpers.
+is used to check: plain formulas, no shared helpers.  The one exception is
+the rational Chebyshev oracle's fallback past a zero pivot, which uses the
+library's per-order Bareiss determinants: a separate route from the integer
+pass it checks.
 """
 
 from fractions import Fraction as F
 from math import comb, factorial
 
-from poslab.moments import MomentSequence
+from poslab.moments import MomentSequence, hankel_det, shifted_hankel_det
 
 
 def normal_moments(mean, var, count):
@@ -39,3 +42,59 @@ def hermite_sum_formula(n):
             (-1) ** m * factorial(n), 2**m * factorial(m) * factorial(n - 2 * m)
         )
     return coeffs
+
+
+def chebyshev_recurrence(values):
+    """Chebyshev's algorithm in rational arithmetic: (h, a, b) of the monic recurrence.
+
+    h_k = <pi_k, pi_k> for pi_{k+1} = (x - a_k) pi_k - b_k pi_{k-1}, b_0 = 0,
+    carrying sigma_k[l] = <pi_k, x^l> as Fractions (Gautschi, *Orthogonal
+    Polynomials: Computation and Approximation* (2004), section 2.1.7).  h_k
+    needs m_{2k}, a_k and b_k need m_{2k+1}; h ends at the first zero h_k.
+    """
+    size = len(values)
+    h, a, b = [], [], []
+    prev = [F(0)] * size
+    cur = list(values)
+    for k in range((size + 1) // 2):
+        hk = cur[k]
+        h.append(hk)
+        if hk == 0 or 2 * k + 2 > size:
+            break
+        if k:
+            ak = cur[k + 1] / hk - prev[k] / h[k - 1]
+            bk = hk / h[k - 1]
+        else:
+            ak = cur[1] / hk
+            bk = F(0)
+        a.append(ak)
+        b.append(bk)
+        nxt = [F(0)] * size
+        for j in range(k + 1, size - 1 - k):
+            nxt[j] = cur[j + 1] - ak * cur[j] - bk * prev[j]
+        prev, cur = cur, nxt
+    return h, a, b
+
+
+def chebyshev_battery(m, max_order):
+    """The Hankel and shifted Hankel determinants of ``is_pm`` from the rational pass.
+
+    d_k = h_0 ... h_k and d'_k = (-1)^(k+1) d_k pi_{k+1}(0) up to the first
+    zero h_k, per-order Bareiss determinants from there on.
+    """
+    shifted_max = min(max_order, (len(m) - 2) // 2)
+    h, a, b = chebyshev_recurrence(m.values[: max(2 * max_order + 1, 2 * shifted_max + 2)])
+    dets, shifted = [], []
+    product = F(1)
+    pi_prev, pi_cur = F(0), F(1)
+    for k, hk in enumerate(h):
+        if hk == 0:
+            break
+        product *= hk
+        dets.append(product)
+        if k < min(len(a), shifted_max + 1):
+            pi_prev, pi_cur = pi_cur, -a[k] * pi_cur - b[k] * pi_prev
+            shifted.append((-1) ** (k + 1) * product * pi_cur)
+    dets += [hankel_det(m, k) for k in range(len(dets), max_order + 1)]
+    shifted += [shifted_hankel_det(m, k) for k in range(len(shifted), shifted_max + 1)]
+    return tuple(dets), tuple(shifted)
