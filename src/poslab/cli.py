@@ -11,12 +11,19 @@ parameter spaces:
 Identical inputs always produce byte-identical reports.  Rationals are
 accepted only as "p/q" strings; floats are rejected wherever exactness
 matters.  The environment variable POSLAB_PRECISION (default 17) sets the
-number of significant digits used for float diagnostics in reports.
+number of significant digits used for float diagnostics in reports; it
+is read on each request.
+
+``main`` builds one argument parser per process, on its first call, and
+reuses it for every later request: nothing in the parser depends on the
+request, and argparse keeps no state between ``parse_args`` calls.
+``build_parser`` still returns a fresh parser to any other caller.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -373,10 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: built on the first request, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, matching the input-error convention
         return int(exc.code or 0)

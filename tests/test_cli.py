@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from poslab.cli import main
+from poslab import cli
+from poslab.cli import build_parser, main
 from poslab.lancaster import preset_problem
 from poslab.moments import builtin
 
@@ -258,3 +259,57 @@ class TestUsageErrors:
 
     def test_unknown_command_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+class TestParserReuse:
+    """``main`` reuses one parser per process; no request may leak into the next."""
+
+    def test_main_builds_one_parser_per_process(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run(capsys, "check-pm", "--seq", "catalan", "--order", "2")[0] == 0
+            assert run(capsys, "check-pm")[0] == 2
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+        assert build_parser() is not cli._parser()
+
+    def test_usage_error_matches_a_fresh_parser(self, capsys):
+        code, out, err = run(capsys, "check-pm", "--seq", "catalan")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["check-pm", "--seq", "catalan"])
+        fresh = capsys.readouterr()
+        assert (code, out, err) == (exc.value.code, fresh.out, fresh.err)
+        assert code == 2 and "--order" in err
+
+    def test_usage_error_does_not_affect_the_next_call(self, capsys):
+        argv = ("check-pm", "--seq", "catalan", "--order", "3")
+        before = run(capsys, *argv)
+        assert run(capsys, "check-pm", "--seq", "catalan")[0] == 2
+        assert run(capsys, *argv) == before
+        assert before[0] == 0 and before[1].startswith("sequence: catalan\n")
+
+    def test_json_flag_does_not_leak_to_the_next_call(self, capsys):
+        code, out, _ = run(capsys, "check-pm", "--seq", "catalan", "--order", "2", "--json")
+        assert code == 0 and json.loads(out)["order"] == 2
+        code, out, _ = run(capsys, "check-pm", "--seq", "catalan", "--order", "2")
+        assert code == 0 and out.startswith("sequence: catalan\n")
+
+    def test_json_default_follows_the_subcommand(self, capsys):
+        code, out, _ = run(capsys, "check-pm", "--seq", "catalan", "--order", "2", "--text")
+        assert code == 0 and out.startswith("sequence: catalan\n")
+        code, out, _ = run(capsys, "build-basis", "--seq", "gaussian", "--order", "2")
+        assert code == 0 and json.loads(out)["norms"] == ["1/1", "1/1", "2/1"]
+
+    def test_negative_rational_accepted_after_an_error(self, capsys):
+        argv = ["lancaster", "--preset", "mehler", "--problem-order", "6", "--json"]
+        assert run(capsys, *argv, "--rho", "-x")[0] == 2
+        code, out, err = run(capsys, *argv, "--rho", "-3/10")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdict"] == "positive"

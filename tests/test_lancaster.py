@@ -320,11 +320,16 @@ class TestPresetsAndBattery:
 
     @pytest.mark.parametrize(
         "rho, order",
-        [(F(2, 3), 10), (F(-2, 3), 10), (F(3, 4), 10), (F(4, 5), 10), (F(1, 2), 4), (F(1, 2), 6)],
+        [
+            (F(2, 3), 10), (F(-2, 3), 10), (F(3, 4), 10), (F(4, 5), 10), (F(1, 2), 4),
+            (F(1, 2), 6), (F(9, 10), 10), (F(-9, 10), 10), (F(49, 50), 10),
+        ],
     )
     def test_battery_passes_where_truncation_error_is_large(self, rho, order):
         # the origin sum and the 30-term kernel miss their limits by more
-        # than a fixed tolerance here; the checks must allow the proven tail
+        # than a fixed tolerance here; the checks must allow the proven tail,
+        # which at |rho| >= 9/10 is the tolerance at the term cap and still
+        # below the density on the grid
         failed = [r.name for r in mehler_demo_battery(rho, order) if not r.passed]
         assert failed == []
 
@@ -343,6 +348,18 @@ class TestPresetsAndBattery:
         assert kernel.detail.endswith(
             ", 160 terms, tolerance is the proven tail 1.729e+02 at the term cap"
         )
+
+    def test_kernel_check_fails_where_the_tolerance_exceeds_every_value(self):
+        # at rho = 99/100 the proven tail 172.9 is larger than the density
+        # anywhere on the grid, so the check could not catch any kernel
+        kernel = {r.name: r for r in mehler_demo_battery(F(99, 100), 10)}["kernel-vs-density"]
+        assert kernel.passed is False
+
+    def test_vacuous_kernel_check_fails_the_demo(self, capsys):
+        assert main(["mehler-demo", "--rho=99/100", "--order", "10"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  kernel-vs-density" in out
+        assert out.endswith("12/13 checks passed\n")
 
     def test_independent_pair_passes_every_check(self, capsys):
         # at rho = 0 the square-sum partials equal 1/(1 - rho^2) and
