@@ -9,8 +9,11 @@ parameter spaces:
     3  insufficient moments / order for the requested computation
 
 Identical inputs always produce byte-identical reports.  Rationals are
-accepted only as "p/q" strings; floats are rejected wherever exactness
-matters.  The environment variable POSLAB_PRECISION (default 17) sets the
+accepted only as strings, "p/q", "p" or an exact decimal like "0.3": JSON
+numbers, booleans, floats and exponent notation are rejected.  A schema
+error in an input file reads ``FILE: $.field[i]: reason``.  An empty grid,
+in a file or in ``--grid``, is an error; leave it out for the default grid.
+The environment variable POSLAB_PRECISION (default 17) sets the
 number of significant digits used for float diagnostics in reports; it
 is read on each request.
 
@@ -55,7 +58,7 @@ from .moments import (
 )
 from .orthopoly import OrthoBasis, basis_from_moments, connection, hermite
 from .positivity import OrthogonalSeries, certify_positive
-from .rationals import rat, rat_str
+from .rationals import rat, rat_str, rational_list
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -99,11 +102,17 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _parse_grid(text: str) -> tuple[Fraction, ...]:
+def _load(path: str, loader):
+    """``loader(data, "$")`` on the JSON file at ``path``; schema errors name the file first."""
+    data = _load_json(path)
     try:
-        return tuple(rat(part) for part in text.split(",") if part.strip())
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"--grid: {exc}")
+        return loader(data, "$")
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def _parse_grid(text: str) -> tuple[Fraction, ...]:
+    return rational_list([part for part in text.split(",") if part.strip()], "--grid")
 
 
 def _pm_text(label: str, order: int, report: PmReport) -> str:
@@ -154,11 +163,7 @@ def _sequence_from_args(args, needed: int) -> MomentSequence:
         name, param = parse_catalog_key(args.seq)
         return builtin(name, needed, param)
     if getattr(args, "infile", None):
-        data = _load_json(args.infile)
-        try:
-            return MomentSequence.from_json_dict(data, "$")
-        except SchemaError as exc:
-            raise SchemaError(f"{args.infile}: {exc}")
+        return _load(args.infile, MomentSequence.from_json_dict)
     raise SchemaError("a sequence is required: pass --seq KEY or --in FILE")
 
 
@@ -180,50 +185,34 @@ def _cmd_build_basis(args) -> int:
     return EXIT_OK
 
 
-def _load_basis(path: str) -> OrthoBasis:
-    data = _load_json(path)
-    try:
-        return OrthoBasis.from_json_dict(data, "$")
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}")
-
-
 def _cmd_connect(args) -> int:
-    from_basis = _load_basis(args.infile)
-    to_basis = _load_basis(args.to)
+    from_basis = _load(args.infile, OrthoBasis.from_json_dict)
+    to_basis = _load(args.to, OrthoBasis.from_json_dict)
     cm = connection(from_basis, to_basis)
     _emit(_dump_json(cm.to_json_dict()), args.out)
     return EXIT_OK
 
 
-def _load_series(path: str) -> OrthogonalSeries:
-    data = _load_json(path)
+def _series_from_json(data: dict, where: str) -> OrthogonalSeries:
     basis_field = data.get("basis")
     if basis_field == "hermite":
         order = data.get("order")
         if not isinstance(order, int) or order < 0:
-            raise SchemaError(f"{path}: field 'order': expected a nonnegative integer with basis 'hermite'")
+            raise SchemaError(f"{where}.order: expected a nonnegative integer with basis 'hermite'")
         basis = hermite(order)
     elif isinstance(basis_field, dict):
-        try:
-            basis = OrthoBasis.from_json_dict(basis_field, "$.basis")
-        except SchemaError as exc:
-            raise SchemaError(f"{path}: {exc}")
+        basis = OrthoBasis.from_json_dict(basis_field, f"{where}.basis")
     else:
-        raise SchemaError(f"{path}: field 'basis': expected a basis object or the string 'hermite'")
-    raw = data.get("coeffs")
-    if not isinstance(raw, list) or not raw:
-        raise SchemaError(f"{path}: field 'coeffs': expected a non-empty list of rational strings")
-    coeffs = []
-    for i, c in enumerate(raw):
-        try:
-            coeffs.append(rat(c))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}: field 'coeffs[{i}]': {exc}")
+        raise SchemaError(f"{where}.basis: expected a basis object or the string 'hermite'")
+    coeffs = rational_list(data.get("coeffs"), f"{where}.coeffs")
     try:
-        return OrthogonalSeries(basis, tuple(coeffs))
+        return OrthogonalSeries(basis, coeffs)
     except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}")
+        raise SchemaError(f"{where}.coeffs: {exc}") from exc
+
+
+def _load_series(path: str) -> OrthogonalSeries:
+    return _load(path, _series_from_json)
 
 
 def _cmd_certify(args) -> int:
@@ -250,14 +239,14 @@ def _cmd_lancaster(args) -> int:
     if args.infile and args.preset:
         raise SchemaError("give either --in or --preset, not both")
     if args.infile:
-        problem, grid_a, grid_b = parse_problem_json(_load_json(args.infile), args.infile)
+        problem, grid_a, grid_b = _load(args.infile, parse_problem_json)
     elif args.preset:
         rho = rat(args.rho) if args.rho is not None else None
         problem = preset_problem(args.preset, args.problem_order, rho)
         grid_a = grid_b = DEFAULT_GRID
     else:
         raise SchemaError("a problem is required: pass --in FILE or --preset NAME")
-    if args.grid:
+    if args.grid is not None:
         grid_a = grid_b = _parse_grid(args.grid)
     report = lancaster_report(problem, grid_a, grid_b, args.order)
     if args.json:

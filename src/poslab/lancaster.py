@@ -31,11 +31,12 @@ from .orthopoly import (
     OrthoBasis,
     Polynomial,
     _expand_in_basis,
+    _hermite_addition_sides,
+    _solve_lower,
     basis_from_moments,
     hermite,
-    hermite_addition_holds,
 )
-from .rationals import double_factorial, rat, rat_str, rational_sqrt
+from .rationals import double_factorial, rat, rat_str, rational_list, rational_sqrt
 
 DEFAULT_GRID = tuple(Fraction(k, 2) for k in range(-4, 5))
 
@@ -136,33 +137,16 @@ def parse_problem_json(data: dict, where: str = "$") -> tuple[LancasterProblem, 
         raise SchemaError(f"{where}: expected a problem object")
     alpha = OrthoBasis.from_json_dict(data.get("alpha"), f"{where}.alpha")
     beta = OrthoBasis.from_json_dict(data.get("beta"), f"{where}.beta")
-    raw = data.get("coeffs")
-    if not isinstance(raw, list) or not raw:
-        raise SchemaError(f"{where}.coeffs: expected a non-empty list of rational strings")
-    coeffs = []
-    for i, c in enumerate(raw):
-        try:
-            coeffs.append(rat(c))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{where}.coeffs[{i}]: {exc}") from exc
+    coeffs = rational_list(data.get("coeffs"), f"{where}.coeffs")
 
     def grid(key):
+        # a missing grid means the default one; an empty grid would test nothing
         vals = data.get(key)
-        if vals is None:
-            return DEFAULT_GRID
-        if not isinstance(vals, list):
-            raise SchemaError(f"{where}.{key}: expected a list of rational strings")
-        out = []
-        for i, v in enumerate(vals):
-            try:
-                out.append(rat(v))
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"{where}.{key}[{i}]: {exc}") from exc
-        return tuple(out)
+        return DEFAULT_GRID if vals is None else rational_list(vals, f"{where}.{key}")
 
     flags = SupportFlags.from_json_dict(data.get("support_flags", {}), f"{where}.support_flags")
     try:
-        problem = LancasterProblem(alpha, beta, tuple(coeffs), flags)
+        problem = LancasterProblem(alpha, beta, coeffs, flags)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
     return problem, grid("grid_a"), grid("grid_b")
@@ -177,33 +161,22 @@ class MomentPolynomials:
 
 
 def moment_polynomials(prob: LancasterProblem) -> MomentPolynomials:
-    """Run the coupled triangular recursion for the conditional moments.
+    """Solve the two triangular systems for the conditional moments.
 
-    In orthonormal terms the recursion reads
-
-        m_n(y) = c_n (b_nn/a_nn) y^n
-                 + sum_{j<n} (c_n b_nj y^j - a_nj m_j(y)) / a_nn,
-
-    with a, b the orthonormal monomial coefficients of the two families.
-    Only the ratios b_nj / a_nn and a_nj / a_nn enter, and with rational
-    norm-ratio roots (checked at problem construction) everything collapses
-    to exact rational arithmetic over the monic coefficient triangles.
+    Orthonormality gives E[alpha~_n(X) | Y=y] = c_n beta~_n(y), with
+    alpha~_n = alpha_n / sqrt(alpha_norm_n) and likewise for beta.  Over the
+    monic triangles, with s_n = sqrt(alpha_norm_n / beta_norm_n) rational
+    (checked at problem construction), that is Pi_alpha m(y) = (c_n s_n
+    beta_n(y)), and symmetrically Pi_beta m(x) = (c_n / s_n alpha_n(x));
+    each side is one exact forward substitution.
     """
-    pa = prob.alpha.monomial_coeffs
-    pb = prob.beta.monomial_coeffs
-    ma: list[Polynomial] = []
-    mb: list[Polynomial] = []
-    for n in range(prob.order + 1):
-        c = prob.coeffs[n]
-        s = prob.norm_scale(n)
-        acc_a = (c * s / pa[n][n]) * prob.beta.polys[n]
-        acc_b = (c / (s * pb[n][n])) * prob.alpha.polys[n]
-        for j in range(n):
-            acc_a = acc_a - (pa[n][j] / pa[n][n]) * ma[j]
-            acc_b = acc_b - (pb[n][j] / pb[n][n]) * mb[j]
-        ma.append(acc_a)
-        mb.append(acc_b)
-    return MomentPolynomials(tuple(ma), tuple(mb))
+    cs = prob.coeffs
+    rhs_a = [c * prob.norm_scale(n) * prob.beta.polys[n] for n, c in enumerate(cs)]
+    rhs_b = [c / prob.norm_scale(n) * prob.alpha.polys[n] for n, c in enumerate(cs)]
+    return MomentPolynomials(
+        tuple(_solve_lower(prob.alpha.monomial_coeffs, rhs_a)),
+        tuple(_solve_lower(prob.beta.monomial_coeffs, rhs_b)),
+    )
 
 
 @dataclass(frozen=True)
@@ -370,7 +343,11 @@ def lancaster_report(
     moments to index 2*order, so it may be at most half the problem order.
     Any negative determinant anywhere refutes the expansion; otherwise the
     report is positive to the tested order.  Grid evaluations are
-    independent and the aggregation does not depend on their order.
+    independent and the aggregation does not depend on their order.  Both
+    grids empty raises ValueError: such a report would test nothing.
+    ``pc_flags[n]`` is ``c_n != 0``: :func:`full_order_check` would expand
+    h_n = c_n beta_n in the beta family, which gives c_n times the n-th unit
+    vector, so the O(N^3) expansion is not run.
     """
     n = prob.order
     if order is None:
@@ -380,6 +357,8 @@ def lancaster_report(
             f"grid test at order {order} needs conditional moments to index {2 * order}, "
             f"but the problem stops at {n}"
         )
+    if not grid_a and not grid_b:
+        raise ValueError("both grids are empty: there is no grid point to test")
     polys = moment_polynomials(prob)
     verdicts = []
     for side, grid, family in (("a", grid_a, polys.ma), ("b", grid_b, polys.mb)):
@@ -392,12 +371,11 @@ def lancaster_report(
             verdicts.append(GridVerdict(side, point, is_pm(seq, order)))
 
     refuted = any(v.report.first_negative_order is not None for v in verdicts)
-    h_polys = [prob.coeffs[k] * prob.beta.polys[k] for k in range(n + 1)]
     return LancasterReport(
         moment_polys=polys,
         grid_verdicts=tuple(verdicts),
         necessary=necessary_conditions(prob),
-        pc_flags=full_order_check(h_polys, prob.beta),
+        pc_flags=tuple(c != 0 for c in prob.coeffs),
         order=order,
         verdict=REFUTED if refuted else POSITIVE,
     )
@@ -568,9 +546,10 @@ def mehler_demo_battery(rho, order: int = 10) -> list[CheckResult]:
         and rebuilt.recurrence == hb.recurrence[:12],
         "basis, norms, and recurrence at order 12",
     )
+    sides = [_hermite_addition_sides(hb.polys, n, Fraction(3, 5)) for n in range(9)]
     record(
         "hermite-addition-formula",
-        all(hermite_addition_holds(n, Fraction(3, 5)) for n in range(9)),
+        all(lhs == rhs for lhs, rhs in sides),
         "mixing weight 3/5, orders 0..8",
     )
 

@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
 from .errors import InsufficientMomentsError, SchemaError
-from .rationals import fibonacci, rat, rat_str
+from .rationals import fibonacci, rat, rat_str, rational_list
 
 DIAGNOSTIC_DIGITS = 50
 
@@ -81,18 +81,7 @@ class MomentSequence:
         label = data.get("label", "")
         if not isinstance(label, str):
             raise SchemaError(f"{where}.label: expected a string")
-        raw = data.get("values")
-        if not isinstance(raw, list) or not raw:
-            raise SchemaError(f"{where}.values: expected a non-empty list of rational strings")
-        vals = []
-        for i, item in enumerate(raw):
-            if not isinstance(item, str):
-                raise SchemaError(f"{where}.values[{i}]: expected a rational string, got {item!r}")
-            try:
-                vals.append(rat(item))
-            except ValueError as exc:
-                raise SchemaError(f"{where}.values[{i}]: {exc}") from exc
-        return cls(tuple(vals), label)
+        return cls(rational_list(data.get("values"), f"{where}.values"), label)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ coefficients are only built when read.
 Connection coefficients between two families come from an exact triangular
 solve; the constant column of that triangle is what links series
 coefficients to recovered measure moments in :mod:`poslab.positivity`.
+Systems Pi x = r through the monomial triangle Pi of a family, for recovered
+moments and for conditional moments, share one forward substitution.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
     SchemaError,
 )
 from .moments import MomentSequence, _recurrence, builtin
-from .rationals import rat, rat_str, rational_sqrt
+from .rationals import rat, rat_str, rational_list, rational_sqrt
 
 
 class Polynomial:
@@ -284,36 +286,23 @@ class OrthoBasis:
         rows = data.get("pi")
         if not isinstance(rows, list) or not rows:
             raise SchemaError(f"{where}.pi: expected a non-empty list of coefficient rows")
-        polys = []
-        for n, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != n + 1:
-                raise SchemaError(f"{where}.pi[{n}]: expected {n + 1} rational strings")
-            try:
-                polys.append(Polynomial(tuple(rat(c) for c in row)))
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"{where}.pi[{n}]: {exc}") from exc
-        norms_raw = data.get("norms")
-        if not isinstance(norms_raw, list) or len(norms_raw) != len(polys):
-            raise SchemaError(f"{where}.norms: expected {len(polys)} rational strings")
-        try:
-            norms = tuple(rat(v) for v in norms_raw)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{where}.norms: {exc}") from exc
+        polys = tuple(
+            Polynomial(rational_list(row, f"{where}.pi[{n}]", n + 1)) for n, row in enumerate(rows)
+        )
+        norms = rational_list(data.get("norms"), f"{where}.norms", len(polys))
         rec_raw = data.get("recurrence")
         if not isinstance(rec_raw, list) or len(rec_raw) != len(polys) - 1:
             raise SchemaError(f"{where}.recurrence: expected {len(polys) - 1} [A, B, C] triples")
-        triples = []
-        for n, triple in enumerate(rec_raw):
-            if not isinstance(triple, list) or len(triple) != 3:
-                raise SchemaError(f"{where}.recurrence[{n}]: expected an [A, B, C] triple")
-            try:
-                triples.append(tuple(rat(v) for v in triple))
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"{where}.recurrence[{n}]: {exc}") from exc
+        triples = tuple(
+            rational_list(triple, f"{where}.recurrence[{n}]", 3) for n, triple in enumerate(rec_raw)
+        )
         status = data.get("status", "ok")
         if not isinstance(status, str):
             raise SchemaError(f"{where}.status: expected a string")
-        return cls(tuple(polys), norms, tuple(triples), moments, status)
+        try:
+            return cls(polys, norms, triples, moments, status)
+        except (ValueError, RecurrenceError) as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
 
 
 def basis_from_moments(
@@ -385,6 +374,24 @@ def squared_norms(basis: OrthoBasis) -> tuple[Fraction, ...]:
             )
         out.append(_inner(p, p, m))
     return tuple(out)
+
+
+def _solve_lower(rows, rhs) -> list:
+    """Solve sum_{j<=n} rows[n][j] x_j = rhs[n] for x_0..x_N by forward substitution.
+
+    ``rows`` is a lower-triangular table of Fractions with a nonzero
+    diagonal, at least as long as ``rhs``.  The unknowns need only ``+``,
+    ``-`` and scaling by a Fraction, so ``rhs`` may hold Fractions or
+    :class:`Polynomial` values.
+    """
+    out = []
+    for n, acc in enumerate(rhs):
+        row = rows[n]
+        for j in range(n):
+            if row[j]:
+                acc = acc - row[j] * out[j]
+        out.append(acc * (1 / row[n]))
+    return out
 
 
 def _expand_in_basis(p: Polynomial, polys: tuple[Polynomial, ...]) -> list[Fraction]:
@@ -533,19 +540,12 @@ def _poly_in_mix(p: Polynomial, a: Fraction, b: Fraction) -> dict[tuple[int, int
     return {k: v for k, v in out.items() if v != 0}
 
 
-def hermite_addition_sides(n: int, a) -> tuple[dict, dict]:
-    """Both sides of the Hermite addition formula at mixing weight a, expanded in x, y.
-
-    Left: He_n(a*x + b*y) with b = sqrt(1 - a^2), which must be rational
-    (e.g. a = 3/5 gives b = 4/5).  Right:
-    sum_m C(n,m) a^m b^(n-m) He_m(x) He_{n-m}(y).  Returns the two monomial
-    dictionaries {(x-power, y-power): coefficient} for exact comparison.
-    """
+def _hermite_addition_sides(hs, n: int, a) -> tuple[dict, dict]:
+    """:func:`hermite_addition_sides` over given Hermite polynomials hs[0..n]."""
     a = rat(a)
     b = rational_sqrt(1 - a * a)
     if b is None:
         raise ValueError(f"1 - a^2 must be a perfect rational square, got a = {a}")
-    hs = hermite(n).polys
     lhs = _poly_in_mix(hs[n], a, b)
     rhs: dict[tuple[int, int], Fraction] = {}
     for mdx in range(n + 1):
@@ -559,6 +559,17 @@ def hermite_addition_sides(n: int, a) -> tuple[dict, dict]:
                 key = (i, j)
                 rhs[key] = rhs.get(key, Fraction(0)) + w * cx * cy
     return lhs, {k: v for k, v in rhs.items() if v != 0}
+
+
+def hermite_addition_sides(n: int, a) -> tuple[dict, dict]:
+    """Both sides of the Hermite addition formula at mixing weight a, expanded in x, y.
+
+    Left: He_n(a*x + b*y) with b = sqrt(1 - a^2), which must be rational
+    (e.g. a = 3/5 gives b = 4/5).  Right:
+    sum_m C(n,m) a^m b^(n-m) He_m(x) He_{n-m}(y).  Returns the two monomial
+    dictionaries {(x-power, y-power): coefficient} for exact comparison.
+    """
+    return _hermite_addition_sides(hermite(n).polys, n, a)
 
 
 def hermite_addition_holds(n: int, a) -> bool:

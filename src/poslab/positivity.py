@@ -20,7 +20,7 @@ from math import log
 
 from .errors import InsufficientMomentsError
 from .moments import MomentSequence, PmReport, is_pm
-from .orthopoly import OrthoBasis, Polynomial, _inner
+from .orthopoly import OrthoBasis, Polynomial, _inner, _solve_lower
 from .rationals import rat, rat_str
 
 
@@ -60,14 +60,8 @@ def moments_from_coefficients(series: OrthogonalSeries) -> MomentSequence:
     given prefix are treated as zero.
     """
     basis = series.basis
-    cs = series.padded_coeffs()
-    pi = basis.monomial_coeffs
-    out: list[Fraction] = []
-    for n in range(basis.order + 1):
-        rhs = cs[n] * basis.norms[n]
-        acc = sum((pi[n][j] * out[j] for j in range(n)), Fraction(0))
-        out.append((rhs - acc) / pi[n][n])
-    return MomentSequence(tuple(out), label="recovered")
+    rhs = [c * h for c, h in zip(series.padded_coeffs(), basis.norms)]
+    return MomentSequence(tuple(_solve_lower(basis.monomial_coeffs, rhs)), label="recovered")
 
 
 def coefficients_from_moments(basis: OrthoBasis, nu: MomentSequence) -> tuple[Fraction, ...]:

@@ -3,6 +3,7 @@
 All quantities that carry mathematical meaning in this package are
 ``fractions.Fraction`` values.  Floats are deliberately rejected by the
 parsers: a float argument is almost always a silent loss of exactness.
+:func:`rational_list` is the one reader of rational lists in JSON input.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-Rational = Fraction
+from .errors import SchemaError
 
 
 def rat(value) -> Fraction:
@@ -18,7 +19,9 @@ def rat(value) -> Fraction:
 
     Accepts int, Fraction, and strings: ``"p/q"``, ``"p"``, or an exact
     decimal literal like ``"0.3"`` (which is 3/10, exactly).  Float values
-    are rejected: a binary double has already lost exactness.
+    are rejected: a binary double has already lost exactness.  So is
+    exponent notation: ``Fraction("1e10000000")`` builds a ten-million-digit
+    integer, so a few bytes of input could stall a run.
     """
     if isinstance(value, Fraction):
         return value
@@ -26,6 +29,8 @@ def rat(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
+        if "e" in text or "E" in text:
+            raise ValueError(f"not a rational string: {value!r} (no exponent notation)")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -35,6 +40,27 @@ def rat(value) -> Fraction:
             f"floats are not exact; pass a rational string like '3/10' instead of {value!r}"
         )
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def rational_list(raw, where: str, length: int | None = None) -> tuple[Fraction, ...]:
+    """Read a JSON list of rational strings: ``length`` of them if given, else at least one.
+
+    Only strings are accepted (no JSON numbers or booleans), each read by
+    :func:`rat`.  Any failure raises :class:`SchemaError` naming ``where``,
+    or ``where[i]`` for a bad entry.
+    """
+    if not isinstance(raw, list) or (not raw if length is None else len(raw) != length):
+        count = "a non-empty list of" if length is None else str(length)
+        raise SchemaError(f"{where}: expected {count} rational strings")
+    out = []
+    for i, item in enumerate(raw):
+        if not isinstance(item, str):
+            raise SchemaError(f"{where}[{i}]: expected a rational string, got {item!r}")
+        try:
+            out.append(rat(item))
+        except ValueError as exc:
+            raise SchemaError(f"{where}[{i}]: {exc}") from exc
+    return tuple(out)
 
 
 def rat_str(value: Fraction) -> str:

@@ -58,10 +58,12 @@ class TestCheckPm:
 
     def test_schema_error_names_path_and_field(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"label": "x", "values": ["1/1", None]}))
-        code, _, err = run(capsys, "check-pm", "--in", str(path), "--order", "0")
-        assert code == 2
-        assert str(path) in err and "values[1]" in err
+        # JSON numbers and booleans are not rational strings; exponents would stall the parse
+        for item in (None, 1, True, "1e10000000"):
+            path.write_text(json.dumps({"label": "x", "values": ["1/1", item]}))
+            code, _, err = run(capsys, "check-pm", "--in", str(path), "--order", "0")
+            assert code == 2
+            assert err.startswith(f"error: {path}: $.values[1]: ")
 
 
 class TestBuildBasisAndConnect:
@@ -134,7 +136,10 @@ class TestCertify:
         path = tmp_path / "series.json"
         path.write_text(json.dumps({"basis": "hermite", "order": 3}))
         code, _, err = run(capsys, "certify", "--in", str(path), "--order", "1")
-        assert code == 2 and "coeffs" in err and str(path) in err
+        assert code == 2 and err.startswith(f"error: {path}: $.coeffs: ")
+        path.write_text(json.dumps({"basis": "hermite", "order": 3, "coeffs": ["1/1", 2]}))
+        code, _, err = run(capsys, "certify", "--in", str(path), "--order", "1")
+        assert code == 2 and err.startswith(f"error: {path}: $.coeffs[1]: expected a rational string")
 
 
 class TestLancaster:
@@ -154,6 +159,11 @@ class TestLancaster:
         code, out, _ = run(capsys, "lancaster", "--in", str(path), "--order", "1")
         assert code == 1
         assert "refuted" in out
+        doc["coeffs"][1] = 2  # a JSON number, not a rational string
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "lancaster", "--in", str(path), "--order", "1")
+        assert code == 2
+        assert err == f"error: {path}: $.coeffs[1]: expected a rational string, got 2\n"
 
     def test_grid_override(self, capsys):
         code, out, _ = run(
@@ -176,7 +186,26 @@ class TestLancaster:
             capsys, "lancaster", "--preset", "harmonic", "--problem-order", "6",
             "--grid", "0.25,oops",
         )
-        assert code == 2 and "--grid" in err
+        assert code == 2 and err.startswith("error: --grid[1]: ")
+        # an empty grid would test nothing and still report positive
+        for grid in (",", ""):
+            code, out, err = run(
+                capsys, "lancaster", "--preset", "mehler", "--rho", "1/2", "--grid", grid
+            )
+            assert (code, out) == (2, "")
+            assert err == "error: --grid: expected a non-empty list of rational strings\n"
+
+    def test_empty_grids_in_a_problem_file_are_rejected(self, capsys, tmp_path):
+        doc = preset_problem("mehler", 4, F(1, 2)).to_json_dict()
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({**doc, "grid_a": [], "grid_b": []}))
+        code, out, err = run(capsys, "lancaster", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: $.grid_a: expected a non-empty list")
+        del doc["grid_a"], doc["grid_b"]  # no grid keys: the default grid
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "lancaster", "--in", str(path))
+        assert code == 0 and "grid points tested: 18" in out
 
 
 class TestNegativeRationalArguments:
@@ -219,6 +248,8 @@ class TestMehlerDemo:
     def test_invalid_rho(self, capsys):
         code, _, err = run(capsys, "mehler-demo", "--rho", "3/2")
         assert code == 2 and "|rho| < 1" in err
+        code, _, err = run(capsys, "mehler-demo", "--rho", "1e10000000")
+        assert code == 2 and "not a rational string: '1e10000000'" in err
 
 
 class TestDeterminism:

@@ -33,6 +33,17 @@ def mehler_problem(rho, order):
     return LancasterProblem(basis, basis, tuple(rho**n for n in range(order + 1)), ALL_FLAGS)
 
 
+def halved_hermite(order):
+    """He_n / 2^n: the Hermite family in a non-monic normalization."""
+    h = hermite(order)
+    return OrthoBasis(
+        polys=tuple(p * F(1, 2**n) for n, p in enumerate(h.polys)),
+        norms=tuple(v / F(4) ** n for n, v in enumerate(h.norms)),
+        recurrence=tuple((F(a, 2), F(b), F(c, 4)) for (a, b, c) in h.recurrence),
+        source_moments=h.source_moments,
+    )
+
+
 class TestMomentPolynomials:
     def test_base_case_is_one(self):
         mp = moment_polynomials(mehler_problem(F(1, 2), 4))
@@ -49,6 +60,11 @@ class TestMomentPolynomials:
             prob = mehler_problem(rho, 10)
             mp = moment_polynomials(prob)
             closed = mehler_moments(rho, 10)
+            assert mp.ma == closed
+            assert mp.mb == closed
+            # the same orthonormal families in a non-monic normalization
+            halved = halved_hermite(10)
+            mp = moment_polynomials(LancasterProblem(halved, halved, prob.coeffs))
             assert mp.ma == closed
             assert mp.mb == closed
 
@@ -86,12 +102,7 @@ class TestMomentPolynomials:
 
     def test_swapping_distinct_families_transposes_everything(self):
         h = hermite(5)
-        scaled = OrthoBasis(
-            polys=tuple(p * F(1, 2 ** n) for n, p in enumerate(h.polys)),
-            norms=tuple(v / F(4) ** n for n, v in enumerate(h.norms)),
-            recurrence=tuple((F(a, 2), F(b), F(c, 4)) for (a, b, c) in h.recurrence),
-            source_moments=h.source_moments,
-        )
+        scaled = halved_hermite(5)
         cs = tuple(F(1, 2) ** n for n in range(6))
         fwd = moment_polynomials(LancasterProblem(h, scaled, cs))
         rev = moment_polynomials(LancasterProblem(scaled, h, cs))
@@ -126,12 +137,7 @@ class TestProblemValidation:
 
     def test_rescaled_norms_with_square_ratios_are_accepted(self):
         h = hermite(3)
-        scaled = OrthoBasis(
-            polys=tuple(p * F(1, 2 ** n) for n, p in enumerate(h.polys)),
-            norms=tuple(v / F(4) ** n for n, v in enumerate(h.norms)),
-            recurrence=tuple((F(a, 2), F(b), F(c, 4)) for (a, b, c) in h.recurrence),
-            source_moments=h.source_moments,
-        )
+        scaled = halved_hermite(3)
         prob = LancasterProblem(h, scaled, (F(1), F(1, 2), F(1, 4), F(1, 8)))
         assert prob.norm_scale(2) == 4
 
@@ -177,6 +183,13 @@ class TestGridReport:
     def test_order_must_fit_the_problem(self):
         with pytest.raises(InsufficientMomentsError):
             lancaster_report(mehler_problem(F(1, 2), 4), order=3)
+
+    def test_both_grids_empty_is_an_error(self):
+        # such a report would be "positive" without testing a single point
+        with pytest.raises(ValueError, match="both grids are empty"):
+            lancaster_report(mehler_problem(F(1, 2), 4), grid_a=(), grid_b=())
+        one_side = lancaster_report(mehler_problem(F(1, 2), 4), grid_a=(), grid_b=(F(0),))
+        assert [v.side for v in one_side.grid_verdicts] == ["b"]
 
     def test_report_is_independent_of_grid_order(self):
         prob = mehler_problem(F(1, 3), 6)
@@ -243,6 +256,18 @@ class TestFullOrderCheck:
         base = [h.polys[n] for n in range(6)]
         scaled = [F(7, 3) * p for p in base]
         assert full_order_check(base, h) == full_order_check(scaled, h)
+
+    def test_report_flags_are_the_check_of_c_n_beta_n(self):
+        # lancaster_report sets pc_flags[n] = (c_n != 0) without expanding
+        cat = basis_from_moments(builtin("catalan", 13), 6)
+        for beta, coeffs in (
+            (hermite(6), (F(1), F(0), F(1, 4), F(0), F(0), F(-1, 32), F(1, 64))),
+            (cat, (F(1), F(1, 2), F(0), F(1, 8), F(0), F(0), F(0))),
+        ):
+            prob = LancasterProblem(beta, beta, coeffs)
+            expected = full_order_check([c * p for c, p in zip(coeffs, beta.polys)], beta)
+            assert lancaster_report(prob, order=1).pc_flags == expected
+            assert False in expected and True in expected
 
 
 class TestMehlerReference:
@@ -313,6 +338,16 @@ class TestPresetsAndBattery:
         assert results, "battery must produce checks"
         for r in results:
             assert r.passed, r.name
+
+    def test_battery_checks_the_addition_formula_on_its_own_basis(self, monkeypatch):
+        import poslab.orthopoly
+
+        built = []
+        real = poslab.orthopoly.hermite
+        monkeypatch.setattr(poslab.orthopoly, "hermite", lambda n: built.append(n) or real(n))
+        results = mehler_demo_battery(F(1, 2), 8)
+        assert next(r for r in results if r.name == "hermite-addition-formula").passed
+        assert built == []  # hermite_addition_sides would build hermite(n) for n = 0..8
 
     def test_battery_at_negative_rho(self):
         results = mehler_demo_battery(F(-1, 3), 8)

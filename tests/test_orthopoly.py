@@ -10,6 +10,7 @@ from poslab.moments import MomentSequence, builtin
 from poslab.orthopoly import (
     OrthoBasis,
     Polynomial,
+    _hermite_addition_sides,
     basis_from_moments,
     connection,
     hermite,
@@ -381,6 +382,11 @@ class TestAdditionFormula:
         lhs, rhs = hermite_addition_sides(3, F(3, 5))
         assert lhs == rhs
         assert lhs[(3, 0)] == F(27, 125)  # a^3 x^3 term
+
+    def test_sides_over_a_longer_basis_match_a_fresh_build(self):
+        polys = hermite(12).polys
+        for n in range(9):
+            assert _hermite_addition_sides(polys, n, F(3, 5)) == hermite_addition_sides(n, F(3, 5))
 
     def test_irrational_complement_rejected(self):
         with pytest.raises(ValueError):

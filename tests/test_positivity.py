@@ -6,7 +6,7 @@ import pytest
 
 from poslab.errors import InsufficientMomentsError
 from poslab.moments import MomentSequence, builtin
-from poslab.orthopoly import Polynomial, basis_from_moments, hermite
+from poslab.orthopoly import OrthoBasis, Polynomial, basis_from_moments, hermite
 from poslab.positivity import (
     OrthogonalSeries,
     certify_positive,
@@ -26,6 +26,17 @@ def hermite8():
 @pytest.fixture(scope="module")
 def catalan8():
     return basis_from_moments(builtin("catalan", 17), 8)
+
+
+@pytest.fixture(scope="module")
+def halved8(hermite8):
+    """He_n / 2^n: a family that is not monic."""
+    return OrthoBasis(
+        tuple(p * F(1, 2**n) for n, p in enumerate(hermite8.polys)),
+        tuple(v / F(4) ** n for n, v in enumerate(hermite8.norms)),
+        tuple((F(a, 2), F(b), F(c, 4)) for (a, b, c) in hermite8.recurrence),
+        hermite8.source_moments,
+    )
 
 
 class TestMomentRecovery:
@@ -51,9 +62,9 @@ class TestMomentRecovery:
         cs = coefficients_from_moments(hermite8, builtin("gaussian", 9))
         assert cs == (F(1),) + (F(0),) * 8
 
-    def test_inverse_pair_round_trip(self, hermite8, catalan8):
+    def test_inverse_pair_round_trip(self, hermite8, catalan8, halved8):
         rng = random.Random(411)
-        for basis in (hermite8, catalan8):
+        for basis in (hermite8, catalan8, halved8):
             for _ in range(25):
                 k = rng.randint(1, 8)
                 cs = tuple(F(rng.randint(-12, 12), rng.randint(1, 10)) for _ in range(k))

@@ -1,3 +1,4 @@
+import copy
 import json
 from fractions import Fraction as F
 
@@ -15,7 +16,7 @@ from poslab.lancaster import (
 from poslab.moments import MomentSequence, builtin, is_pm
 from poslab.orthopoly import OrthoBasis, basis_from_moments, connection, hermite
 from poslab.positivity import OrthogonalSeries, certify_positive
-from poslab.rationals import rat, rat_str
+from poslab.rationals import rat, rat_str, rational_list
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
@@ -38,6 +39,12 @@ class TestRationalStrings:
     def test_parse_accepts_exact_decimal_strings(self):
         assert rat("0.3") == F(3, 10)
 
+    def test_parse_rejects_exponent_notation(self):
+        # Fraction("1e10000000") alone takes seconds; larger exponents never end
+        for text in ("1e10000000", "1E5", "2.5e-3", "1/1e3"):
+            with pytest.raises(ValueError, match="not a rational string"):
+                rat(text)
+
 
 class TestMomentSequenceJson:
     @given(st.lists(rationals, min_size=1, max_size=12), st.text(max_size=20))
@@ -55,6 +62,9 @@ class TestMomentSequenceJson:
             MomentSequence.from_json_dict({"label": 7, "values": ["1/2"]})
         with pytest.raises(SchemaError, match=r"\$\.values"):
             MomentSequence.from_json_dict({"label": "x", "values": []})
+        for item in (True, 1, 0.5, None, "1e5"):
+            with pytest.raises(SchemaError, match=r"^\$\.values\[1\]: "):
+                MomentSequence.from_json_dict({"label": "x", "values": ["1/2", item]})
 
 
 class TestBasisJson:
@@ -77,11 +87,23 @@ class TestBasisJson:
         doc["pi"][1] = ["0/1"]
         with pytest.raises(SchemaError, match=r"\$\.pi\[1\]"):
             OrthoBasis.from_json_dict(doc)
+        doc = hermite(3).to_json_dict()
+        doc["pi"][2][0] = -1
+        with pytest.raises(SchemaError, match=r"^\$\.pi\[2\]\[0\]: expected a rational string"):
+            OrthoBasis.from_json_dict(doc)
+        doc = hermite(3).to_json_dict()
+        doc["recurrence"][1] = ["1/1", "0/1"]
+        with pytest.raises(SchemaError, match=r"^\$\.recurrence\[1\]: expected 3 rational"):
+            OrthoBasis.from_json_dict(doc)
 
     def test_norm_count_enforced(self):
         doc = hermite(3).to_json_dict()
         doc["norms"] = doc["norms"][:-1]
         with pytest.raises(SchemaError, match=r"\$\.norms"):
+            OrthoBasis.from_json_dict(doc)
+        doc = hermite(3).to_json_dict()
+        doc["norms"][1] = "0/1"
+        with pytest.raises(SchemaError, match=r"^\$: squared norm at order 1 must be positive"):
             OrthoBasis.from_json_dict(doc)
 
 
@@ -119,8 +141,19 @@ class TestProblemJson:
 
     def test_schema_error_paths(self):
         doc = preset_problem("mehler", 4, F(1, 3)).to_json_dict()
-        doc["coeffs"][2] = "x"
-        with pytest.raises(SchemaError, match=r"\$\.coeffs\[2\]"):
+        for item in ("x", True, 1):
+            doc["coeffs"][2] = item
+            with pytest.raises(SchemaError, match=r"\$\.coeffs\[2\]"):
+                parse_problem_json(doc)
+        doc = preset_problem("mehler", 4, F(1, 3)).to_json_dict()
+        for key, vals, where in (
+            ("grid_a", [], r"^\$\.grid_a: expected a non-empty list"),
+            ("grid_b", [0], r"^\$\.grid_b\[0\]: expected a rational string"),
+        ):
+            with pytest.raises(SchemaError, match=where):
+                parse_problem_json({**doc, key: vals})
+        doc["alpha"]["norms"][2] = "0/1"
+        with pytest.raises(SchemaError, match=r"^\$\.alpha: squared norm at order 2"):
             parse_problem_json(doc)
         doc = preset_problem("mehler", 4, F(1, 3)).to_json_dict()
         doc["support_flags"]["mu_unbounded"] = "yes"
@@ -137,3 +170,78 @@ class TestConnectionJson:
         cm = connection(hermite(3), hermite(3))
         doc = cm.to_json_dict()
         assert doc["gamma"][2] == ["0/1", "0/1", "1/1"]
+
+
+# Field names of the loaders, so that random documents also reach nested fields.
+_KEYS = (
+    "label", "values", "moments", "pi", "norms", "recurrence", "status", "alpha", "beta",
+    "coeffs", "grid_a", "grid_b", "support_flags", "zero_in_supp_mu", "mu_unbounded",
+)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=6)
+    | st.sampled_from(["1/1", "0/1", "-1/2", "0.3", "1e3", "1/0"]),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=4), kids, max_size=6),
+    max_leaves=24,
+)
+LOADERS = (
+    rational_list,
+    MomentSequence.from_json_dict,
+    OrthoBasis.from_json_dict,
+    SupportFlags.from_json_dict,
+    parse_problem_json,
+)
+
+
+@given(json_values)
+@settings(max_examples=200)
+def test_loaders_raise_only_schema_errors_on_arbitrary_json(data):
+    for loader in LOADERS:
+        try:
+            loader(copy.deepcopy(data), "$")
+        except SchemaError:
+            pass
+
+
+def _entry_paths(doc, path=()):
+    """Paths to the strings inside lists of ``doc``: every rational entry of a document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    out = []
+    for key, value in items:
+        if isinstance(value, str) and isinstance(doc, list):
+            out.append(path + (key,))
+        elif isinstance(value, (dict, list)):
+            out.extend(_entry_paths(value, path + (key,)))
+    return out
+
+
+VALID_DOCS = (
+    (MomentSequence.from_json_dict, builtin("catalan", 5).to_json_dict()),
+    (OrthoBasis.from_json_dict, hermite(3).to_json_dict()),
+    (
+        parse_problem_json,
+        preset_problem("mehler", 4, F(1, 3)).to_json_dict(grid_a=(F(0),), grid_b=(F(1), F(2))),
+    ),
+)
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_mutated_valid_documents_raise_schema_errors(data):
+    loader, doc = data.draw(st.sampled_from(VALID_DOCS))
+    loader(doc, "$")  # the document itself is valid
+    paths = _entry_paths(doc)
+    mutations = [(p, v) for p in paths for v in (True, 1, "x")]
+    mutations += [(p, "0/1") for p in paths if "norms" in p]
+    path, value = data.draw(st.sampled_from(mutations))
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(SchemaError):
+        loader(doc, "$")
