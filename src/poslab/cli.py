@@ -197,7 +197,7 @@ def _series_from_json(data: dict, where: str) -> OrthogonalSeries:
     basis_field = data.get("basis")
     if basis_field == "hermite":
         order = data.get("order")
-        if not isinstance(order, int) or order < 0:
+        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
             raise SchemaError(f"{where}.order: expected a nonnegative integer with basis 'hermite'")
         basis = hermite(order)
     elif isinstance(basis_field, dict):
@@ -303,6 +303,17 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
+def _order(text: str) -> int:
+    """argparse type of every ``--order`` and ``--problem-order``: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="poslab",
@@ -323,14 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-pm", help="Hankel positivity test for a moment sequence")
     p.add_argument("--seq", metavar="KEY", help="catalog key, e.g. catalan or geometric(2)")
     p.add_argument("--in", dest="infile", metavar="FILE", help="moment sequence JSON file")
-    p.add_argument("--order", type=int, required=True, help="deepest Hankel order to test")
+    p.add_argument("--order", type=_order, required=True, help="deepest Hankel order to test")
     add_common(p)
     p.set_defaults(func=_cmd_check_pm)
 
     p = sub.add_parser("build-basis", help="orthogonal polynomial family from moments")
     p.add_argument("--seq", metavar="KEY", help="catalog key")
     p.add_argument("--in", dest="infile", metavar="FILE", help="moment sequence JSON file")
-    p.add_argument("--order", type=int, required=True, help="highest polynomial order")
+    p.add_argument("--order", type=_order, required=True, help="highest polynomial order")
     add_common(p, json_default=True)
     p.set_defaults(func=_cmd_build_basis)
 
@@ -342,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="finite-order nonnegativity certificate for a series")
     p.add_argument("--in", dest="infile", metavar="FILE", required=True, help="series JSON file")
-    p.add_argument("--order", type=int, help="Hankel order (default: half the basis order)")
+    p.add_argument("--order", type=_order, help="Hankel order (default: half the basis order)")
     add_common(p)
     p.set_defaults(func=_cmd_certify)
 
@@ -353,16 +364,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--rho", metavar="P/Q", help="correlation for the mehler preset")
     p.add_argument(
-        "--problem-order", type=int, default=10, help="expansion order for presets (default 10)"
+        "--problem-order", type=_order, default=10, help="expansion order for presets (default 10)"
     )
-    p.add_argument("--order", type=int, help="Hankel order per grid point (default: half)")
+    p.add_argument("--order", type=_order, help="Hankel order per grid point (default: half)")
     p.add_argument("--grid", metavar="Q1,Q2,...", help="rational grid points for both sides")
     add_common(p)
     p.set_defaults(func=_cmd_lancaster)
 
     p = sub.add_parser("mehler-demo", help="run the exact-identity reference battery")
     p.add_argument("--rho", metavar="P/Q", default="1/2", help="correlation (default 1/2)")
-    p.add_argument("--order", type=int, default=10, help="deepest order exercised (default 10)")
+    p.add_argument("--order", type=_order, default=10, help="deepest order exercised (default 10)")
     add_common(p)
     p.set_defaults(func=_cmd_mehler_demo)
 

@@ -229,10 +229,11 @@ class NecessaryConditions:
         }
 
 
-def necessary_conditions(prob: LancasterProblem, upto: int | None = None) -> NecessaryConditions:
-    """Evaluate the declared necessary conditions with exact arithmetic."""
-    n_max = prob.order if upto is None else min(upto, prob.order)
-    cs = prob.coeffs[: n_max + 1]
+def necessary_conditions(prob: LancasterProblem) -> NecessaryConditions:
+    """Evaluate the declared necessary conditions on all of c_0..c_N, exactly."""
+    cs = prob.coeffs
+    pa = prob.alpha.monomial_coeffs
+    pb = prob.beta.monomial_coeffs
 
     partials = []
     acc = Fraction(0)
@@ -244,8 +245,6 @@ def necessary_conditions(prob: LancasterProblem, upto: int | None = None) -> Nec
     if prob.support.zero_in_supp_mu:
         # a_{n,0} b_{n,0} = pa_{n,0} pb_{n,0} / sqrt(norm_a norm_b), and
         # sqrt(norm_a norm_b) = norm_scale * beta_norm exactly.
-        pa = prob.alpha.monomial_coeffs
-        pb = prob.beta.monomial_coeffs
         origin = []
         acc0 = Fraction(0)
         for n, c in enumerate(cs):
@@ -256,15 +255,10 @@ def necessary_conditions(prob: LancasterProblem, upto: int | None = None) -> Nec
 
     ratio_report = None
     if prob.support.mu_unbounded:
-        pa = prob.alpha.monomial_coeffs
-        pb = prob.beta.monomial_coeffs
         ratio_seq = MomentSequence(
-            tuple(
-                cs[n] * pa[n][n] / (pb[n][n] * prob.norm_scale(n)) for n in range(n_max + 1)
-            ),
-            label="c*lead-ratio",
+            tuple(c * pa[n][n] / (pb[n][n] * prob.norm_scale(n)) for n, c in enumerate(cs))
         )
-        ratio_report = is_pm(ratio_seq, n_max // 2)
+        ratio_report = is_pm(ratio_seq, prob.order // 2)
 
     coeff_report = None
     if (
@@ -272,7 +266,7 @@ def necessary_conditions(prob: LancasterProblem, upto: int | None = None) -> Nec
         and prob.support.mu_unbounded
         and prob.support.nu_unbounded
     ):
-        coeff_report = is_pm(MomentSequence(cs, label="coefficients"), n_max // 2)
+        coeff_report = is_pm(MomentSequence(cs), prob.order // 2)
 
     return NecessaryConditions(tuple(partials), origin, ratio_report, coeff_report)
 
@@ -364,10 +358,7 @@ def lancaster_report(
     for side, grid, family in (("a", grid_a, polys.ma), ("b", grid_b, polys.mb)):
         for point in grid:
             point = rat(point)
-            seq = MomentSequence(
-                tuple(family[k](point) for k in range(2 * order + 1)),
-                label=f"conditional[{side}]@{point}",
-            )
+            seq = MomentSequence(tuple(family[k](point) for k in range(2 * order + 1)))
             verdicts.append(GridVerdict(side, point, is_pm(seq, order)))
 
     refuted = any(v.report.first_negative_order is not None for v in verdicts)
@@ -554,7 +545,9 @@ def mehler_demo_battery(rho, order: int = 10) -> list[CheckResult]:
     )
 
     prob = preset_problem("mehler", order, rho)
-    recursion = moment_polynomials(prob)
+    # the grid report already holds the recursion's conditional moments
+    rep = lancaster_report(prob)
+    recursion = rep.moment_polys
     closed = mehler_moments(rho, order)
     record(
         "conditional-moments-recursion-vs-closed-form",
@@ -598,7 +591,6 @@ def mehler_demo_battery(rho, order: int = 10) -> list[CheckResult]:
         "lead(m_n) = c_n b_nn/a_nn",
     )
 
-    rep = lancaster_report(prob)
     record(
         "grid-hankel-positivity",
         rep.verdict == POSITIVE

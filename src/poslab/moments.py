@@ -29,6 +29,7 @@ safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -64,12 +65,12 @@ class MomentSequence:
     def __getitem__(self, index: int) -> Fraction:
         return self.values[index]
 
-    def prefix(self, length: int, label: str | None = None) -> "MomentSequence":
+    def prefix(self, length: int) -> "MomentSequence":
         if length > len(self.values):
             raise InsufficientMomentsError(
                 f"{self.label or 'sequence'}: asked for {length} moments, only {len(self.values)} available"
             )
-        return MomentSequence(self.values[:length], label if label is not None else self.label)
+        return MomentSequence(self.values[:length], self.label)
 
     def to_json_dict(self) -> dict:
         return {"label": self.label, "values": [rat_str(v) for v in self.values]}
@@ -500,34 +501,48 @@ def _fib_scaled(length: int) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A builtin sequence; ``builder(length)``, or ``builder(length, param)`` with a ``param_name``."""
+
     name: str
     description: str
-    needs_param: bool = False
+    builder: Callable[..., tuple[Fraction, ...]]
     param_name: str = ""
+
+    @property
+    def needs_param(self) -> bool:
+        return bool(self.param_name)
 
 
 _CATALOG: dict[str, CatalogEntry] = {
     "geometric": CatalogEntry(
-        "geometric", "powers a^n: point mass at a (rank-1 Hankel)", True, "a"
+        "geometric", "powers a^n: point mass at a (rank-1 Hankel)", _geometric, "a"
     ),
     "gaussian": CatalogEntry(
-        "gaussian", "standard normal moments 1, 0, 1, 0, 3, 0, 15, ... (odd double factorials)"
+        "gaussian",
+        "standard normal moments 1, 0, 1, 0, 3, 0, 15, ... (odd double factorials)",
+        _gaussian,
     ),
     "catalan": CatalogEntry(
-        "catalan", "Catalan numbers C(2n,n)/(n+1): semicircle-type measure on (0, 4)"
+        "catalan", "Catalan numbers C(2n,n)/(n+1): semicircle-type measure on (0, 4)", _catalan
     ),
-    "factorial": CatalogEntry("factorial", "n!: the unit-rate exponential distribution"),
+    "factorial": CatalogEntry("factorial", "n!: the unit-rate exponential distribution", _factorial),
     "log_kernel": CatalogEntry(
         "log_kernel",
         "1/(n+1)^(k+1): density (-log x)^k / k! on (0, 1); integer k >= 0",
-        True,
+        _log_kernel,
         "k",
     ),
-    "fib_shift": CatalogEntry("fib_shift", "Fibonacci numbers 1, 1, 2, 3, 5, ... (two-atom measure)"),
-    "fib_ratio": CatalogEntry("fib_ratio", "Fibonacci numbers averaged by (n+1)"),
-    "fib_even": CatalogEntry("fib_even", "even-indexed Fibonacci numbers averaged by (n+1)"),
-    "fib_odd": CatalogEntry("fib_odd", "odd-indexed Fibonacci numbers averaged by (n+1)"),
-    "fib_scaled": CatalogEntry("fib_scaled", "Fibonacci numbers 1, 1, 2, ... damped by 3^n"),
+    "fib_shift": CatalogEntry(
+        "fib_shift", "Fibonacci numbers 1, 1, 2, 3, 5, ... (two-atom measure)", _fib_shift
+    ),
+    "fib_ratio": CatalogEntry("fib_ratio", "Fibonacci numbers averaged by (n+1)", _fib_ratio),
+    "fib_even": CatalogEntry(
+        "fib_even", "even-indexed Fibonacci numbers averaged by (n+1)", _fib_even
+    ),
+    "fib_odd": CatalogEntry("fib_odd", "odd-indexed Fibonacci numbers averaged by (n+1)", _fib_odd),
+    "fib_scaled": CatalogEntry(
+        "fib_scaled", "Fibonacci numbers 1, 1, 2, ... damped by 3^n", _fib_scaled
+    ),
 }
 
 
@@ -539,9 +554,11 @@ def catalog_entries() -> tuple[CatalogEntry, ...]:
 def builtin(name: str, length: int, param=None) -> MomentSequence:
     """Construct a catalog sequence by name.
 
+    The builder of the ``_CATALOG`` entry under ``name`` makes the values.
     ``geometric`` takes the atom location ``a``; ``log_kernel`` takes the
-    integer exponent ``k``.  Every catalog entry is a pm sequence, so it
-    passes :func:`is_pm` at any order the requested length supports.
+    integer exponent ``k``; every other entry takes no parameter.  Every
+    catalog entry is a pm sequence, so it passes :func:`is_pm` at any order
+    the requested length supports.
     """
     if length < 1:
         raise ValueError("length must be at least 1")
@@ -553,24 +570,10 @@ def builtin(name: str, length: int, param=None) -> MomentSequence:
         if param is None:
             raise ValueError(f"catalog sequence {name!r} needs parameter {entry.param_name}")
         param = rat(param)
-        values = {"geometric": _geometric, "log_kernel": _log_kernel}[name](length, param)
-        label = f"{name}({param})"
-    else:
-        if param is not None:
-            raise ValueError(f"catalog sequence {name!r} takes no parameter")
-        builder = {
-            "gaussian": _gaussian,
-            "catalan": _catalan,
-            "factorial": _factorial,
-            "fib_shift": _fib_shift,
-            "fib_ratio": _fib_ratio,
-            "fib_even": _fib_even,
-            "fib_odd": _fib_odd,
-            "fib_scaled": _fib_scaled,
-        }[name]
-        values = builder(length)
-        label = name
-    return MomentSequence(values, label=label)
+        return MomentSequence(entry.builder(length, param), label=f"{name}({param})")
+    if param is not None:
+        raise ValueError(f"catalog sequence {name!r} takes no parameter")
+    return MomentSequence(entry.builder(length), label=name)
 
 
 def parse_catalog_key(key: str) -> tuple[str, Fraction | None]:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import comb, factorial, gcd, lcm
 
 from .errors import (
@@ -196,14 +195,6 @@ class Polynomial:
         return " ".join(parts)
 
 
-def _moment_functional(coeffs, m: MomentSequence) -> Fraction:
-    total = Fraction(0)
-    for j, c in enumerate(coeffs):
-        if c:
-            total += c * m[j]
-    return total
-
-
 def _inner(p: Polynomial, q: Polynomial, m: MomentSequence) -> Fraction:
     """Bilinear form <p, q> = integral of p*q against the measure behind m."""
     prod = p * q
@@ -211,7 +202,26 @@ def _inner(p: Polynomial, q: Polynomial, m: MomentSequence) -> Fraction:
         raise InsufficientMomentsError(
             f"bilinear form needs moments to order {prod.degree}, got {len(m) - 1}"
         )
-    return _moment_functional(prod.coeffs, m)
+    total = Fraction(0)
+    for j, c in enumerate(prod.coeffs):
+        if c:
+            total += c * m[j]
+    return total
+
+
+def _family(p0: Polynomial, triples) -> list[Polynomial]:
+    """p_0, p_1, ... from p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1}, with p_{-1} = 0.
+
+    The one loop that applies a three-term recurrence to polynomials: it
+    builds every family and re-checks every :class:`OrthoBasis`.
+    """
+    x = Polynomial.x()
+    polys, prev = [p0], Polynomial()
+    for a, b, c in triples:
+        cur = polys[-1]
+        polys.append((a * x + Polynomial((b,))) * cur - c * prev)
+        prev = cur
+    return polys
 
 
 @dataclass(frozen=True)
@@ -219,8 +229,8 @@ class OrthoBasis:
     """Monic orthogonal family to some order, with norms and recurrence attached.
 
     ``recurrence[n]`` holds the triple (A_n, B_n, C_n) in
-    p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1}; the identity is re-verified
-    coefficientwise on construction, as is C_n A_n A_{n-1} > 0.
+    p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1}; construction rebuilds polys
+    from polys[0] with :func:`_family`, and requires C_n A_n A_{n-1} > 0.
     """
 
     polys: tuple[Polynomial, ...]
@@ -249,11 +259,9 @@ class OrthoBasis:
                 raise ValueError(f"squared norm at order {n} must be positive, got {h}")
         if len(self.recurrence) != len(self.polys) - 1:
             raise ValueError("need one recurrence triple per constructed order")
-        x = Polynomial.x()
+        rebuilt = _family(self.polys[0], self.recurrence)
         for n, (a, b, c) in enumerate(self.recurrence):
-            prev = self.polys[n - 1] if n >= 1 else Polynomial()
-            expected = (a * x + Polynomial((b,))) * self.polys[n] - c * prev
-            if expected != self.polys[n + 1]:
+            if rebuilt[n + 1] != self.polys[n + 1]:
                 raise RecurrenceError(f"recurrence triple at n={n} does not rebuild p_{n + 1}")
             if n >= 1 and not c * a * self.recurrence[n - 1][0] > 0:
                 raise RecurrenceError(
@@ -264,7 +272,7 @@ class OrthoBasis:
     def order(self) -> int:
         return len(self.polys) - 1
 
-    @cached_property
+    @property
     def monomial_coeffs(self) -> tuple[tuple[Fraction, ...], ...]:
         """Lower-triangular coefficient rows: row n lists the x^j coefficients of p_n."""
         return tuple(p.coeffs for p in self.polys)
@@ -317,7 +325,8 @@ def basis_from_moments(
     norms h_k = Delta_k / (Delta_{k-1} D) and the recurrence
     p_{k+1} = (x - a_k) p_k - b_k p_{k-1} with
     a_k = s_k[k+1] / Delta_k - s_{k-1}[k] / Delta_{k-1} and
-    b_k = Delta_k Delta_{k-2} / Delta_{k-1}^2, which builds the family.
+    b_k = Delta_k Delta_{k-2} / Delta_{k-1}^2; the triples (1, -a_k, b_k) go
+    to :func:`_family`, which builds the polynomials.
     Delta_k and s_k[k+1] are integer determinants, so the pass recovers each
     by an exact integer division, as in Bareiss's elimination (Math. Comp.
     22, 1968).  The family requires every Hankel determinant d_0..d_order to be
@@ -348,15 +357,8 @@ def basis_from_moments(
             raise DegenerateMeasureError(bad, status)
         top = bad - 1
 
-    x = Polynomial.x()
-    polys = [Polynomial.one()]
-    for k in range(top):
-        nxt = (x - Polynomial((a[k],))) * polys[k]
-        if k >= 1:
-            nxt = nxt - b[k] * polys[k - 1]
-        polys.append(nxt)
     triples = tuple((Fraction(1), -a[k], b[k]) for k in range(top))
-    return OrthoBasis(tuple(polys), tuple(h[: top + 1]), triples, m, status)
+    return OrthoBasis(_family(Polynomial.one(), triples), h[: top + 1], triples, m, status)
 
 
 def squared_norms(basis: OrthoBasis) -> tuple[Fraction, ...]:
@@ -491,12 +493,12 @@ def connection(from_basis: OrthoBasis, to_basis: OrthoBasis) -> ConnectionMatrix
 def hermite(order: int) -> OrthoBasis:
     """Probabilists' Hermite polynomials He_0..He_order.
 
-    Built from the recurrence He_{n+1} = x He_n - n He_{n-1}; monic with
-    squared norms n! against the standard normal moments.  The orthonormal
-    variant is the pair (He_n, n!): scale by 1/sqrt(n!) only when the context
-    guarantees the root is rational.
+    Built by :func:`_family` from the closed-form triples (1, 0, n) of
+    He_{n+1} = x He_n - n He_{n-1}; monic with squared norms n! against the
+    standard normal moments.  The orthonormal variant is the pair (He_n, n!):
+    scale by 1/sqrt(n!) only when the context guarantees the root is rational.
 
-    The closed recurrence is kept on purpose rather than running the
+    The closed-form triples are kept on purpose rather than running the
     Chebyshev pass of :func:`basis_from_moments` over the Gaussian moments:
     the demo battery's ``hermite-from-gaussian-moments`` check compares the
     two routes, and building one from the other would turn that check into
@@ -504,16 +506,11 @@ def hermite(order: int) -> OrthoBasis:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    polys = [Polynomial.one()]
-    if order >= 1:
-        polys.append(Polynomial.x())
-    x = Polynomial.x()
-    for n in range(1, order):
-        polys.append(x * polys[n] - n * polys[n - 1])
+    triples = tuple((Fraction(1), Fraction(0), Fraction(n)) for n in range(order))
     return OrthoBasis(
-        polys=tuple(polys),
+        polys=_family(Polynomial.one(), triples),
         norms=tuple(Fraction(factorial(n)) for n in range(order + 1)),
-        recurrence=tuple((Fraction(1), Fraction(0), Fraction(n)) for n in range(order)),
+        recurrence=triples,
         source_moments=builtin("gaussian", 2 * order + 1),
     )
 

@@ -140,7 +140,7 @@ def certify_positive(series: OrthogonalSeries, order: int) -> PositivityCertific
             f"certification to order {order} needs a basis of order {2 * order}, got {basis.order}"
         )
     recovered = moments_from_coefficients(series)
-    window = recovered.prefix(2 * order + 1, label="recovered")
+    window = recovered.prefix(2 * order + 1)
     report = is_pm(window, order)
 
     notes: list[str] = []
@@ -177,20 +177,15 @@ def log_weighted_partials(energies) -> tuple[float, ...]:
     return tuple(out)
 
 
-def rademacher_menshov_partials(series: OrthogonalSeries, upto: int | None = None) -> tuple[float, ...]:
+def rademacher_menshov_partials(series: OrthogonalSeries) -> tuple[float, ...]:
     """Partial sums of c_n^2 * norm_n * log(n+1)^2 for convergence inspection.
 
+    One partial sum per given coefficient (the padding zeros add nothing).
     Boundedness of the full series upgrades mean-square convergence to
     almost-everywhere convergence.  Reported for inspection only; verdicts
     never depend on it.  Natural logarithm (the base only rescales).
     """
-    n_max = len(series.coeffs) - 1 if upto is None else upto
-    cs = series.padded_coeffs()
-    if n_max > series.basis.order:
-        raise InsufficientMomentsError(
-            f"diagnostic to index {n_max} exceeds basis order {series.basis.order}"
-        )
-    energies = [cs[n] ** 2 * series.basis.norms[n] for n in range(n_max + 1)]
+    energies = [c**2 * h for c, h in zip(series.coeffs, series.basis.norms)]
     return log_weighted_partials(energies)
 
 

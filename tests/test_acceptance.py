@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from tests_support import hermite_sum_formula, normal_moments
+from tests_support import catalog_instances, hermite_sum_formula, normal_moments
 
 from poslab.lancaster import (
     SupportFlags,
@@ -25,7 +25,6 @@ from poslab.lancaster import (
 from poslab.moments import (
     MomentSequence,
     builtin,
-    catalog_entries,
     hankel_det,
     is_pm,
     pm_binomial_combine,
@@ -156,20 +155,8 @@ def test_criterion_09_positive_control():
     report(9, "conditionally-Gaussian coefficients certify to order 4, all determinants positive")
 
 
-def _catalog_instances(length):
-    out = []
-    for entry in catalog_entries():
-        if entry.name == "geometric":
-            out.append(builtin("geometric", length, 2))
-        elif entry.name == "log_kernel":
-            out.append(builtin("log_kernel", length, 1))
-        else:
-            out.append(builtin(entry.name, length))
-    return out
-
-
 def test_criterion_10_pm_algebra_closure():
-    seqs = _catalog_instances(9)
+    seqs = catalog_instances(9)
     for a in seqs:
         for b in seqs:
             assert is_pm(pm_product(a, b), 4).is_pm, f"product {a.label} x {b.label}"

@@ -49,6 +49,10 @@ class TestCheckPm:
     def test_unknown_key_is_input_error(self, capsys):
         code, _, err = run(capsys, "check-pm", "--seq", "nope", "--order", "2")
         assert code == 2 and "unknown catalog sequence" in err
+        code, _, err = run(capsys, "check-pm", "--seq", "catalan(2)", "--order", "2")
+        assert (code, err) == (2, "error: catalog sequence 'catalan' takes no parameter\n")
+        code, _, err = run(capsys, "check-pm", "--seq", "geometric", "--order", "2")
+        assert (code, err) == (2, "error: catalog sequence 'geometric' needs parameter a\n")
 
     def test_insufficient_moments_exit_three(self, capsys, tmp_path):
         path = tmp_path / "seq.json"
@@ -140,6 +144,13 @@ class TestCertify:
         path.write_text(json.dumps({"basis": "hermite", "order": 3, "coeffs": ["1/1", 2]}))
         code, _, err = run(capsys, "certify", "--in", str(path), "--order", "1")
         assert code == 2 and err.startswith(f"error: {path}: $.coeffs[1]: expected a rational string")
+        # a JSON boolean is an int subclass in Python, but not an order
+        path.write_text(json.dumps({"basis": "hermite", "order": True, "coeffs": ["1/1"]}))
+        code, _, err = run(capsys, "certify", "--in", str(path))
+        assert (code, err) == (
+            2,
+            f"error: {path}: $.order: expected a nonnegative integer with basis 'hermite'\n",
+        )
 
 
 class TestLancaster:
@@ -311,13 +322,30 @@ class TestParserReuse:
         assert build_parser() is not build_parser()
         assert build_parser() is not cli._parser()
 
-    def test_usage_error_matches_a_fresh_parser(self, capsys):
+    def test_usage_error_matches_a_fresh_parser(self, capsys, tmp_path):
         code, out, err = run(capsys, "check-pm", "--seq", "catalan")
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["check-pm", "--seq", "catalan"])
         fresh = capsys.readouterr()
         assert (code, out, err) == (exc.value.code, fresh.out, fresh.err)
         assert code == 2 and "--order" in err
+        # every order option rejects a negative or non-integer value at parse time
+        series = tmp_path / "series.json"
+        series.write_text(json.dumps({"basis": "hermite", "order": 2, "coeffs": ["1/1"]}))
+        preset = ("--preset", "mehler", "--rho", "1/2")
+        cases = [
+            (("check-pm", "--seq", "catalan"), "--order", "-1"),
+            (("build-basis", "--seq", "catalan"), "--order", "-1"),
+            (("certify", "--in", str(series)), "--order", "-1"),
+            (("lancaster", *preset), "--order", "-1"),
+            (("lancaster", *preset), "--problem-order", "-1"),
+            (("mehler-demo",), "--order", "-1"),
+            (("check-pm", "--seq", "catalan"), "--order", "x"),
+        ]
+        for command, option, value in cases:
+            code, out, err = run(capsys, *command, option, value)
+            want = f"error: argument {option}: expected a nonnegative integer, got '{value}'\n"
+            assert (code, out) == (2, "") and err.endswith(want), (command, option, value)
 
     def test_usage_error_does_not_affect_the_next_call(self, capsys):
         argv = ("check-pm", "--seq", "catalan", "--order", "3")

@@ -13,7 +13,6 @@ from poslab.moments import (
     MomentSequence,
     builtin,
     carleman_partial,
-    catalog_entries,
     hankel_det,
     is_pm,
     moment_gf_eval,
@@ -27,7 +26,7 @@ from poslab.moments import (
     shifted_hankel_det,
 )
 from poslab.moments import _recurrence
-from tests_support import chebyshev_battery, chebyshev_recurrence
+from tests_support import catalog_instances, chebyshev_battery, chebyshev_recurrence
 
 
 def det_cofactor(rows):
@@ -341,7 +340,7 @@ class TestCatalog:
             builtin("geometric", 4)
 
     def test_every_entry_passes_is_pm_to_order_five(self):
-        for seq in _catalog_instances(13):
+        for seq in catalog_instances(13):
             rep = is_pm(seq, 5)
             assert rep.is_pm, f"{seq.label}: {rep.hankel_dets}"
 
@@ -353,24 +352,12 @@ class TestCatalog:
             parse_catalog_key("geometric(2")
 
 
-def _catalog_instances(length):
-    out = []
-    for entry in catalog_entries():
-        if entry.name == "geometric":
-            out.append(builtin("geometric", length, 2))
-        elif entry.name == "log_kernel":
-            out.append(builtin("log_kernel", length, 1))
-        else:
-            out.append(builtin(entry.name, length))
-    return out
-
-
 class TestClosureBattery:
     """Products, mixtures, combinations, subsamples, and reflections of
     catalog sequences all stay pm at order 5."""
 
     def test_binary_closure_over_all_pairs(self):
-        seqs = _catalog_instances(11)
+        seqs = catalog_instances(11)
         for a in seqs:
             for b in seqs:
                 assert is_pm(pm_product(a, b), 5).is_pm
@@ -379,7 +366,7 @@ class TestClosureBattery:
                 assert is_pm(combo, 5).is_pm, f"{a.label} x {b.label}"
 
     def test_unary_closure(self):
-        for seq in _catalog_instances(21):
+        for seq in catalog_instances(21):
             assert is_pm(pm_subsample(seq, 2), 5).is_pm
             assert is_pm(pm_reflect(seq), 5).is_pm
 

@@ -4,13 +4,27 @@ Everything here is deliberately independent of the production code paths it
 is used to check: plain formulas, no shared helpers.  The one exception is
 the rational Chebyshev oracle's fallback past a zero pivot, which uses the
 library's per-order Bareiss determinants: a separate route from the integer
-pass it checks.
+pass it checks.  :func:`catalog_instances` is a fixture, not an oracle: it
+reads the catalog itself.
 """
 
 from fractions import Fraction as F
 from math import comb, factorial
 
-from poslab.moments import MomentSequence, hankel_det, shifted_hankel_det
+from poslab.moments import MomentSequence, builtin, catalog_entries, hankel_det, shifted_hankel_det
+
+
+def catalog_instances(length):
+    """One sequence of the given length per catalog entry, in catalog order."""
+    out = []
+    for entry in catalog_entries():
+        if entry.name == "geometric":
+            out.append(builtin("geometric", length, 2))
+        elif entry.name == "log_kernel":
+            out.append(builtin("log_kernel", length, 1))
+        else:
+            out.append(builtin(entry.name, length))
+    return out
 
 
 def normal_moments(mean, var, count):
