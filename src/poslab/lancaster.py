@@ -30,6 +30,7 @@ from .moments import MomentSequence, PmReport, builtin, is_pm
 from .orthopoly import (
     OrthoBasis,
     Polynomial,
+    _combination,
     _expand_in_basis,
     _hermite_addition_sides,
     _solve_lower,
@@ -310,12 +311,8 @@ class LancasterReport:
 
     def to_json_dict(self, float_digits: int = 17) -> dict:
         return {
-            "conditional_moments_a": [
-                [rat_str(c) for c in p.coeffs] for p in self.moment_polys.ma
-            ],
-            "conditional_moments_b": [
-                [rat_str(c) for c in p.coeffs] for p in self.moment_polys.mb
-            ],
+            "conditional_moments_a": [p._wire() for p in self.moment_polys.ma],
+            "conditional_moments_b": [p._wire() for p in self.moment_polys.mb],
             "grid_verdicts": [v.to_json_dict() for v in self.grid_verdicts],
             "necessary_conditions": self.necessary.to_json_dict(float_digits),
             "pc_flags": list(self.pc_flags),
@@ -555,13 +552,10 @@ def mehler_demo_battery(rho, order: int = 10) -> list[CheckResult]:
         f"both sides, orders 0..{order}",
     )
 
-    pi = hb.monomial_coeffs
-    ok = True
-    for n in range(order + 1):
-        acc = Polynomial()
-        for j in range(n + 1):
-            acc = acc + pi[n][j] * closed[j]
-        ok &= acc == rho**n * hb.polys[n]
+    ok = all(
+        _combination(hb.polys[n].coeffs, closed) == rho**n * hb.polys[n]
+        for n in range(order + 1)
+    )
     record("constant-column-identity", ok, "sum_j pi_nj m_j(y) = rho^n He_n(y)")
 
     one_m = 1 - rho * rho

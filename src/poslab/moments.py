@@ -19,9 +19,13 @@ denominators, and the pass returns the integer Hankel minors Delta_k of the
 scaled moments together with the values at 0 of the integral orthogonal
 polynomials, in the fraction-free form of Bareiss (Math. Comp. 22, 1968):
 d_k = Delta_k / D^(k+1), the shifted determinants, and the monic norms and
-recurrence (h_k, a_k, b_k) all follow from them by one division each.  Only
-orders at or past a zero minor, where the recurrence does not exist, fall
-back to a fraction-free (Bareiss) determinant per order.
+recurrence (h_k, a_k, b_k) all follow from them by one division each.  At a
+zero minor Delta_r the recurrence stops; the pass then reports how many
+leading moments follow the recurrence of pi_r, and every determinant of
+order k >= r that those moments cover is an exact zero (a flat, r-atomic
+or finitely supported sequence).  Only the orders beyond them, on input
+that is not flat, fall back to a fraction-free (Bareiss) determinant per
+order.
 
 All values are immutable and every function is pure, so everything here is
 safe for unrestricted concurrent use.
@@ -190,14 +194,15 @@ class PmReport:
         }
 
 
-def _chebyshev(values) -> tuple[int, list[int], list[int], list[int]]:
+def _chebyshev(values) -> tuple[int, list[int], list[int], list[int], int]:
     """Chebyshev's algorithm on integers: one exact pass from moments to Hankel minors.
 
     Scales m_0..m_{L-1} once to integers M_i = D m_i, with D the lcm of the
     denominators, and runs the modified Chebyshev recurrence (Gautschi,
     *Orthogonal Polynomials: Computation and Approximation* (2004), section
     2.1.7) for the monic orthogonal pi_k of the functional of M.  Returns
-    (D, dets, nexts, zeros), all integer determinants:
+    (D, dets, nexts, zeros, flat), with integer determinants in dets, nexts
+    and zeros:
 
     * dets[k] = Delta_k = det[M_{i+j}]_{0 <= i,j <= k}, needing M_{2k};
     * nexts[k] = s_k[k+1] and zeros[k] = P_{k+1}(0), needing M_{2k+1},
@@ -225,8 +230,13 @@ def _chebyshev(values) -> tuple[int, list[int], list[int], list[int]]:
     P_{k+1}(0) come back from the rows by one exact division each.
 
     The pass runs through negative minors (a signed functional still has a
-    recurrence) and ends at the first zero Delta_k, which is then the last
-    entry of dets: no recurrence exists past it.  O(L^2) integer operations.
+    recurrence) and ends at the first zero Delta_r, which is then the last
+    entry of dets: no recurrence exists past it.  Its last row then holds
+    <pi_r, x^l> for l = r..L-1-r, and ``flat`` counts the leading moments
+    m_0..m_{flat-1} that follow the recurrence of pi_r (sum_i pi_r[i]
+    m_{l+i} = 0): it is r plus the first l whose entry is nonzero, or L when
+    the whole row vanishes.  Without a zero minor ``flat`` is 0.  O(L^2)
+    integer operations.
     """
     scale = lcm(*(v.denominator for v in values))
     size = len(values)
@@ -239,11 +249,15 @@ def _chebyshev(values) -> tuple[int, list[int], list[int], list[int]]:
     nexts: list[int] = []
     zeros: list[int] = []
     det, piv_prev = 1, 1  # Delta_{k-1}, row_{k-1}[k-1]
+    flat = 0
     for k in range((size + 1) // 2):
         piv = cur[k]
         det_prev, det = det, det * piv // den
         dets.append(det)
-        if piv == 0 or 2 * k + 2 > size:
+        if piv == 0:
+            flat = next((k + l for l in range(k, size - k) if cur[l]), size)
+            break
+        if 2 * k + 2 > size:
             break
         nexts.append(det_prev * cur[k + 1] // den)
         # the numerator of Bareiss's step, with row pivots for the minors
@@ -262,7 +276,7 @@ def _chebyshev(values) -> tuple[int, list[int], list[int], list[int]]:
             nxt = [x // g for x in nxt]
         zeros.append(det * nxt[-1] // den)
         prev, cur, piv_prev = cur, nxt, piv
-    return scale, dets, nexts, zeros
+    return scale, dets, nexts, zeros, flat
 
 
 def _recurrence(values) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
@@ -277,7 +291,7 @@ def _recurrence(values) -> tuple[list[Fraction], list[Fraction], list[Fraction]]
 
     h ends at the first zero h_k, and a, b stop one entry before it.
     """
-    scale, dets, nexts, _ = _chebyshev(values)
+    scale, dets, nexts, _, _ = _chebyshev(values)
     d_prev = [1] + dets  # Delta_{k-1}
     n_prev = [0] + nexts  # s_{k-1}[k]
     h = [Fraction(d, p * scale) for p, d in zip(d_prev, dets)]
@@ -303,9 +317,15 @@ def is_pm(m: MomentSequence, max_order: int) -> PmReport:
     first zero minor: with moments scaled by D, d_k = Delta_k / D^(k+1) and,
     from the determinantal form of the monic orthogonal polynomials at
     x = 0, d'_k = (-1)^(k+1) d_k pi_{k+1}(0) = (-1)^(k+1) P_{k+1}(0) / D^(k+1).
-    Orders from a zero minor on (finite support, or a degenerate signed
-    sequence) are computed one by one with :func:`hankel_det` and
-    :func:`shifted_hankel_det` (Bareiss).
+
+    Past a zero minor Delta_r the pass hands over ``flat``: the moments
+    m_0..m_{flat-1} follow the recurrence of the monic pi_r.  For k >= r the
+    rows of the Hankel matrix of order k combine, with the coefficients of
+    pi_r, to the row (<pi_r, x^j>)_{j <= k}, which vanishes when k + r < flat;
+    so d_k = 0 there, and d'_k = 0 when k + r + 1 < flat (the shifted row
+    is (<pi_r, x^(j+1)>)_j).  Only the orders beyond that (a sequence that is
+    not flat, such as a degenerate signed one) are computed one by one with
+    :func:`hankel_det` and :func:`shifted_hankel_det` (Bareiss).
     """
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
@@ -314,7 +334,9 @@ def is_pm(m: MomentSequence, max_order: int) -> PmReport:
             f"pm test to order {max_order} needs {2 * max_order + 1} moments, got {len(m)}"
         )
     shifted_max = min(max_order, (len(m) - 2) // 2)
-    scale, minors, _, zeros = _chebyshev(m.values[: max(2 * max_order + 1, 2 * shifted_max + 2)])
+    scale, minors, _, zeros, flat = _chebyshev(
+        m.values[: max(2 * max_order + 1, 2 * shifted_max + 2)]
+    )
     if minors[-1] == 0:
         minors.pop()
     dets: list[Fraction] = []
@@ -325,8 +347,14 @@ def is_pm(m: MomentSequence, max_order: int) -> PmReport:
         dets.append(Fraction(dk, power))
         if k < min(len(zeros), shifted_max + 1):
             shifted.append(Fraction(zeros[k] if k % 2 else -zeros[k], power))
-    dets += [hankel_det(m, k) for k in range(len(dets), max_order + 1)]
-    shifted += [shifted_hankel_det(m, k) for k in range(len(shifted), shifted_max + 1)]
+    r = len(dets)  # the order of the zero minor, if the pass met one
+    dets += [
+        Fraction(0) if k + r < flat else hankel_det(m, k) for k in range(r, max_order + 1)
+    ]
+    shifted += [
+        Fraction(0) if k + r + 1 < flat else shifted_hankel_det(m, k)
+        for k in range(len(shifted), shifted_max + 1)
+    ]
 
     pm_order = -1
     for k, d in enumerate(dets):

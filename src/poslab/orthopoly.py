@@ -11,7 +11,11 @@ taken of perfect rational squares.
 A :class:`Polynomial` keeps integer numerators over one common denominator
 (the representation FLINT uses for ``fmpq_poly``): sums, products, scaling
 and evaluation run on integers and reduce once per result, and the Fraction
-coefficients are only built when read.
+coefficients are only built when read.  The basis path stays in that form
+from read to write: each recurrence step of :func:`_family`, each
+back-substitution step of :func:`_expand_in_basis` and each row check of
+:class:`ConnectionMatrix` is one pass over integer numerators, and the
+``"p/q"`` wire strings of a family are written straight from them.
 
 Connection coefficients between two families come from an exact triangular
 solve; the constant column of that triangle is what links series
@@ -71,6 +75,15 @@ class Polynomial:
         """The polynomial sum_i num[i] x^i / den, for den > 0; takes ownership of ``num``."""
         out = object.__new__(cls)
         out._store(num, den)
+        return out
+
+    def _wire(self) -> list[str]:
+        """The coefficients as lowest-terms ``"p/q"`` strings, constant term first."""
+        den = self._den
+        out = []
+        for v in self._num:
+            g = gcd(v, den)
+            out.append(f"{v // g}/{den // g}")
         return out
 
     @property
@@ -213,14 +226,30 @@ def _family(p0: Polynomial, triples) -> list[Polynomial]:
     """p_0, p_1, ... from p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1}, with p_{-1} = 0.
 
     The one loop that applies a three-term recurrence to polynomials: it
-    builds every family and re-checks every :class:`OrthoBasis`.
+    builds every family and re-checks every :class:`OrthoBasis`.  Each step
+    is one pass over integer numerators: with p_n = N_n / d_n and the
+    triple's entries over their own denominators, everything is brought to
+    lcm(A.den d_n, B.den d_n, C.den d_{n-1}) and reduced once.
     """
-    x = Polynomial.x()
-    polys, prev = [p0], Polynomial()
+    polys = [p0]
+    prev_num, prev_den = (), 1
     for a, b, c in triples:
         cur = polys[-1]
-        polys.append((a * x + Polynomial((b,))) * cur - c * prev)
-        prev = cur
+        num, den = cur._num, cur._den
+        common = lcm(a.denominator * den, b.denominator * den, c.denominator * prev_den)
+        sa = a.numerator * (common // (a.denominator * den))
+        sb = b.numerator * (common // (b.denominator * den))
+        sc = c.numerator * (common // (c.denominator * prev_den))
+        out = [0] + [v * sa for v in num]
+        out += [0] * (len(prev_num) - len(out))  # only when a triple lowers the degree
+        if sb:
+            for i, v in enumerate(num):
+                out[i] += v * sb
+        if sc:
+            for i, v in enumerate(prev_num):
+                out[i] -= v * sc
+        polys.append(Polynomial._from_ints(out, common))
+        prev_num, prev_den = num, den
     return polys
 
 
@@ -280,7 +309,7 @@ class OrthoBasis:
     def to_json_dict(self) -> dict:
         return {
             "moments": self.source_moments.to_json_dict(),
-            "pi": [[rat_str(c) for c in row] for row in self.monomial_coeffs],
+            "pi": [p._wire() for p in self.polys],
             "norms": [rat_str(h) for h in self.norms],
             "recurrence": [[rat_str(a), rat_str(b), rat_str(c)] for a, b, c in self.recurrence],
             "status": self.status,
@@ -397,18 +426,31 @@ def _solve_lower(rows, rhs) -> list:
 
 
 def _expand_in_basis(p: Polynomial, polys: tuple[Polynomial, ...]) -> list[Fraction]:
-    """Coefficients of p in a full-order triangular family, by back substitution."""
+    """Coefficients of p in a full-order triangular family, by back substitution.
+
+    The residual stays one integer vector R over a denominator e.  Step n
+    reads c_n = R_n d_n / (e P_n[n]) for p_n = P_n / d_n, then replaces R by
+    P_n[n] R - R_n P_n (which clears entry n) over e P_n[n], reduced by one gcd.
+    """
     if p.degree >= len(polys):
         raise ValueError(
             f"cannot expand a degree-{p.degree} polynomial in a basis of order {len(polys) - 1}"
         )
     out = [Fraction(0)] * len(polys)
-    residual = p
-    for n in range(len(polys) - 1, -1, -1):
-        c = residual.coefficient(n) / polys[n].coefficient(n)
-        if c:
-            out[n] = c
-            residual = residual - c * polys[n]
+    res, den = list(p._num), p._den
+    for n in range(len(res) - 1, -1, -1):
+        r = res[n]
+        if not r:
+            continue
+        basis = polys[n]
+        lead = basis._num[n]
+        out[n] = Fraction(r * basis._den, den * lead)
+        res = [lead * v - r * w for v, w in zip(res[:n], basis._num)]
+        den *= lead
+        g = gcd(den, *res)
+        if g != 1:
+            res = [v // g for v in res]
+            den //= g
     return out
 
 
@@ -441,6 +483,18 @@ def three_term(basis: OrthoBasis) -> tuple[tuple[Fraction, Fraction, Fraction], 
     return tuple(triples)
 
 
+def _combination(weights, polys) -> Polynomial:
+    """sum_j weights[j] polys[j] as one integer sum over lcm(weights[j].den polys[j].den)."""
+    terms = [(w, p) for w, p in zip(weights, polys) if w]
+    common = lcm(*(w.denominator * p._den for w, p in terms))
+    out = [0] * max((len(p._num) for _, p in terms), default=0)
+    for w, p in terms:
+        scale = w.numerator * (common // (w.denominator * p._den))
+        for i, v in enumerate(p._num):
+            out[i] += v * scale
+    return Polynomial._from_ints(out, common)
+
+
 @dataclass(frozen=True)
 class ConnectionMatrix:
     """Lower-triangular coefficients expressing one family in another.
@@ -459,10 +513,7 @@ class ConnectionMatrix:
         for n, row in enumerate(self.rows):
             if len(row) != n + 1 or row[n] == 0:
                 raise ValueError(f"connection row {n} is not triangular with nonzero diagonal")
-            rebuilt = Polynomial()
-            for j, g in enumerate(row):
-                rebuilt = rebuilt + g * self.to_basis.polys[j]
-            if rebuilt != self.from_basis.polys[n]:
+            if _combination(row, self.to_basis.polys) != self.from_basis.polys[n]:
                 raise ValueError(f"connection row {n} does not reconstruct the source polynomial")
 
     @property

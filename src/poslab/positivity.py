@@ -20,7 +20,7 @@ from math import log
 
 from .errors import InsufficientMomentsError
 from .moments import MomentSequence, PmReport, is_pm
-from .orthopoly import OrthoBasis, Polynomial, _inner, _solve_lower
+from .orthopoly import OrthoBasis, Polynomial, _combination, _inner, _solve_lower
 from .rationals import rat, rat_str
 
 
@@ -45,11 +45,7 @@ class OrthogonalSeries:
 
     def partial_sum(self) -> Polynomial:
         """The truncated series as an explicit polynomial."""
-        acc = Polynomial()
-        for c, p in zip(self.coeffs, self.basis.polys):
-            if c:
-                acc = acc + c * p
-        return acc
+        return _combination(self.coeffs, self.basis.polys)
 
 
 def moments_from_coefficients(series: OrthogonalSeries) -> MomentSequence:
@@ -207,9 +203,5 @@ def kernel_projection(basis: OrthoBasis, f: Polynomial, order: int) -> KernelPro
     if order > basis.order:
         raise ValueError(f"projection order {order} exceeds basis order {basis.order}")
     m = basis.source_moments
-    acc = Polynomial()
-    for i in range(order + 1):
-        w = _inner(basis.polys[i], f, m) / basis.norms[i]
-        if w:
-            acc = acc + w * basis.polys[i]
-    return KernelProjection(acc, lossy=f.degree > order)
+    weights = [_inner(basis.polys[i], f, m) / basis.norms[i] for i in range(order + 1)]
+    return KernelProjection(_combination(weights, basis.polys), lossy=f.degree > order)

@@ -3,7 +3,10 @@
 All quantities that carry mathematical meaning in this package are
 ``fractions.Fraction`` values.  Floats are deliberately rejected by the
 parsers: a float argument is almost always a silent loss of exactness.
-:func:`rational_list` is the one reader of rational lists in JSON input.
+:func:`rational_list` is the one reader of rational lists in JSON input;
+:func:`rat` reads the ``"p/q"`` wire form with ``int`` directly, and the
+polynomials of :mod:`poslab.orthopoly` write it from their integer
+numerators without building Fractions.
 """
 
 from __future__ import annotations
@@ -22,6 +25,12 @@ def rat(value) -> Fraction:
     are rejected: a binary double has already lost exactness.  So is
     exponent notation: ``Fraction("1e10000000")`` builds a ten-million-digit
     integer, so a few bytes of input could stall a run.
+
+    The wire form ``"p/q"`` (ASCII digits, an optional sign on ``p``) and a
+    plain ``"p"`` are read with ``int`` directly; every other string goes
+    through ``Fraction(text)``'s parser.  Both routes end in the same
+    ``not a rational string`` error, for ``q = 0`` and for digit strings past
+    Python's int-string limit too.
     """
     if isinstance(value, Fraction):
         return value
@@ -32,6 +41,10 @@ def rat(value) -> Fraction:
         if "e" in text or "E" in text:
             raise ValueError(f"not a rational string: {value!r} (no exponent notation)")
         try:
+            num, slash, den = text.partition("/")
+            digits = num[1:] if num[:1] in ("+", "-") else num
+            if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational string: {value!r}") from exc

@@ -20,7 +20,8 @@ from poslab.lancaster import (
     preset_problem,
 )
 from poslab.moments import MomentSequence, builtin
-from poslab.orthopoly import OrthoBasis, Polynomial, basis_from_moments, hermite
+from poslab.orthopoly import Polynomial, basis_from_moments, hermite
+from tests_support import halved_hermite
 
 
 ALL_FLAGS = SupportFlags(
@@ -31,17 +32,6 @@ ALL_FLAGS = SupportFlags(
 def mehler_problem(rho, order):
     basis = hermite(order)
     return LancasterProblem(basis, basis, tuple(rho**n for n in range(order + 1)), ALL_FLAGS)
-
-
-def halved_hermite(order):
-    """He_n / 2^n: the Hermite family in a non-monic normalization."""
-    h = hermite(order)
-    return OrthoBasis(
-        polys=tuple(p * F(1, 2**n) for n, p in enumerate(h.polys)),
-        norms=tuple(v / F(4) ** n for n, v in enumerate(h.norms)),
-        recurrence=tuple((F(a, 2), F(b), F(c, 4)) for (a, b, c) in h.recurrence),
-        source_moments=h.source_moments,
-    )
 
 
 class TestMomentPolynomials:

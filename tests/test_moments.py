@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from poslab import moments
 from poslab.errors import InsufficientMomentsError
 from poslab.moments import (
     MomentSequence,
@@ -126,19 +127,59 @@ def _battery_inputs(draw):
     return ms(draw(st.lists(_entries, min_size=length, max_size=length))), order
 
 
+@st.composite
+def _atomic_inputs(draw):
+    """Moments of an r-atomic signed measure, flat past their zero minor Delta_r,
+    or with one moment shifted so that the recurrence of pi_r breaks there."""
+    atoms = draw(
+        st.lists(st.tuples(st.integers(-4, 4), _entries.filter(bool)), max_size=4)
+    )
+    order = draw(st.integers(0, 7))
+    length = 2 * order + 1 + draw(st.integers(0, 1))
+    values = [sum((w * x**n for x, w in atoms), F(0)) for n in range(length)]
+    if draw(st.booleans()):
+        values[draw(st.integers(0, length - 1))] += draw(_entries.filter(bool))
+    return ms(values), order
+
+
+def _assert_battery_matches_bareiss(seq, order):
+    rep = is_pm(seq, order)
+    shifted_max = min(order, (len(seq) - 2) // 2)
+    assert rep.hankel_dets == tuple(hankel_det(seq, k) for k in range(order + 1))
+    assert rep.shifted_dets == tuple(shifted_hankel_det(seq, k) for k in range(shifted_max + 1))
+
+
 class TestBatteryEngine:
     """is_pm's single pass against per-order Bareiss determinants."""
 
     @settings(max_examples=200, deadline=None)
     @given(_battery_inputs())
     def test_matches_per_order_determinants(self, case):
-        seq, order = case
-        rep = is_pm(seq, order)
-        shifted_max = min(order, (len(seq) - 2) // 2)
-        assert rep.hankel_dets == tuple(hankel_det(seq, k) for k in range(order + 1))
-        assert rep.shifted_dets == tuple(
-            shifted_hankel_det(seq, k) for k in range(shifted_max + 1)
-        )
+        _assert_battery_matches_bareiss(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_atomic_inputs())
+    def test_matches_per_order_determinants_past_a_zero_minor(self, case):
+        _assert_battery_matches_bareiss(*case)
+
+    def test_flat_sequences_skip_the_per_order_fallback(self, monkeypatch):
+        def no_fallback(m, k):
+            raise AssertionError(f"per-order determinant at order {k}")
+
+        monkeypatch.setattr(moments, "hankel_det", no_fallback)
+        monkeypatch.setattr(moments, "shifted_hankel_det", no_fallback)
+        for seq in (builtin("geometric", 42, 2), builtin("fib_shift", 42), ms([0] * 42)):
+            rep = is_pm(seq, 20)
+            assert rep.hankel_dets[-1] == rep.shifted_dets[-1] == 0
+
+    def test_non_flat_verdicts_are_unchanged(self):
+        # m_4 breaks the recurrence of pi_1 in both; the zero dets are exact
+        notes = ("zero Hankel determinant at order 1: finite support possible",)
+        for values, shifted in (((1, 0, 0, 0, -1), (0, 0)), ((1, 1, 1, 1, 2), (1, 0))):
+            rep = is_pm(ms(values), 2)
+            assert rep.hankel_dets == (1, 0, 0) and rep.shifted_dets == shifted
+            assert rep.is_pm_to_order == 2 and rep.notes == notes
+            assert rep.nonneg_support and not rep.strictly_positive
 
     def test_closed_forms_at_order_80(self):
         def running_products(terms):

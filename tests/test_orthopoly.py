@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from poslab.errors import DegenerateMeasureError, InsufficientMomentsError, RecurrenceError
 from poslab.moments import MomentSequence, builtin
 from poslab.orthopoly import (
+    ConnectionMatrix,
     OrthoBasis,
     Polynomial,
+    _expand_in_basis,
+    _family,
     _hermite_addition_sides,
     basis_from_moments,
     connection,
@@ -20,6 +23,11 @@ from poslab.orthopoly import (
     three_term,
 )
 from poslab.rationals import double_factorial
+from tests_support import (
+    combination_by_polynomial_ops,
+    expand_by_polynomial_ops,
+    family_by_polynomial_ops,
+)
 
 
 def normal_moments(mean, var, count):
@@ -286,15 +294,7 @@ class TestNormsAndRecurrence:
 
     def test_resynthesis_reproduces_basis(self):
         basis = basis_from_moments(builtin("factorial", 17), 8)
-        polys = [Polynomial.one(), None]
-        x = Polynomial.x()
-        rebuilt = [basis.polys[0]]
-        prev = Polynomial()
-        for n, (a, b, c) in enumerate(basis.recurrence):
-            nxt = (a * x + Polynomial((b,))) * rebuilt[n] - c * prev
-            prev = rebuilt[n]
-            rebuilt.append(nxt)
-        assert tuple(rebuilt) == basis.polys
+        assert tuple(family_by_polynomial_ops(basis.polys[0], basis.recurrence)) == basis.polys
 
     def test_non_orthogonal_family_is_rejected(self):
         # x^2 alone cannot extend {1, x} under any three-term recurrence with C_1 A_1 A_0 > 0
@@ -306,6 +306,82 @@ class TestNormsAndRecurrence:
                 recurrence=((F(1), F(0), F(0)), (F(1), F(1), F(-1))),
                 source_moments=builtin("gaussian", 5),
             )
+
+
+small = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+nonzero = small.filter(bool)
+
+
+@st.composite
+def families(draw, max_order=7):
+    """(p_0, triples) of a non-monic family: C_n A_n A_(n-1) > 0 and p_0 != 1."""
+    p0 = draw(nonzero.filter(lambda v: v != 1))
+    triples = []
+    for n in range(draw(st.integers(0, max_order))):
+        a, b, c = draw(nonzero), draw(small), draw(small if n == 0 else nonzero)
+        if n and c * a * triples[-1][0] < 0:
+            c = -c
+        triples.append((a, b, c))
+    return Polynomial((p0,)), tuple(triples)
+
+
+def family_basis(p0, triples):
+    polys = family_by_polynomial_ops(p0, triples)
+    return OrthoBasis(polys, (F(1),) * len(polys), triples, builtin("gaussian", 1))
+
+
+class TestFusedStepsAgainstPolynomialOps:
+    """The integer steps of the recurrence, the expansion and the connection check
+    against the same steps taken with Polynomial arithmetic."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(nonzero, st.lists(st.tuples(small, small, small), max_size=7))
+    def test_family_on_any_triples(self, p0, triples):
+        # A_n = 0 is drawn too, so a step can lower the degree
+        p0 = Polynomial((p0,))
+        assert _family(p0, triples) == family_by_polynomial_ops(p0, triples)
+
+    @settings(max_examples=100, deadline=None)
+    @given(families(), st.data())
+    def test_basis_rebuild_and_its_rejections(self, family, data):
+        p0, triples = family
+        basis = family_basis(p0, triples)
+        assert list(basis.polys) == _family(p0, triples)
+        # C_0 multiplies p_(-1) = 0, so three_term reports it as 0
+        want = tuple((a, b, c if n else 0) for n, (a, b, c) in enumerate(triples))
+        assert three_term(basis) == want
+        if triples:
+            n = data.draw(st.integers(0, len(triples) - 1))
+            a, b, c = triples[n]
+            bad = triples[:n] + ((a, b + 1, c),) + triples[n + 1 :]
+            with pytest.raises(RecurrenceError, match=f"at n={n} does not rebuild"):
+                OrthoBasis(basis.polys, basis.norms, bad, basis.source_moments)
+
+    @settings(max_examples=100, deadline=None)
+    @given(families(), st.lists(small, max_size=8))
+    def test_expansion(self, family, coeffs):
+        polys = tuple(_family(*family))
+        p = Polynomial(coeffs[: len(polys)])
+        got = _expand_in_basis(p, polys)
+        assert got == expand_by_polynomial_ops(p, polys)
+        assert combination_by_polynomial_ops(got, polys) == p
+
+    @settings(max_examples=60, deadline=None)
+    @given(families(), families(), st.data())
+    def test_connection_rows_are_checked(self, source, target, data):
+        src, dst = family_basis(*source), family_basis(*target)
+        if dst.order < src.order:
+            src, dst = dst, src
+        cm = connection(src, dst)
+        for n, row in enumerate(cm.rows):
+            assert list(row) == expand_by_polynomial_ops(src.polys[n], dst.polys[: n + 1])
+        n = data.draw(st.integers(0, src.order))
+        j = data.draw(st.integers(0, n))
+        rows = [list(row) for row in cm.rows]
+        shift = data.draw(nonzero)
+        rows[n][j] += shift if rows[n][j] + shift else 2 * shift  # keep the diagonal nonzero
+        with pytest.raises(ValueError, match=f"row {n} does not reconstruct"):
+            ConnectionMatrix(tuple(map(tuple, rows)), src, dst)
 
 
 class TestDeterminantFormulaOracle:
@@ -358,10 +434,7 @@ class TestConnection:
         cat = basis_from_moments(builtin("catalan", 13), 6)
         cm = connection(hermite(6), cat)
         for n, row in enumerate(cm.rows):
-            acc = Polynomial()
-            for j, g in enumerate(row):
-                acc = acc + g * cat.polys[j]
-            assert acc == hermite(6).polys[n]
+            assert combination_by_polynomial_ops(row, cat.polys) == hermite(6).polys[n]
 
     def test_cube_decomposes_in_hermite(self):
         # x^3 = He_3 + 3 He_1

@@ -1,12 +1,13 @@
-import random
 from fractions import Fraction as F
 from math import log
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poslab.errors import InsufficientMomentsError
 from poslab.moments import MomentSequence, builtin
-from poslab.orthopoly import OrthoBasis, Polynomial, basis_from_moments, hermite
+from poslab.orthopoly import Polynomial, basis_from_moments, hermite
 from poslab.positivity import (
     OrthogonalSeries,
     certify_positive,
@@ -16,6 +17,7 @@ from poslab.positivity import (
     moments_from_coefficients,
     rademacher_menshov_partials,
 )
+from tests_support import catalog_instances, halved_hermite
 
 
 @pytest.fixture(scope="module")
@@ -28,15 +30,11 @@ def catalan8():
     return basis_from_moments(builtin("catalan", 17), 8)
 
 
-@pytest.fixture(scope="module")
-def halved8(hermite8):
-    """He_n / 2^n: a family that is not monic."""
-    return OrthoBasis(
-        tuple(p * F(1, 2**n) for n, p in enumerate(hermite8.polys)),
-        tuple(v / F(4) ** n for n, v in enumerate(hermite8.norms)),
-        tuple((F(a, 2), F(b), F(c, 4)) for (a, b, c) in hermite8.recurrence),
-        hermite8.source_moments,
-    )
+# every catalog family to order 8 (the finite-support ones stop early), and a
+# family that is not monic
+ROUND_TRIP_BASES = [
+    basis_from_moments(seq, 8, allow_truncation=True) for seq in catalog_instances(17)
+] + [halved_hermite(8)]
 
 
 class TestMomentRecovery:
@@ -62,15 +60,16 @@ class TestMomentRecovery:
         cs = coefficients_from_moments(hermite8, builtin("gaussian", 9))
         assert cs == (F(1),) + (F(0),) * 8
 
-    def test_inverse_pair_round_trip(self, hermite8, catalan8, halved8):
-        rng = random.Random(411)
-        for basis in (hermite8, catalan8, halved8):
-            for _ in range(25):
-                k = rng.randint(1, 8)
-                cs = tuple(F(rng.randint(-12, 12), rng.randint(1, 10)) for _ in range(k))
-                series = OrthogonalSeries(basis, cs)
-                back = coefficients_from_moments(basis, moments_from_coefficients(series))
-                assert back == series.padded_coeffs()
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, len(ROUND_TRIP_BASES) - 1),
+        st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30), max_size=9),
+    )
+    def test_inverse_pair_round_trip(self, index, coeffs):
+        basis = ROUND_TRIP_BASES[index]
+        series = OrthogonalSeries(basis, coeffs[: basis.order + 1])
+        back = coefficients_from_moments(basis, moments_from_coefficients(series))
+        assert back == series.padded_coeffs()
 
     def test_insufficient_target_moments(self, hermite8):
         with pytest.raises(InsufficientMomentsError):

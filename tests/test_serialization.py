@@ -1,5 +1,6 @@
 import copy
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -44,6 +45,66 @@ class TestRationalStrings:
         for text in ("1e10000000", "1E5", "2.5e-3", "1/1e3"):
             with pytest.raises(ValueError, match="not a rational string"):
                 rat(text)
+
+
+def reference_rat(value):
+    """``rat`` on a string through ``Fraction(text)`` alone, with its exponent rule."""
+    text = value.strip()
+    if "e" in text or "E" in text:
+        raise ValueError(f"not a rational string: {value!r} (no exponent notation)")
+    try:
+        return F(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational string: {value!r}") from exc
+
+
+def outcome(parse, text):
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return "raises", str(exc)
+    assert type(value) is F
+    return "value", value
+
+
+LONG = "7" * 4301  # past Python's default 4300-digit int-string limit
+
+
+class TestRatParity:
+    """``rat``'s ``p/q`` fast path gives what ``Fraction(text)`` gives, or the same error."""
+
+    CASES = [
+        "3/4", "+3/4", "-3/4", "-0", "+0/5", "0/7", "007/010", " 3/4 ", "\t-7\n", "12",
+        "1_000", "1_000/3", "\u0661\u0662", "\u0661\u0662/\u0663", "3/0", "0/0", "3/-4",
+        "3/+4", "3 /4", "3/ 4", "- 3/4", "+-3", "--3", "0.5", "-.5", "1.", "1.5/2", "",
+        "  ", "/", "3/", "/4", "3/4/5", "x", "1e3", "\u00b2", "3/\u00b2",
+        LONG, "-" + LONG, "1/" + LONG, LONG + "/3", "4" * 4300 + "/" + "3" * 4300,
+    ]
+
+    @pytest.mark.parametrize(
+        "text", CASES, ids=lambda t: ascii(t) if len(t) < 20 else f"{len(t)}-chars"
+    )
+    def test_listed_strings(self, text):
+        assert outcome(rat, text) == outcome(reference_rat, text)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit before 3.10.7"
+    )
+    def test_long_digit_strings_keep_the_rat_error(self):
+        for text in (LONG, "1/" + LONG):
+            with pytest.raises(ValueError, match="^not a rational string: ") as info:
+                rat(text)
+            assert "Exceeds the limit" not in str(info.value)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet="0123456789+-/ ._\t\u0661", max_size=12))
+    def test_random_strings(self, text):
+        assert outcome(rat, text) == outcome(reference_rat, text)
+
+    @given(rationals)
+    def test_wire_strings(self, q):
+        for text in (f"{q.numerator}/{q.denominator}", str(q), f" {q} "):
+            assert outcome(rat, text) == ("value", q)
 
 
 class TestMomentSequenceJson:

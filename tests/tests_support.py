@@ -4,14 +4,18 @@ Everything here is deliberately independent of the production code paths it
 is used to check: plain formulas, no shared helpers.  The one exception is
 the rational Chebyshev oracle's fallback past a zero pivot, which uses the
 library's per-order Bareiss determinants: a separate route from the integer
-pass it checks.  :func:`catalog_instances` is a fixture, not an oracle: it
-reads the catalog itself.
+pass it checks.  The recurrence, expansion and combination oracles run on
+:class:`Polynomial` arithmetic (one multiply and one add or subtract per
+step), a separate route from the fused integer steps of the library.
+:func:`catalog_instances` and :func:`halved_hermite` are fixtures, not
+oracles: they read the catalog and the Hermite family themselves.
 """
 
 from fractions import Fraction as F
 from math import comb, factorial
 
 from poslab.moments import MomentSequence, builtin, catalog_entries, hankel_det, shifted_hankel_det
+from poslab.orthopoly import OrthoBasis, Polynomial, hermite
 
 
 def catalog_instances(length):
@@ -112,3 +116,46 @@ def chebyshev_battery(m, max_order):
     dets += [hankel_det(m, k) for k in range(len(dets), max_order + 1)]
     shifted += [shifted_hankel_det(m, k) for k in range(len(shifted), shifted_max + 1)]
     return tuple(dets), tuple(shifted)
+
+
+def halved_hermite(order):
+    """He_n / 2^n: the Hermite family in a non-monic normalization."""
+    h = hermite(order)
+    return OrthoBasis(
+        polys=tuple(p * F(1, 2**n) for n, p in enumerate(h.polys)),
+        norms=tuple(v / F(4) ** n for n, v in enumerate(h.norms)),
+        recurrence=tuple((F(a, 2), F(b), F(c, 4)) for (a, b, c) in h.recurrence),
+        source_moments=h.source_moments,
+    )
+
+
+def family_by_polynomial_ops(p0, triples):
+    """p_0, p_1, ... from p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1}, p_{-1} = 0."""
+    x = Polynomial.x()
+    polys, prev = [p0], Polynomial()
+    for a, b, c in triples:
+        cur = polys[-1]
+        polys.append((a * x + Polynomial((b,))) * cur - c * prev)
+        prev = cur
+    return polys
+
+
+def expand_by_polynomial_ops(p, polys):
+    """Coefficients of p in a triangular family: back substitution on a Polynomial residual."""
+    out = [F(0)] * len(polys)
+    residual = p
+    for n in range(len(polys) - 1, -1, -1):
+        c = residual.coefficient(n) / polys[n].coefficient(n)
+        if c:
+            out[n] = c
+            residual = residual - c * polys[n]
+    assert residual.is_zero
+    return out
+
+
+def combination_by_polynomial_ops(weights, polys):
+    """sum_j weights[j] polys[j], one Polynomial scale and add per term."""
+    acc = Polynomial()
+    for w, p in zip(weights, polys):
+        acc = acc + w * p
+    return acc
