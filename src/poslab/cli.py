@@ -57,7 +57,7 @@ from .moments import (
     parse_catalog_key,
 )
 from .orthopoly import OrthoBasis, basis_from_moments, connection, hermite
-from .positivity import OrthogonalSeries, certify_positive
+from .positivity import REFUTED, OrthogonalSeries, certify_positive
 from .rationals import rat, rat_str, rational_list
 
 EXIT_OK = 0
@@ -232,17 +232,20 @@ def _cmd_certify(args) -> int:
         for note in cert.notes:
             lines.append(f"note: {note}")
         _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_REFUTED if cert.verdict == "refuted" else EXIT_OK
+    return EXIT_REFUTED if cert.verdict == REFUTED else EXIT_OK
 
 
 def _cmd_lancaster(args) -> int:
     if args.infile and args.preset:
         raise SchemaError("give either --in or --preset, not both")
     if args.infile:
+        if args.rho is not None or args.problem_order is not None:
+            raise SchemaError("--rho and --problem-order apply only to --preset")
         problem, grid_a, grid_b = _load(args.infile, parse_problem_json)
     elif args.preset:
         rho = rat(args.rho) if args.rho is not None else None
-        problem = preset_problem(args.preset, args.problem_order, rho)
+        order = args.problem_order if args.problem_order is not None else 10
+        problem = preset_problem(args.preset, order, rho)
         grid_a = grid_b = DEFAULT_GRID
     else:
         raise SchemaError("a problem is required: pass --in FILE or --preset NAME")
@@ -262,7 +265,7 @@ def _cmd_lancaster(args) -> int:
             lines.append(f"  side {v.side} @ {rat_str(v.point)}: {mark}")
         lines.append(f"verdict: {report.verdict_label}")
         _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_REFUTED if report.verdict == "refuted" else EXIT_OK
+    return EXIT_REFUTED if report.verdict == REFUTED else EXIT_OK
 
 
 def _cmd_mehler_demo(args) -> int:
@@ -321,10 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, json_default=False):
+    def add_out(p):
         p.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
+
+    def add_common(p):
+        add_out(p)
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--json", action="store_true", default=json_default, help="JSON report")
+        group.add_argument("--json", action="store_true", help="JSON report")
         group.add_argument("--text", dest="json", action="store_false", help="text report")
 
     p = sub.add_parser("catalog", help="list the builtin moment sequences")
@@ -342,13 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", metavar="KEY", help="catalog key")
     p.add_argument("--in", dest="infile", metavar="FILE", help="moment sequence JSON file")
     p.add_argument("--order", type=_order, required=True, help="highest polynomial order")
-    add_common(p, json_default=True)
+    add_out(p)
     p.set_defaults(func=_cmd_build_basis)
 
     p = sub.add_parser("connect", help="connection coefficients between two basis files")
     p.add_argument("--in", dest="infile", metavar="FILE", required=True, help="source basis JSON")
     p.add_argument("--to", metavar="FILE", required=True, help="target basis JSON")
-    add_common(p, json_default=True)
+    add_out(p)
     p.set_defaults(func=_cmd_connect)
 
     p = sub.add_parser("certify", help="finite-order nonnegativity certificate for a series")
@@ -364,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--rho", metavar="P/Q", help="correlation for the mehler preset")
     p.add_argument(
-        "--problem-order", type=_order, default=10, help="expansion order for presets (default 10)"
+        "--problem-order", type=_order, help="expansion order for presets (default 10)"
     )
     p.add_argument("--order", type=_order, help="Hankel order per grid point (default: half)")
     p.add_argument("--grid", metavar="Q1,Q2,...", help="rational grid points for both sides")

@@ -37,6 +37,7 @@ from .orthopoly import (
     basis_from_moments,
     hermite,
 )
+from .positivity import CERTIFIED, REFUTED, OrthogonalSeries, certify_positive
 from .rationals import double_factorial, rat, rat_str, rational_list, rational_sqrt
 
 DEFAULT_GRID = tuple(Fraction(k, 2) for k in range(-4, 5))
@@ -175,8 +176,8 @@ def moment_polynomials(prob: LancasterProblem) -> MomentPolynomials:
     rhs_a = [c * prob.norm_scale(n) * prob.beta.polys[n] for n, c in enumerate(cs)]
     rhs_b = [c / prob.norm_scale(n) * prob.alpha.polys[n] for n, c in enumerate(cs)]
     return MomentPolynomials(
-        tuple(_solve_lower(prob.alpha.monomial_coeffs, rhs_a)),
-        tuple(_solve_lower(prob.beta.monomial_coeffs, rhs_b)),
+        tuple(_solve_lower(prob.alpha.polys, rhs_a)),
+        tuple(_solve_lower(prob.beta.polys, rhs_b)),
     )
 
 
@@ -233,8 +234,8 @@ class NecessaryConditions:
 def necessary_conditions(prob: LancasterProblem) -> NecessaryConditions:
     """Evaluate the declared necessary conditions on all of c_0..c_N, exactly."""
     cs = prob.coeffs
-    pa = prob.alpha.monomial_coeffs
-    pb = prob.beta.monomial_coeffs
+    pa = prob.alpha.polys
+    pb = prob.beta.polys
 
     partials = []
     acc = Fraction(0)
@@ -250,14 +251,16 @@ def necessary_conditions(prob: LancasterProblem) -> NecessaryConditions:
         acc0 = Fraction(0)
         for n, c in enumerate(cs):
             root = prob.norm_scale(n) * prob.beta.norms[n]
-            acc0 += c * pa[n][0] * pb[n][0] / root
+            acc0 += c * pa[n].coefficient(0) * pb[n].coefficient(0) / root
             origin.append(acc0)
         origin = tuple(origin)
 
     ratio_report = None
     if prob.support.mu_unbounded:
         ratio_seq = MomentSequence(
-            tuple(c * pa[n][n] / (pb[n][n] * prob.norm_scale(n)) for n, c in enumerate(cs))
+            tuple(
+                c * pa[n].leading / (pb[n].leading * prob.norm_scale(n)) for n, c in enumerate(cs)
+            )
         )
         ratio_report = is_pm(ratio_seq, prob.order // 2)
 
@@ -289,19 +292,21 @@ def full_order_check(h_polys, basis: OrthoBasis) -> tuple[bool, ...]:
 
 
 POSITIVE = "positive"
-REFUTED = "refuted"
 
 
 @dataclass(frozen=True)
 class LancasterReport:
-    """Aggregated grid positivity evidence for one expansion problem."""
+    """Aggregated grid positivity evidence; refuted iff a grid point's battery is not pm."""
 
     moment_polys: MomentPolynomials
     grid_verdicts: tuple[GridVerdict, ...]
     necessary: NecessaryConditions
     pc_flags: tuple[bool, ...]
     order: int
-    verdict: str
+
+    @property
+    def verdict(self) -> str:
+        return POSITIVE if all(v.report.is_pm for v in self.grid_verdicts) else REFUTED
 
     @property
     def verdict_label(self) -> str:
@@ -357,15 +362,12 @@ def lancaster_report(
             point = rat(point)
             seq = MomentSequence(tuple(family[k](point) for k in range(2 * order + 1)))
             verdicts.append(GridVerdict(side, point, is_pm(seq, order)))
-
-    refuted = any(v.report.first_negative_order is not None for v in verdicts)
     return LancasterReport(
         moment_polys=polys,
         grid_verdicts=tuple(verdicts),
         necessary=necessary_conditions(prob),
         pc_flags=tuple(c != 0 for c in prob.coeffs),
         order=order,
-        verdict=REFUTED if refuted else POSITIVE,
     )
 
 
@@ -658,8 +660,6 @@ def mehler_demo_battery(rho, order: int = 10) -> list[CheckResult]:
         "passes on the reference family, catches a degree-deficient h_2",
     )
 
-    from .positivity import OrthogonalSeries, certify_positive
-
     cert_bad = certify_positive(
         OrthogonalSeries(hb, (Fraction(0), Fraction(1), Fraction(0))), 1
     )
@@ -668,10 +668,10 @@ def mehler_demo_battery(rho, order: int = 10) -> list[CheckResult]:
     for y in ys:
         cs = tuple(rho**n * hb.polys[n](y) / hb.norms[n] for n in range(hb.order + 1))
         cert = certify_positive(OrthogonalSeries(hb, cs), 4)
-        certs_ok &= cert.verdict == "certified" and cert.pm_report.strictly_positive
+        certs_ok &= cert.verdict == CERTIFIED and cert.pm_report.strictly_positive
     record(
         "positivity-certificates",
-        cert_bad.verdict == "refuted"
+        cert_bad.verdict == REFUTED
         and cert_bad.verdict_order == 1
         and cert_bad.pm_report.hankel_dets[1] == -1
         and certs_ok,

@@ -34,7 +34,7 @@ safe for unrestricted concurrent use.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
@@ -93,95 +93,106 @@ class MomentSequence:
 # Exact determinants
 # ---------------------------------------------------------------------------
 
-def _det_exact(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant via fraction-free (Bareiss) elimination.
+def _hankel_window(m: MomentSequence, n: int, shift: int) -> Fraction:
+    """det[m_{shift+i+j}] for 0 <= i,j <= n by fraction-free (Bareiss) elimination.
 
-    Rows are first scaled to integers (tracking the scale), then eliminated
-    with exact integer divisions only.  No rounding anywhere, so sign
-    decisions near zero are trustworthy.
+    The window is scaled once to integers by the lcm D of its denominators,
+    as in :func:`_chebyshev`, and eliminated with row pivoting and exact
+    integer divisions only, so sign decisions near zero are trustworthy.
     """
-    n = len(rows)
-    scale = 1
-    mat: list[list[int]] = []
-    for row in rows:
-        denom = 1
-        for x in row:
-            denom = lcm(denom, x.denominator)
-        scale *= denom
-        mat.append([int(x * denom) for x in row])
-
+    if n < 0:
+        raise ValueError("Hankel order must be nonnegative")
+    needed = 2 * n + 1 + shift
+    if len(m) < needed:
+        what = "shifted Hankel determinant" if shift else "Hankel determinant"
+        raise InsufficientMomentsError(
+            f"{what} of order {n} needs {needed} moments, got {len(m)}"
+        )
+    window = m.values[shift:needed]
+    scale = lcm(*(v.denominator for v in window))
+    ints = [v.numerator * (scale // v.denominator) for v in window]
+    mat = [ints[i : i + n + 1] for i in range(n + 1)]
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if mat[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if mat[i][k] != 0), None)
+            pivot = next((i for i in range(k + 1, n + 1) if mat[i][k] != 0), None)
             if pivot is None:
                 return Fraction(0)
             mat[k], mat[pivot] = mat[pivot], mat[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
+        for i in range(k + 1, n + 1):
+            for j in range(k + 1, n + 1):
                 mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
         prev = mat[k][k]
-    return Fraction(sign * mat[n - 1][n - 1], scale)
+    return Fraction(sign * mat[n][n], scale ** (n + 1))
 
 
 def hankel_det(m: MomentSequence, n: int) -> Fraction:
-    """det[m_{i+j}] for 0 <= i,j <= n, computed exactly."""
-    if n < 0:
-        raise ValueError("Hankel order must be nonnegative")
-    if len(m) < 2 * n + 1:
-        raise InsufficientMomentsError(
-            f"Hankel determinant of order {n} needs {2 * n + 1} moments, got {len(m)}"
-        )
-    return _det_exact([[m[i + j] for j in range(n + 1)] for i in range(n + 1)])
+    """det[m_{i+j}] for 0 <= i,j <= n, computed exactly (see :func:`_hankel_window`)."""
+    return _hankel_window(m, n, 0)
 
 
 def shifted_hankel_det(m: MomentSequence, n: int) -> Fraction:
     """det[m_{1+i+j}] for 0 <= i,j <= n; nonnegativity localizes the support in [0, oo)."""
-    if n < 0:
-        raise ValueError("Hankel order must be nonnegative")
-    if len(m) < 2 * n + 2:
-        raise InsufficientMomentsError(
-            f"shifted Hankel determinant of order {n} needs {2 * n + 2} moments, got {len(m)}"
-        )
-    return _det_exact([[m[1 + i + j] for j in range(n + 1)] for i in range(n + 1)])
+    return _hankel_window(m, n, 1)
 
 
 @dataclass(frozen=True)
 class PmReport:
     """Finite-order positivity report for one moment sequence.
 
-    ``is_pm_to_order`` is the largest order K such that d_0..d_K are all
-    nonnegative among the tested prefix (-1 if d_0 < 0 already).  A zero
-    determinant is pm-compatible but turns ``strictly_positive`` off; shifted
+    Built from the Hankel determinants d_0..d_K and the shifted ones alone:
+    it is the one place their sign pattern is read, once, at construction.
+    ``first_zero_order`` is the first zero before any negative determinant
+    (pm-compatible: finite support possible), and ``is_pm_to_order`` the
+    largest K with d_0..d_K nonnegative (-1 if d_0 < 0 already).  Shifted
     determinants are tested as far as the data allows and feed
     ``nonneg_support``.
     """
 
     hankel_dets: tuple[Fraction, ...]
     shifted_dets: tuple[Fraction, ...]
-    is_pm_to_order: int
-    strictly_positive: bool
-    nonneg_support: bool
-    notes: tuple[str, ...] = ()
+    first_negative_order: int | None = field(init=False)
+    first_zero_order: int | None = field(init=False)
+    strictly_positive: bool = field(init=False)
+    nonneg_support: bool = field(init=False)
+
+    def __post_init__(self):
+        # signs are read on .numerator: an int comparison, not Fraction's
+        negative = zero = None
+        for k, d in enumerate(self.hankel_dets):
+            if d.numerator < 0:
+                negative = k
+                break
+            if zero is None and not d.numerator:
+                zero = k
+        object.__setattr__(self, "first_negative_order", negative)
+        object.__setattr__(self, "first_zero_order", zero)
+        object.__setattr__(self, "strictly_positive", negative is None and zero is None)
+        object.__setattr__(
+            self, "nonneg_support", all(d.numerator >= 0 for d in self.shifted_dets)
+        )
 
     @property
     def order(self) -> int:
         return len(self.hankel_dets) - 1
 
     @property
-    def is_pm(self) -> bool:
-        """True iff no tested Hankel determinant is negative."""
-        return self.is_pm_to_order == self.order
+    def is_pm_to_order(self) -> int:
+        if self.first_negative_order is None:
+            return self.order
+        return self.first_negative_order - 1
 
     @property
-    def first_negative_order(self) -> int | None:
-        for k, d in enumerate(self.hankel_dets):
-            if d < 0:
-                return k
-        return None
+    def is_pm(self) -> bool:
+        """True iff no tested Hankel determinant is negative."""
+        return self.first_negative_order is None
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        k = self.first_zero_order
+        return () if k is None else (f"zero Hankel determinant at order {k}: finite support possible",)
 
     def to_json_dict(self) -> dict:
         return {
@@ -325,7 +336,8 @@ def is_pm(m: MomentSequence, max_order: int) -> PmReport:
     so d_k = 0 there, and d'_k = 0 when k + r + 1 < flat (the shifted row
     is (<pi_r, x^(j+1)>)_j).  Only the orders beyond that (a sequence that is
     not flat, such as a degenerate signed one) are computed one by one with
-    :func:`hankel_det` and :func:`shifted_hankel_det` (Bareiss).
+    :func:`hankel_det` and :func:`shifted_hankel_det` (Bareiss).  The
+    battery returns determinants only; :class:`PmReport` reads the verdicts.
     """
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
@@ -355,25 +367,7 @@ def is_pm(m: MomentSequence, max_order: int) -> PmReport:
         Fraction(0) if k + r + 1 < flat else shifted_hankel_det(m, k)
         for k in range(len(shifted), shifted_max + 1)
     ]
-
-    pm_order = -1
-    for k, d in enumerate(dets):
-        if d < 0:
-            break
-        pm_order = k
-    notes = []
-    for k, d in enumerate(dets[: pm_order + 1]):
-        if d == 0:
-            notes.append(f"zero Hankel determinant at order {k}: finite support possible")
-            break
-    return PmReport(
-        hankel_dets=tuple(dets),
-        shifted_dets=tuple(shifted),
-        is_pm_to_order=pm_order,
-        strictly_positive=all(d > 0 for d in dets),
-        nonneg_support=all(d >= 0 for d in shifted),
-        notes=tuple(notes),
-    )
+    return PmReport(tuple(dets), tuple(shifted))
 
 
 # ---------------------------------------------------------------------------

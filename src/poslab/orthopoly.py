@@ -48,11 +48,11 @@ class Polynomial:
     numerator) with trailing zeros stripped, so equal polynomials have equal
     storage.  Arithmetic runs on the integers and reduces once per result;
     evaluation at p/q is homogeneous Horner, sum_i n_i p^i q^(d-i), which
-    ends in a single Fraction.  ``coeffs`` gives the Fraction coefficients,
-    built on first use; the zero polynomial has no coefficients and degree -1.
+    ends in a single Fraction.  ``coeffs`` builds the Fraction coefficients
+    on each read; the zero polynomial has no coefficients and degree -1.
     """
 
-    __slots__ = ("_num", "_den", "_coeffs")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
         vals = [rat(c) for c in coeffs]
@@ -68,7 +68,6 @@ class Polynomial:
             den //= g
         self._num = tuple(num)
         self._den = den
-        self._coeffs = None
 
     @classmethod
     def _from_ints(cls, num: list[int], den: int) -> "Polynomial":
@@ -88,9 +87,7 @@ class Polynomial:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        if self._coeffs is None:
-            self._coeffs = tuple(Fraction(v, self._den) for v in self._num)
-        return self._coeffs
+        return tuple(Fraction(v, self._den) for v in self._num)
 
     @property
     def degree(self) -> int:
@@ -301,11 +298,6 @@ class OrthoBasis:
     def order(self) -> int:
         return len(self.polys) - 1
 
-    @property
-    def monomial_coeffs(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Lower-triangular coefficient rows: row n lists the x^j coefficients of p_n."""
-        return tuple(p.coeffs for p in self.polys)
-
     def to_json_dict(self) -> dict:
         return {
             "moments": self.source_moments.to_json_dict(),
@@ -407,21 +399,22 @@ def squared_norms(basis: OrthoBasis) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _solve_lower(rows, rhs) -> list:
-    """Solve sum_{j<=n} rows[n][j] x_j = rhs[n] for x_0..x_N by forward substitution.
+def _solve_lower(polys, rhs) -> list:
+    """Solve sum_{j<=n} pi_{n,j} x_j = rhs[n] through the triangle of a full-order family.
 
-    ``rows`` is a lower-triangular table of Fractions with a nonzero
-    diagonal, at least as long as ``rhs``.  The unknowns need only ``+``,
-    ``-`` and scaling by a Fraction, so ``rhs`` may hold Fractions or
-    :class:`Polynomial` values.
+    Row n is read as the integer numerators of p_n = N_n / d_n, by forward
+    substitution: x_n = (d_n rhs_n - sum_{j<n} N_n[j] x_j) / N_n[n].  The
+    unknowns need only ``+``, ``-`` and scaling by an int or a Fraction, so
+    ``rhs`` may hold Fractions or :class:`Polynomial` values.
     """
     out = []
-    for n, acc in enumerate(rhs):
-        row = rows[n]
+    for n, value in enumerate(rhs):
+        row = polys[n]._num
+        acc = polys[n]._den * value
         for j in range(n):
             if row[j]:
                 acc = acc - row[j] * out[j]
-        out.append(acc * (1 / row[n]))
+        out.append(acc * Fraction(1, row[n]))
     return out
 
 
@@ -596,12 +589,13 @@ def _hermite_addition_sides(hs, n: int, a) -> tuple[dict, dict]:
         raise ValueError(f"1 - a^2 must be a perfect rational square, got a = {a}")
     lhs = _poly_in_mix(hs[n], a, b)
     rhs: dict[tuple[int, int], Fraction] = {}
+    coeffs = [h.coeffs for h in hs[: n + 1]]
     for mdx in range(n + 1):
         w = comb(n, mdx) * a**mdx * b ** (n - mdx)
-        for i, cx in enumerate(hs[mdx].coeffs):
+        for i, cx in enumerate(coeffs[mdx]):
             if cx == 0:
                 continue
-            for j, cy in enumerate(hs[n - mdx].coeffs):
+            for j, cy in enumerate(coeffs[n - mdx]):
                 if cy == 0:
                     continue
                 key = (i, j)

@@ -57,7 +57,7 @@ def moments_from_coefficients(series: OrthogonalSeries) -> MomentSequence:
     """
     basis = series.basis
     rhs = [c * h for c, h in zip(series.padded_coeffs(), basis.norms)]
-    return MomentSequence(tuple(_solve_lower(basis.monomial_coeffs, rhs)), label="recovered")
+    return MomentSequence(tuple(_solve_lower(basis.polys, rhs)), label="recovered")
 
 
 def coefficients_from_moments(basis: OrthoBasis, nu: MomentSequence) -> tuple[Fraction, ...]:
@@ -70,10 +70,9 @@ def coefficients_from_moments(basis: OrthoBasis, nu: MomentSequence) -> tuple[Fr
         raise InsufficientMomentsError(
             f"need {basis.order + 1} moments of the target measure, got {len(nu)}"
         )
-    pi = basis.monomial_coeffs
     return tuple(
-        sum((pi[n][j] * nu[j] for j in range(n + 1)), Fraction(0)) / basis.norms[n]
-        for n in range(basis.order + 1)
+        sum((c * nu[j] for j, c in enumerate(p.coeffs)), Fraction(0)) / h
+        for p, h in zip(basis.polys, basis.norms)
     )
 
 
@@ -86,6 +85,7 @@ DEGENERATE = "degenerate"
 class PositivityCertificate:
     """Outcome of the finite-order nonnegativity test for one series.
 
+    ``verdict``, ``verdict_order`` and ``notes`` are read off ``pm_report``;
     ``verdict`` is one of:
 
     * ``certified``  -- all Hankel determinants of the recovered moments are
@@ -99,10 +99,31 @@ class PositivityCertificate:
 
     recovered_moments: MomentSequence
     pm_report: PmReport
-    verdict: str
-    verdict_order: int
     rm_partials: tuple[float, ...]
-    notes: tuple[str, ...] = ()
+
+    @property
+    def verdict(self) -> str:
+        report = self.pm_report
+        if report.first_negative_order is not None:
+            return REFUTED
+        return CERTIFIED if report.first_zero_order is None else DEGENERATE
+
+    @property
+    def verdict_order(self) -> int:
+        report = self.pm_report
+        for k in (report.first_negative_order, report.first_zero_order):
+            if k is not None:
+                return k
+        return report.order
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        verdict, k = self.verdict, self.verdict_order
+        if verdict == REFUTED:
+            return (f"necessary condition violated: d_{k} < 0",)
+        if verdict == DEGENERATE:
+            return (f"d_{k} = 0: the limit measure may have finite support; not a refutation",)
+        return ()
 
     @property
     def verdict_label(self) -> str:
@@ -136,31 +157,8 @@ def certify_positive(series: OrthogonalSeries, order: int) -> PositivityCertific
             f"certification to order {order} needs a basis of order {2 * order}, got {basis.order}"
         )
     recovered = moments_from_coefficients(series)
-    window = recovered.prefix(2 * order + 1)
-    report = is_pm(window, order)
-
-    notes: list[str] = []
-    first_neg = report.first_negative_order
-    if first_neg is not None:
-        verdict, vorder = REFUTED, first_neg
-        notes.append(f"necessary condition violated: d_{first_neg} < 0")
-    else:
-        first_zero = next((k for k, d in enumerate(report.hankel_dets) if d == 0), None)
-        if first_zero is not None:
-            verdict, vorder = DEGENERATE, first_zero
-            notes.append(
-                f"d_{first_zero} = 0: the limit measure may have finite support; not a refutation"
-            )
-        else:
-            verdict, vorder = CERTIFIED, order
-    return PositivityCertificate(
-        recovered_moments=recovered,
-        pm_report=report,
-        verdict=verdict,
-        verdict_order=vorder,
-        rm_partials=rademacher_menshov_partials(series),
-        notes=tuple(notes),
-    )
+    report = is_pm(recovered.prefix(2 * order + 1), order)
+    return PositivityCertificate(recovered, report, rademacher_menshov_partials(series))
 
 
 def log_weighted_partials(energies) -> tuple[float, ...]:

@@ -91,7 +91,7 @@ def test_criterion_04_conditional_moment_recursion_equivalence():
 
 def test_criterion_05_constant_column_identity():
     h = hermite(10)
-    pi = h.monomial_coeffs
+    pi = tuple(p.coeffs for p in h.polys)
     for rho in (F(1, 2), F(-1, 3), F(3, 4)):
         conditional = mehler_moments(rho, 10)
         for n in range(11):

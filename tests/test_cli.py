@@ -302,6 +302,29 @@ class TestUsageErrors:
     def test_unknown_command_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    def test_preset_options_with_a_problem_file(self, capsys, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(preset_problem("mehler", 4, F(1, 2)).to_json_dict()))
+        for extra in (("--rho", "9/10"), ("--problem-order", "50")):
+            code, out, err = run(capsys, "lancaster", "--in", str(path), *extra)
+            assert (code, out) == (2, "")
+            assert err == "error: --rho and --problem-order apply only to --preset\n"
+        # presets still default to problem order 10
+        code, out, _ = run(capsys, "lancaster", "--preset", "harmonic", "--grid", "0")
+        assert code == 0 and out.startswith("expansion problem of order 10,")
+
+    def test_json_only_commands_reject_format_flags(self, capsys, tmp_path):
+        basis = tmp_path / "basis.json"
+        assert run(capsys, "build-basis", "--seq", "gaussian", "--order", "2", "--out", str(basis))[0] == 0
+        commands = (
+            ("build-basis", "--seq", "gaussian", "--order", "2"),
+            ("connect", "--in", str(basis), "--to", str(basis)),
+        )
+        for command in commands:
+            for flag in ("--json", "--text"):
+                code, out, err = run(capsys, *command, flag)
+                assert (code, out) == (2, "") and f"unrecognized arguments: {flag}" in err
+
 
 class TestParserReuse:
     """``main`` reuses one parser per process; no request may leak into the next."""
@@ -372,3 +395,132 @@ class TestParserReuse:
         code, out, err = run(capsys, *argv, "--rho", "-3/10")
         assert (code, err) == (0, "")
         assert json.loads(out)["verdict"] == "positive"
+
+
+# Full text reports, pinned byte for byte; the JSON reports are pinned by the
+# benchmark's digests.
+TEXT_REPORTS = {
+    "check-pm-zero-determinant": (
+        ("check-pm", "--seq", "geometric(2)", "--order", "3"),
+        0,
+        "sequence: geometric(2)\n"
+        "tested order: 3\n"
+        "hankel determinants: 1/1, 0/1, 0/1, 0/1\n"
+        "shifted determinants: 2/1, 0/1, 0/1, 0/1\n"
+        "pm to order: 3\n"
+        "strictly positive: no\n"
+        "nonnegative-support compatible: yes\n"
+        "note: zero Hankel determinant at order 1: finite support possible\n"
+        "verdict: pm\n",
+    ),
+    "check-pm-refuted": (
+        ("check-pm", "--in", "{odd}", "--order", "1"),
+        1,
+        "sequence: odd\n"
+        "tested order: 1\n"
+        "hankel determinants: 0/1, -1/1\n"
+        "shifted determinants: 1/1\n"
+        "pm to order: 0\n"
+        "strictly positive: no\n"
+        "nonnegative-support compatible: yes\n"
+        "note: zero Hankel determinant at order 0: finite support possible\n"
+        "verdict: not pm (first negative at order 1)\n",
+    ),
+    "certify-certified": (
+        ("certify", "--in", "{certified}", "--order", "2"),
+        0,
+        "series over basis of order 4, certified at Hankel order 2\n"
+        "recovered moments: 1/1, 0/1, 6/5, 0/1, 21/5\n"
+        "hankel determinants: 1/1, 6/5, 414/125\n"
+        "verdict: certified-to-order 2\n",
+    ),
+    "certify-refuted": (
+        ("certify", "--in", "{refuted}", "--order", "1"),
+        1,
+        "series over basis of order 2, certified at Hankel order 1\n"
+        "recovered moments: 0/1, 1/1, 0/1\n"
+        "hankel determinants: 0/1, -1/1\n"
+        "verdict: refuted-at-order 1\n"
+        "note: necessary condition violated: d_1 < 0\n",
+    ),
+    "certify-degenerate": (
+        ("certify", "--in", "{degenerate}", "--order", "2"),
+        0,
+        "series over basis of order 4, certified at Hankel order 2\n"
+        "recovered moments: 1/1, 0/1, 0/1, 0/1, 0/1\n"
+        "hankel determinants: 1/1, 0/1, 0/1\n"
+        "verdict: degenerate-at-order 1\n"
+        "note: d_1 = 0: the limit measure may have finite support; not a refutation\n",
+    ),
+    "lancaster-positive": (
+        ("lancaster", "--preset", "mehler", "--rho", "1/2", "--problem-order", "4",
+         "--grid", "-1,0,1/2"),
+        0,
+        "expansion problem of order 4, grid Hankel order 2\n"
+        "grid points tested: 6\n"
+        "full-order flags: 5/5 pass\n"
+        "  side a @ -1/1: ok\n"
+        "  side a @ 0/1: ok\n"
+        "  side a @ 1/2: ok\n"
+        "  side b @ -1/1: ok\n"
+        "  side b @ 0/1: ok\n"
+        "  side b @ 1/2: ok\n"
+        "verdict: positive-to-order 2\n",
+    ),
+    "lancaster-refuted": (
+        ("lancaster", "--in", "{problem}", "--order", "1", "--grid", "-1,0,1/2"),
+        1,
+        "expansion problem of order 4, grid Hankel order 1\n"
+        "grid points tested: 6\n"
+        "full-order flags: 5/5 pass\n"
+        "  side a @ -1/1: NEGATIVE at order 1\n"
+        "  side a @ 0/1: NEGATIVE at order 1\n"
+        "  side a @ 1/2: NEGATIVE at order 1\n"
+        "  side b @ -1/1: NEGATIVE at order 1\n"
+        "  side b @ 0/1: NEGATIVE at order 1\n"
+        "  side b @ 1/2: NEGATIVE at order 1\n"
+        "verdict: refuted\n",
+    ),
+    "mehler-demo": (
+        ("mehler-demo", "--rho", "1/2", "--order", "4"),
+        0,
+        "reference battery at rho = 1/2, order 4\n"
+        "PASS  hermite-recurrence-vs-sum-formula  (orders 0..12)\n"
+        "PASS  hermite-from-gaussian-moments  (basis, norms, and recurrence at order 12)\n"
+        "PASS  hermite-addition-formula  (mixing weight 3/5, orders 0..8)\n"
+        "PASS  conditional-moments-recursion-vs-closed-form  (both sides, orders 0..4)\n"
+        "PASS  constant-column-identity  (sum_j pi_nj m_j(y) = rho^n He_n(y))\n"
+        "PASS  generating-function-coefficients  "
+        "(t^n coefficient of exp(rho y t + t^2(1-rho^2)/2) equals m_n(y)/n!)\n"
+        "PASS  leading-coefficient-law  (lead(m_n) = c_n b_nn/a_nn)\n"
+        "PASS  grid-hankel-positivity  (default grid, order 2)\n"
+        "PASS  necessary-conditions  (truncated 1.148438 vs limit 1.154701)\n"
+        "PASS  geometric-coefficients-rank-one  (Hankel collapses beyond d_0 for c_n = rho^n)\n"
+        "PASS  kernel-vs-density  (max deviation 6.542e-10 on the integer grid, 30 terms)\n"
+        "PASS  full-order-check  (passes on the reference family, catches a degree-deficient h_2)\n"
+        "PASS  positivity-certificates  "
+        "(refutes the odd-coefficient control, certifies the Gaussian family)\n"
+        "13/13 checks passed\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_REPORTS))
+def test_text_report_bytes(capsys, tmp_path, name):
+    problem = preset_problem("mehler", 4, F(1, 2)).to_json_dict()
+    problem["coeffs"] = ["1/1", "2/1", "4/1", "8/1", "16/1"]
+    inputs = {
+        "odd": {"label": "odd", "values": ["0/1", "1/1", "0/1"]},
+        "certified": {"basis": "hermite", "order": 4, "coeffs": ["1/1", "0/1", "1/10"]},
+        "refuted": {"basis": "hermite", "order": 2, "coeffs": ["0/1", "1/1", "0/1"]},
+        # the Hermite series of a point mass at 0: c_n = He_n(0) / n!
+        "degenerate": {"basis": "hermite", "order": 4, "coeffs": ["1/1", "0/1", "-1/2", "0/1", "1/8"]},
+        "problem": problem,
+    }
+    paths = {}
+    for key, doc in inputs.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(doc))
+    argv, want_code, want_out = TEXT_REPORTS[name]
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out, err) == (want_code, want_out, "")

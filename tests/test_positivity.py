@@ -6,10 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poslab.errors import InsufficientMomentsError
-from poslab.moments import MomentSequence, builtin
+from poslab.moments import MomentSequence, PmReport, builtin
 from poslab.orthopoly import Polynomial, basis_from_moments, hermite
 from poslab.positivity import (
+    CERTIFIED,
+    DEGENERATE,
+    REFUTED,
     OrthogonalSeries,
+    PositivityCertificate,
     certify_positive,
     coefficients_from_moments,
     kernel_projection,
@@ -129,6 +133,51 @@ class TestCertify:
     def test_certification_order_needs_basis_depth(self, hermite8):
         with pytest.raises(InsufficientMomentsError):
             certify_positive(OrthogonalSeries(hermite8, (F(1),)), 5)
+
+
+ZERO_NOTE = "zero Hankel determinant at order {}: finite support possible"
+
+# The sign pattern of the Hankel determinants decides every verdict, in
+# PmReport alone: (dets, first negative, first zero before any negative,
+# pm to order, PmReport notes, certificate verdict, its order and note).
+VERDICT_TABLE = [
+    ((1, -1, 0), 1, None, 0, (), REFUTED, 1, "necessary condition violated: d_1 < 0"),
+    ((1, 0, -1), 2, 1, 1, (ZERO_NOTE.format(1),), REFUTED, 2,
+     "necessary condition violated: d_2 < 0"),
+    ((1, 0, 0), None, 1, 2, (ZERO_NOTE.format(1),), DEGENERATE, 1,
+     "d_1 = 0: the limit measure may have finite support; not a refutation"),
+    ((2, 1), None, None, 1, (), CERTIFIED, 1, None),
+]
+
+
+@pytest.mark.parametrize("row", VERDICT_TABLE, ids=lambda row: str(row[0]))
+def test_verdicts_are_read_off_the_determinants(row):
+    dets, negative, zero, pm_order, notes, verdict, verdict_order, cert_note = row
+    dets = tuple(F(d) for d in dets)
+    shifted = (F(3), F(-1, 2))
+    report = PmReport(dets, shifted)
+    assert report.first_negative_order == negative
+    assert report.first_zero_order == zero
+    assert report.strictly_positive == (negative is None and zero is None)
+    assert report.nonneg_support is False
+    assert report.is_pm_to_order == pm_order
+    assert report.is_pm == (negative is None)
+    assert report.notes == notes
+    assert report.to_json_dict() == {
+        "hankel_dets": [f"{d.numerator}/{d.denominator}" for d in dets],
+        "shifted_dets": ["3/1", "-1/2"],
+        "is_pm_to_order": pm_order,
+        "strictly_positive": negative is None and zero is None,
+        "nonneg_support": False,
+        "notes": list(notes),
+    }
+
+    cert = PositivityCertificate(MomentSequence((F(1),)), report, ())
+    assert (cert.verdict, cert.verdict_order) == (verdict, verdict_order)
+    assert cert.notes == (() if cert_note is None else (cert_note,))
+    label = {CERTIFIED: "certified-to-order", REFUTED: "refuted-at-order",
+             DEGENERATE: "degenerate-at-order"}[verdict]
+    assert cert.verdict_label == f"{label} {verdict_order}"
 
 
 class TestRmDiagnostic:
