@@ -223,7 +223,7 @@ def _cmd_certify(args) -> int:
         _emit(_dump_json(cert.to_json_dict(_float_digits())), args.out)
     else:
         lines = [
-            f"series over basis of order {series.basis.order}, certified at Hankel order {order}",
+            f"series over basis of order {series.basis.order}, Hankel battery to order {order}",
             "recovered moments: "
             + ", ".join(rat_str(v) for v in cert.recovered_moments.values[: 2 * order + 1]),
             "hankel determinants: " + ", ".join(rat_str(d) for d in cert.pm_report.hankel_dets),

@@ -170,15 +170,23 @@ def moment_polynomials(prob: LancasterProblem) -> MomentPolynomials:
     monic triangles, with s_n = sqrt(alpha_norm_n / beta_norm_n) rational
     (checked at problem construction), that is Pi_alpha m(y) = (c_n s_n
     beta_n(y)), and symmetrically Pi_beta m(x) = (c_n / s_n alpha_n(x));
-    each side is one exact forward substitution.
+    each side is one exact forward substitution.  When the two triangles
+    are equal and every s_n is 1 the two systems are the same, and one
+    solve serves both sides.
     """
+    top = prob.order + 1
     cs = prob.coeffs
-    rhs_a = [c * prob.norm_scale(n) * prob.beta.polys[n] for n, c in enumerate(cs)]
-    rhs_b = [c / prob.norm_scale(n) * prob.alpha.polys[n] for n, c in enumerate(cs)]
-    return MomentPolynomials(
-        tuple(_solve_lower(prob.alpha.polys, rhs_a)),
-        tuple(_solve_lower(prob.beta.polys, rhs_b)),
-    )
+    scales = [prob.norm_scale(n) for n in range(top)]
+    alpha, beta = prob.alpha.polys[:top], prob.beta.polys[:top]
+
+    def solve(polys, rhs):
+        xs, den = _solve_lower(polys, rhs)
+        return tuple(Polynomial._from_ints(x, den) for x in xs)
+
+    ma = solve(alpha, [(c * s, p) for c, s, p in zip(cs, scales, beta)])
+    if alpha == beta and all(s == 1 for s in scales):
+        return MomentPolynomials(ma, ma)
+    return MomentPolynomials(ma, solve(beta, [(c / s, p) for c, s, p in zip(cs, scales, alpha)]))
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,23 @@ A :class:`Polynomial` keeps integer numerators over one common denominator
 (the representation FLINT uses for ``fmpq_poly``): sums, products, scaling
 and evaluation run on integers and reduce once per result, and the Fraction
 coefficients are only built when read.  The basis path stays in that form
-from read to write: each recurrence step of :func:`_family`, each
-back-substitution step of :func:`_expand_in_basis` and each row check of
-:class:`ConnectionMatrix` is one pass over integer numerators, and the
-``"p/q"`` wire strings of a family are written straight from them.
+from read to write: ``pi`` rows are read from their ``"p/q"`` strings
+straight into numerators (:func:`poslab.rationals.rational_row`), each
+recurrence step of :func:`_family`, each back-substitution step of
+:func:`_expand_in_basis` and each row check of :class:`ConnectionMatrix` is
+one pass over integer numerators, and the ``"p/q"`` wire strings of a
+family are written straight from them.
 
 Connection coefficients between two families come from an exact triangular
 solve; the constant column of that triangle is what links series
 coefficients to recovered measure moments in :mod:`poslab.positivity`.
 Systems Pi x = r through the monomial triangle Pi of a family, for recovered
-moments and for conditional moments, share one forward substitution.
+moments and for conditional moments, share one forward substitution,
+:func:`_solve_lower`, which runs on integer vectors over one shared
+denominator.  Fractions are still built for scalars: squared norms,
+recurrence triples, connection coefficients (the output of
+:func:`_expand_in_basis`), the recovered moments that the solve hands back,
+and the ``coeffs``, ``coefficient`` and ``leading`` reads of a polynomial.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .errors import (
     SchemaError,
 )
 from .moments import MomentSequence, _recurrence, builtin
-from .rationals import rat, rat_str, rational_list, rational_sqrt
+from .rationals import rat, rat_str, rational_list, rational_row, rational_sqrt
 
 
 class Polynomial:
@@ -316,7 +323,8 @@ class OrthoBasis:
         if not isinstance(rows, list) or not rows:
             raise SchemaError(f"{where}.pi: expected a non-empty list of coefficient rows")
         polys = tuple(
-            Polynomial(rational_list(row, f"{where}.pi[{n}]", n + 1)) for n, row in enumerate(rows)
+            Polynomial._from_ints(*rational_row(row, f"{where}.pi[{n}]", n + 1))
+            for n, row in enumerate(rows)
         )
         norms = rational_list(data.get("norms"), f"{where}.norms", len(polys))
         rec_raw = data.get("recurrence")
@@ -399,23 +407,50 @@ def squared_norms(basis: OrthoBasis) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _solve_lower(polys, rhs) -> list:
-    """Solve sum_{j<=n} pi_{n,j} x_j = rhs[n] through the triangle of a full-order family.
+def _solve_lower(polys, rhs) -> tuple[list[list[int]], int]:
+    """Solve sum_{j<=n} pi_{n,j} x_j = w_n q_n through the triangle of a full-order family.
 
-    Row n is read as the integer numerators of p_n = N_n / d_n, by forward
-    substitution: x_n = (d_n rhs_n - sum_{j<n} N_n[j] x_j) / N_n[n].  The
-    unknowns need only ``+``, ``-`` and scaling by an int or a Fraction, so
-    ``rhs`` may hold Fractions or :class:`Polynomial` values.
+    ``rhs[n]`` is the pair (w_n, q_n) of a Fraction and a :class:`Polynomial`
+    (the constant 1 for a scalar system).  The unknowns are integer vectors
+    over one shared positive denominator: the result is (X, E), unknown n
+    being X[n] / E.  With p_n = N_n / d_n, w_n q_n = R_n / r_n and L the lcm
+    of E and r_n, forward substitution
+    x_n = (d_n R_n (L / r_n) - (L / E) sum_{j<n} N_n[j] X_j) / (L N_n[n])
+    is integer work, reduced by one gcd.  E then grows to the lcm of E and
+    x_n's denominator, rescaling the earlier X_j: E stays the least common
+    denominator of the unknowns, and the lcm keeps it positive whatever the
+    sign of N_n[n].
     """
-    out = []
-    for n, value in enumerate(rhs):
+    xs: list[list[int]] = []
+    den = 1
+    for n, (w, q) in enumerate(rhs):
         row = polys[n]._num
-        acc = polys[n]._den * value
+        r_den = w.denominator * q._den
+        common = lcm(den, r_den)
+        scale, step = w.numerator * polys[n]._den * (common // r_den), common // den
+        out = [v * scale for v in q._num]
+        if xs:
+            out += [0] * (len(xs[-1]) - len(out))  # unknowns never get shorter
         for j in range(n):
-            if row[j]:
-                acc = acc - row[j] * out[j]
-        out.append(acc * Fraction(1, row[n]))
-    return out
+            c = row[j] * step
+            if c:
+                for i, v in enumerate(xs[j]):
+                    out[i] -= c * v
+        e = common * row[n]
+        g = gcd(e, *out)
+        if g != 1:
+            out = [v // g for v in out]
+            e //= g
+        grown = lcm(den, e)
+        if grown != den:
+            f = grown // den
+            xs = [[v * f for v in x] for x in xs]
+            den = grown
+        if den != e:
+            f = den // e
+            out = [v * f for v in out]
+        xs.append(out)
+    return xs, den
 
 
 def _expand_in_basis(p: Polynomial, polys: tuple[Polynomial, ...]) -> list[Fraction]:

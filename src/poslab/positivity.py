@@ -56,8 +56,10 @@ def moments_from_coefficients(series: OrthogonalSeries) -> MomentSequence:
     given prefix are treated as zero.
     """
     basis = series.basis
-    rhs = [c * h for c, h in zip(series.padded_coeffs(), basis.norms)]
-    return MomentSequence(tuple(_solve_lower(basis.polys, rhs)), label="recovered")
+    one = Polynomial.one()
+    rhs = [(c * h, one) for c, h in zip(series.padded_coeffs(), basis.norms)]
+    xs, den = _solve_lower(basis.polys, rhs)
+    return MomentSequence(tuple(Fraction(x, den) for x, in xs), label="recovered")
 
 
 def coefficients_from_moments(basis: OrthoBasis, nu: MomentSequence) -> tuple[Fraction, ...]:

@@ -1,53 +1,70 @@
 """Exact rational helpers: parsing, formatting, square roots, small combinatorics.
 
-All quantities that carry mathematical meaning in this package are
-``fractions.Fraction`` values.  Floats are deliberately rejected by the
-parsers: a float argument is almost always a silent loss of exactness.
-:func:`rational_list` is the one reader of rational lists in JSON input;
-:func:`rat` reads the ``"p/q"`` wire form with ``int`` directly, and the
-polynomials of :mod:`poslab.orthopoly` write it from their integer
-numerators without building Fractions.
+Scalar quantities that carry mathematical meaning in this package are
+``fractions.Fraction`` values; polynomials hold integer numerators over one
+denominator (:mod:`poslab.orthopoly`).  Floats are deliberately rejected by
+the parsers: a float argument is almost always a silent loss of exactness.
+:func:`_rat_pair` is the one parser of rational strings: it reads the
+``"p/q"`` wire form with ``int`` directly into an integer pair.  :func:`rat`
+builds a Fraction from it, and so does :func:`rational_list`, the one
+reader of rational lists in JSON input; :func:`rational_row` reads the same
+input as integer numerators over one denominator, which is how a basis
+reads its ``pi`` rows, and the polynomials write them back from their
+numerators, so a polynomial coefficient is never a Fraction on the way in
+or out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import SchemaError
+
+
+def _rat_pair(value: str) -> tuple[int, int]:
+    """Read a rational string as an integer pair (p, q) with q > 0, not reduced.
+
+    The wire form ``"p/q"`` (ASCII digits, an optional sign on ``p``) and a
+    plain ``"p"`` are read with ``int`` directly; every other string goes
+    through ``Fraction(text)``'s parser.  Both routes end in the same
+    ``not a rational string`` error, for ``q = 0`` and for digit strings past
+    Python's int-string limit too.  Exponent notation is rejected:
+    ``Fraction("1e10000000")`` builds a ten-million-digit integer, so a few
+    bytes of input could stall a run.
+    """
+    text = value.strip()
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    wire = digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit())
+    if not wire and ("e" in text or "E" in text):
+        raise ValueError(f"not a rational string: {value!r} (no exponent notation)")
+    try:
+        if wire:
+            q = int(den) if slash else 1
+            if not q:
+                raise ZeroDivisionError(value)
+            return int(num), q
+        f = Fraction(text)
+        return f.numerator, f.denominator
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational string: {value!r}") from exc
 
 
 def rat(value) -> Fraction:
     """Coerce ``value`` to an exact Fraction.
 
     Accepts int, Fraction, and strings: ``"p/q"``, ``"p"``, or an exact
-    decimal literal like ``"0.3"`` (which is 3/10, exactly).  Float values
-    are rejected: a binary double has already lost exactness.  So is
-    exponent notation: ``Fraction("1e10000000")`` builds a ten-million-digit
-    integer, so a few bytes of input could stall a run.
-
-    The wire form ``"p/q"`` (ASCII digits, an optional sign on ``p``) and a
-    plain ``"p"`` are read with ``int`` directly; every other string goes
-    through ``Fraction(text)``'s parser.  Both routes end in the same
-    ``not a rational string`` error, for ``q = 0`` and for digit strings past
-    Python's int-string limit too.
+    decimal literal like ``"0.3"`` (which is 3/10, exactly), read by
+    :func:`_rat_pair`.  Float values are rejected: a binary double has
+    already lost exactness.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if "e" in text or "E" in text:
-            raise ValueError(f"not a rational string: {value!r} (no exponent notation)")
-        try:
-            num, slash, den = text.partition("/")
-            digits = num[1:] if num[:1] in ("+", "-") else num
-            if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
-                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational string: {value!r}") from exc
+        return Fraction(*_rat_pair(value))
     if isinstance(value, float):
         raise TypeError(
             f"floats are not exact; pass a rational string like '3/10' instead of {value!r}"
@@ -55,13 +72,8 @@ def rat(value) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
-def rational_list(raw, where: str, length: int | None = None) -> tuple[Fraction, ...]:
-    """Read a JSON list of rational strings: ``length`` of them if given, else at least one.
-
-    Only strings are accepted (no JSON numbers or booleans), each read by
-    :func:`rat`.  Any failure raises :class:`SchemaError` naming ``where``,
-    or ``where[i]`` for a bad entry.
-    """
+def _pairs(raw, where: str, length: int | None) -> list[tuple[int, int]]:
+    """The one list reader: each string of ``raw`` as a :func:`_rat_pair`."""
     if not isinstance(raw, list) or (not raw if length is None else len(raw) != length):
         count = "a non-empty list of" if length is None else str(length)
         raise SchemaError(f"{where}: expected {count} rational strings")
@@ -70,10 +82,31 @@ def rational_list(raw, where: str, length: int | None = None) -> tuple[Fraction,
         if not isinstance(item, str):
             raise SchemaError(f"{where}[{i}]: expected a rational string, got {item!r}")
         try:
-            out.append(rat(item))
+            out.append(_rat_pair(item))
         except ValueError as exc:
             raise SchemaError(f"{where}[{i}]: {exc}") from exc
-    return tuple(out)
+    return out
+
+
+def rational_list(raw, where: str, length: int | None = None) -> tuple[Fraction, ...]:
+    """Read a JSON list of rational strings: ``length`` of them if given, else at least one.
+
+    Only strings are accepted (no JSON numbers or booleans), each read by
+    :func:`rat`'s rules.  Any failure raises :class:`SchemaError` naming
+    ``where``, or ``where[i]`` for a bad entry.
+    """
+    return tuple(Fraction(p, q) for p, q in _pairs(raw, where, length))
+
+
+def rational_row(raw, where: str, length: int | None = None) -> tuple[list[int], int]:
+    """:func:`rational_list`'s input and errors, read as integer numerators over one denominator.
+
+    Returns ``(numerators, d)`` with d the lcm of the entries' q's, so entry
+    i is numerators[i] / d; nothing is reduced, and no Fraction is built.
+    """
+    pairs = _pairs(raw, where, length)
+    den = lcm(*(q for _, q in pairs))
+    return [p * (den // q) for p, q in pairs], den
 
 
 def rat_str(value: Fraction) -> str:

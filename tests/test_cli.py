@@ -429,7 +429,7 @@ TEXT_REPORTS = {
     "certify-certified": (
         ("certify", "--in", "{certified}", "--order", "2"),
         0,
-        "series over basis of order 4, certified at Hankel order 2\n"
+        "series over basis of order 4, Hankel battery to order 2\n"
         "recovered moments: 1/1, 0/1, 6/5, 0/1, 21/5\n"
         "hankel determinants: 1/1, 6/5, 414/125\n"
         "verdict: certified-to-order 2\n",
@@ -437,7 +437,7 @@ TEXT_REPORTS = {
     "certify-refuted": (
         ("certify", "--in", "{refuted}", "--order", "1"),
         1,
-        "series over basis of order 2, certified at Hankel order 1\n"
+        "series over basis of order 2, Hankel battery to order 1\n"
         "recovered moments: 0/1, 1/1, 0/1\n"
         "hankel determinants: 0/1, -1/1\n"
         "verdict: refuted-at-order 1\n"
@@ -446,7 +446,7 @@ TEXT_REPORTS = {
     "certify-degenerate": (
         ("certify", "--in", "{degenerate}", "--order", "2"),
         0,
-        "series over basis of order 4, certified at Hankel order 2\n"
+        "series over basis of order 4, Hankel battery to order 2\n"
         "recovered moments: 1/1, 0/1, 0/1, 0/1, 0/1\n"
         "hankel determinants: 1/1, 0/1, 0/1\n"
         "verdict: degenerate-at-order 1\n"

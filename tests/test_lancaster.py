@@ -1,8 +1,12 @@
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from poslab import lancaster
 from poslab.cli import main
 from poslab.errors import InsufficientMomentsError
 from poslab.lancaster import (
@@ -20,8 +24,8 @@ from poslab.lancaster import (
     preset_problem,
 )
 from poslab.moments import MomentSequence, builtin
-from poslab.orthopoly import Polynomial, basis_from_moments, hermite
-from tests_support import halved_hermite
+from poslab.orthopoly import OrthoBasis, Polynomial, basis_from_moments, hermite
+from tests_support import halved_hermite, rescaled, solve_lower_by_fractions
 
 
 ALL_FLAGS = SupportFlags(
@@ -106,6 +110,74 @@ class TestMomentPolynomials:
         r_map = {(v.side, v.point): v.report for v in rep_r.grid_verdicts}
         flip = {"a": "b", "b": "a"}
         assert f_map == {(flip[s], p): rep for (s, p), rep in r_map.items()}
+
+
+def two_solve_oracle(prob):
+    """Both conditional-moment systems, each by the Fraction forward substitution."""
+    size = prob.order + 1
+    alpha, beta = prob.alpha.polys[:size], prob.beta.polys[:size]
+    scales = [prob.norm_scale(n) for n in range(size)]
+    rhs_a = [c * s * p for c, s, p in zip(prob.coeffs, scales, beta)]
+    rhs_b = [c / s * p for c, s, p in zip(prob.coeffs, scales, alpha)]
+    return (
+        tuple(solve_lower_by_fractions(alpha, rhs_a)),
+        tuple(solve_lower_by_fractions(beta, rhs_b)),
+    )
+
+
+def solves_and_result(prob):
+    """moment_polynomials(prob), and how many triangular solves it ran."""
+    with mock.patch.object(lancaster, "_solve_lower", wraps=lancaster._solve_lower) as spy:
+        mp = moment_polynomials(prob)
+    return spy.call_count, (mp.ma, mp.mb)
+
+
+SYMMETRIC_BASES = [
+    hermite(6),
+    halved_hermite(6),
+    basis_from_moments(builtin("catalan", 13), 6),
+    basis_from_moments(builtin("factorial", 13), 6),
+]
+
+
+class TestSymmetricSolve:
+    """A problem with equal triangles and every norm scale 1 solves once;
+    every other problem solves both systems."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(SYMMETRIC_BASES),
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=9), max_size=6),
+        st.lists(st.sampled_from([1, -1]), min_size=7, max_size=7),
+    )
+    def test_symmetric_problems_match_the_two_solve_oracle(self, basis, tail, signs):
+        # the same triangle in both roles, also as two equal but distinct
+        # bases; flipping signs keeps the norms and so every scale at 1
+        flipped = rescaled(basis, signs)
+        for alpha, beta in ((basis, basis), (flipped, rescaled(basis, signs))):
+            prob = LancasterProblem(alpha, beta, (F(1), *tail))
+            solves, got = solves_and_result(prob)
+            assert solves == 1
+            assert got == two_solve_oracle(prob)
+
+    def test_distinct_families_take_the_second_solve(self):
+        h, scaled = hermite(5), halved_hermite(5)
+        cs = tuple(F(1, 2) ** n for n in range(6))
+        for prob in (LancasterProblem(h, scaled, cs), LancasterProblem(scaled, h, cs)):
+            solves, got = solves_and_result(prob)
+            assert solves == 2
+            assert got == two_solve_oracle(prob)
+
+    def test_equal_triangles_with_norm_scales_take_the_second_solve(self):
+        h = hermite(5)
+        # the same polynomials with norms 4^n n!: every s_n = 2^-n
+        wide = OrthoBasis(h.polys, [v * 4**n for n, v in enumerate(h.norms)], h.recurrence,
+                          h.source_moments)
+        prob = LancasterProblem(h, wide, tuple(F(1, 3) ** n for n in range(6)))
+        solves, (ma, mb) = solves_and_result(prob)
+        assert solves == 2
+        assert (ma, mb) == two_solve_oracle(prob)
+        assert ma != mb
 
 
 class TestProblemValidation:

@@ -415,6 +415,31 @@ class TestClosureBattery:
                 combo = pm_binomial_combine(a, b, F(3, 5), F(4, 5))
                 assert is_pm(combo, 5).is_pm, f"{a.label} x {b.label}"
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_closure_over_random_finite_measures(self, data):
+        # moments of random finite positive measures: rational atoms, positive
+        # weights; with few atoms the Hankel battery meets exact zero minors
+        nonneg = data.draw(st.booleans())
+        points = st.fractions(min_value=0 if nonneg else -3, max_value=3, max_denominator=4)
+        weights = st.fractions(min_value=F(1, 8), max_value=2, max_denominator=8)
+        measure = st.lists(st.tuples(points, weights), min_size=1, max_size=5)
+
+        def moments_of(atoms):
+            return MomentSequence(tuple(sum(w * x**n for x, w in atoms) for n in range(9)))
+
+        a, b = moments_of(data.draw(measure)), moments_of(data.draw(measure))
+        unit = st.fractions(min_value=0, max_value=1, max_denominator=9)
+        p, alpha, beta = data.draw(unit), data.draw(unit), data.draw(unit)
+        sign = 1 if nonneg else data.draw(st.sampled_from([1, -1]))
+        for seq in (
+            pm_product(a, b), pm_mixture(a, b, p), pm_binomial_combine(a, b, alpha, beta, sign)
+        ):
+            rep = is_pm(seq, 4)
+            assert rep.is_pm, rep.hankel_dets
+            # measures on [0, inf) stay there under all three operations
+            assert rep.nonneg_support or not nonneg, rep.shifted_dets
+
     def test_unary_closure(self):
         for seq in catalog_instances(21):
             assert is_pm(pm_subsample(seq, 2), 5).is_pm

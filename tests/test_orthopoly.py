@@ -14,6 +14,7 @@ from poslab.orthopoly import (
     _expand_in_basis,
     _family,
     _hermite_addition_sides,
+    _solve_lower,
     basis_from_moments,
     connection,
     hermite,
@@ -24,9 +25,12 @@ from poslab.orthopoly import (
 )
 from poslab.rationals import double_factorial
 from tests_support import (
+    catalog_instances,
     combination_by_polynomial_ops,
     expand_by_polynomial_ops,
     family_by_polynomial_ops,
+    halved_hermite,
+    solve_lower_by_fractions,
 )
 
 
@@ -382,6 +386,49 @@ class TestFusedStepsAgainstPolynomialOps:
         rows[n][j] += shift if rows[n][j] + shift else 2 * shift  # keep the diagonal nonzero
         with pytest.raises(ValueError, match=f"row {n} does not reconstruct"):
             ConnectionMatrix(tuple(map(tuple, rows)), src, dst)
+
+
+# every catalog family to order 8 (the finite-support ones stop early; a monic
+# p_n = N_n / d_n has leading numerator d_n), and Hermite over 2^n
+SOLVE_BASES = [
+    basis_from_moments(seq, 8, allow_truncation=True) for seq in catalog_instances(17)
+] + [halved_hermite(8)]
+small = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+class TestIntegerSolveAgainstFractions:
+    """``_solve_lower`` gives the Fraction forward substitution's unknowns, over
+    the least positive common denominator, on families whose rows are rescaled
+    by nonzero rationals of either sign."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_the_fraction_substitution(self, data):
+        base = data.draw(st.sampled_from(SOLVE_BASES))
+        size = base.order + 1
+        scales = data.draw(st.lists(small.filter(bool), min_size=size, max_size=size))
+        polys = [p * s for p, s in zip(base.polys, scales)]
+        weights = data.draw(st.lists(small, min_size=size, max_size=size))
+        if data.draw(st.booleans()):
+            rows = data.draw(st.lists(st.lists(small, max_size=4), min_size=size, max_size=size))
+            rhs = [(w, Polynomial(row)) for w, row in zip(weights, rows)]
+            want = solve_lower_by_fractions(polys, [w * q for w, q in rhs])
+            xs, den = _solve_lower(polys, rhs)
+            assert [Polynomial._from_ints(list(x), den) for x in xs] == want
+            entries = [c for w in want for c in w.coeffs]
+        else:
+            want = solve_lower_by_fractions(polys, weights)
+            xs, den = _solve_lower(polys, [(w, Polynomial.one()) for w in weights])
+            assert [F(x, den) for x, in xs] == want
+            entries = want
+        assert den == lcm(*(c.denominator for c in entries))
+
+    def test_negative_leading_numerators_keep_the_denominator_positive(self):
+        polys = [p * F(-3, 2) ** n for n, p in enumerate(halved_hermite(4).polys)]
+        weights = [F(1, n + 2) for n in range(5)]
+        xs, den = _solve_lower(polys, [(w, Polynomial.one()) for w in weights])
+        assert den > 0
+        assert [F(x, den) for x, in xs] == solve_lower_by_fractions(polys, weights)
 
 
 class TestDeterminantFormulaOracle:

@@ -21,7 +21,7 @@ from poslab.positivity import (
     moments_from_coefficients,
     rademacher_menshov_partials,
 )
-from tests_support import catalog_instances, halved_hermite
+from tests_support import catalog_instances, halved_hermite, rescaled, solve_lower_by_fractions
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +74,19 @@ class TestMomentRecovery:
         series = OrthogonalSeries(basis, coeffs[: basis.order + 1])
         back = coefficients_from_moments(basis, moments_from_coefficients(series))
         assert back == series.padded_coeffs()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_recovery_matches_the_fraction_substitution(self, data):
+        base = data.draw(st.sampled_from(ROUND_TRIP_BASES))
+        size = base.order + 1
+        fractions = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+        scales = data.draw(st.lists(fractions.filter(bool), min_size=size, max_size=size))
+        basis = rescaled(base, scales)  # leading coefficients of either sign
+        series = OrthogonalSeries(basis, data.draw(st.lists(fractions, max_size=size)))
+        rhs = [c * h for c, h in zip(series.padded_coeffs(), basis.norms)]
+        want = tuple(solve_lower_by_fractions(basis.polys, rhs))
+        assert moments_from_coefficients(series).values == want
 
     def test_insufficient_target_moments(self, hermite8):
         with pytest.raises(InsufficientMomentsError):

@@ -15,9 +15,9 @@ from poslab.lancaster import (
     preset_problem,
 )
 from poslab.moments import MomentSequence, builtin, is_pm
-from poslab.orthopoly import OrthoBasis, basis_from_moments, connection, hermite
+from poslab.orthopoly import OrthoBasis, Polynomial, basis_from_moments, connection, hermite
 from poslab.positivity import OrthogonalSeries, certify_positive
-from poslab.rationals import rat, rat_str, rational_list
+from poslab.rationals import rat, rat_str, rational_list, rational_row
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
@@ -107,6 +107,62 @@ class TestRatParity:
             assert outcome(rat, text) == ("value", q)
 
 
+def row_outcome(read, row, length):
+    try:
+        return "value", read(row, "$.pi[2]", length)
+    except SchemaError as exc:
+        return "raises", str(exc)
+
+
+def read_by_row(row, where, length):
+    return Polynomial._from_ints(*rational_row(row, where, length))
+
+
+def read_by_list(row, where, length):
+    return Polynomial(rational_list(row, where, length))
+
+
+class TestRowReaderParity:
+    """A ``pi`` row read as integer numerators is the polynomial of its
+    Fractions, or fails with the same error."""
+
+    ENTRIES = [
+        "2/4", " 1/2", "+3/4", "-0/5", "1_0/3", "\u0661\u0662/5", "3/0", "3/-4", "0.3", "1e3",
+        "0/1", "-7", "x", "", LONG, "1/" + LONG, "4" * 4300 + "/" + "3" * 4300,
+    ]
+
+    @pytest.mark.parametrize(
+        "entry", ENTRIES, ids=lambda t: ascii(t) if len(t) < 20 else f"{len(t)}-chars"
+    )
+    def test_listed_entries_at_every_position(self, entry):
+        for i in range(3):
+            row = ["1/3", "-2/6", "5/1"]
+            row[i] = entry
+            assert row_outcome(read_by_row, row, 3) == row_outcome(read_by_list, row, 3)
+
+    def test_rows_of_the_wrong_shape(self):
+        for row, length in (
+            ([], 3), (["1/1"], 3), (["1/1"] * 4, 3), ([], None), ("1/2", 1), (None, 1),
+            ({"0": "1/1"}, 1), (["1/2", 3], 2), (["1/2", True], 2), (["1/2", None], 2),
+        ):
+            got = row_outcome(read_by_row, row, length)
+            assert got[0] == "raises"
+            assert got == row_outcome(read_by_list, row, length)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.text(alphabet="0123456789+-/ ._\u0661", max_size=6), max_size=4),
+        st.none() | st.integers(0, 4),
+    )
+    def test_random_rows(self, row, length):
+        assert row_outcome(read_by_row, row, length) == row_outcome(read_by_list, row, length)
+
+    @given(st.lists(rationals, min_size=1, max_size=5), st.integers(1, 12))
+    def test_rows_in_any_terms_read_as_the_canonical_polynomial(self, values, k):
+        row = [f"{k * q.numerator}/{k * q.denominator}" for q in values]
+        assert read_by_row(row, "$", None) == Polynomial(values)
+
+
 class TestMomentSequenceJson:
     @given(st.lists(rationals, min_size=1, max_size=12), st.text(max_size=20))
     @settings(max_examples=60)
@@ -137,6 +193,16 @@ class TestBasisJson:
             assert again.norms == basis.norms
             assert again.recurrence == basis.recurrence
             assert again.source_moments.values == basis.source_moments.values
+
+    def test_entries_in_non_lowest_terms_read_identically(self):
+        doc = basis_from_moments(builtin("catalan", 13), 6).to_json_dict()
+        wide = copy.deepcopy(doc)
+        wide["pi"] = [[f"{2 * int(p)}/{2 * int(q)}" for p, q in (v.split("/") for v in row)]
+                      for row in doc["pi"]]
+        assert wide["pi"][1] != doc["pi"][1]
+        again = OrthoBasis.from_json_dict(wide)
+        assert again == OrthoBasis.from_json_dict(doc)
+        assert again.to_json_dict() == doc
 
     def test_wire_keys_are_stable(self):
         doc = hermite(3).to_json_dict()

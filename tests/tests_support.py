@@ -7,8 +7,10 @@ library's per-order Bareiss determinants: a separate route from the integer
 pass it checks.  The recurrence, expansion and combination oracles run on
 :class:`Polynomial` arithmetic (one multiply and one add or subtract per
 step), a separate route from the fused integer steps of the library.
-:func:`catalog_instances` and :func:`halved_hermite` are fixtures, not
-oracles: they read the catalog and the Hermite family themselves.
+:func:`solve_lower_by_fractions` is the Fraction forward substitution that the
+integer solve of the library replaced.  :func:`catalog_instances`,
+:func:`rescaled` and :func:`halved_hermite` are fixtures, not oracles: they
+read the catalog and the library's families themselves.
 """
 
 from fractions import Fraction as F
@@ -118,15 +120,44 @@ def chebyshev_battery(m, max_order):
     return tuple(dets), tuple(shifted)
 
 
+def rescaled(basis, scales):
+    """The family s_n p_n of ``basis`` for nonzero rationals s_n, as an :class:`OrthoBasis`.
+
+    Norms become s_n^2 h_n and the triples (s_{n+1} A_n / s_n,
+    s_{n+1} B_n / s_n, s_{n+1} C_n / s_{n-1}), so C_n A_n A_{n-1} keeps its sign.
+    """
+    s = [F(v) for v in scales]
+    return OrthoBasis(
+        polys=tuple(p * s[n] for n, p in enumerate(basis.polys)),
+        norms=tuple(v * s[n] ** 2 for n, v in enumerate(basis.norms)),
+        recurrence=tuple(
+            (s[n + 1] * a / s[n], s[n + 1] * b / s[n], s[n + 1] * c / (s[n - 1] if n else 1))
+            for n, (a, b, c) in enumerate(basis.recurrence)
+        ),
+        source_moments=basis.source_moments,
+    )
+
+
 def halved_hermite(order):
     """He_n / 2^n: the Hermite family in a non-monic normalization."""
-    h = hermite(order)
-    return OrthoBasis(
-        polys=tuple(p * F(1, 2**n) for n, p in enumerate(h.polys)),
-        norms=tuple(v / F(4) ** n for n, v in enumerate(h.norms)),
-        recurrence=tuple((F(a, 2), F(b), F(c, 4)) for (a, b, c) in h.recurrence),
-        source_moments=h.source_moments,
-    )
+    return rescaled(hermite(order), [F(1, 2**n) for n in range(order + 1)])
+
+
+def solve_lower_by_fractions(polys, rhs):
+    """x with sum_{j<=n} pi_{n,j} x_j = rhs[n]: forward substitution on the Fraction coefficients.
+
+    One Fraction (or :class:`Polynomial`) multiply and subtract per triangle
+    entry; ``rhs`` may hold Fractions or Polynomials.
+    """
+    out = []
+    for n, value in enumerate(rhs):
+        acc = value
+        for j in range(n):
+            c = polys[n].coefficient(j)
+            if c:
+                acc = acc - c * out[j]
+        out.append(acc * (1 / polys[n].leading))
+    return out
 
 
 def family_by_polynomial_ops(p0, triples):
