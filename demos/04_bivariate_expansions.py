@@ -66,8 +66,9 @@ print("=" * 72)
 print("A refuted expansion: coefficients too large to be conditional")
 print("=" * 72)
 basis = hermite(4)
-bad = LancasterProblem(basis, basis, tuple(F(2) ** n for n in range(5)))
-bad_report = lancaster_report(bad, grid_a=(F(0),), grid_b=(F(0),), order=1)
+bad = LancasterProblem(basis, basis, tuple(F(2) ** n for n in range(5)),
+                       grid_a=(F(0),), grid_b=(F(0),))
+bad_report = lancaster_report(bad, order=1)
 origin = bad_report.grid_verdicts[0].report
 print(f"c_n = 2^n: at y = 0 the conditional variance is {origin.hankel_dets[1]} < 0")
 print(f"verdict: {bad_report.verdict_label}")

@@ -26,6 +26,7 @@ request, and argparse keeps no state between ``parse_args`` calls.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -41,7 +42,6 @@ from .errors import (
     SchemaError,
 )
 from .lancaster import (
-    DEFAULT_GRID,
     lancaster_report,
     mehler_demo_battery,
     parse_problem_json,
@@ -241,17 +241,17 @@ def _cmd_lancaster(args) -> int:
     if args.infile:
         if args.rho is not None or args.problem_order is not None:
             raise SchemaError("--rho and --problem-order apply only to --preset")
-        problem, grid_a, grid_b = _load(args.infile, parse_problem_json)
+        problem = _load(args.infile, parse_problem_json)
     elif args.preset:
         rho = rat(args.rho) if args.rho is not None else None
         order = args.problem_order if args.problem_order is not None else 10
         problem = preset_problem(args.preset, order, rho)
-        grid_a = grid_b = DEFAULT_GRID
     else:
         raise SchemaError("a problem is required: pass --in FILE or --preset NAME")
     if args.grid is not None:
-        grid_a = grid_b = _parse_grid(args.grid)
-    report = lancaster_report(problem, grid_a, grid_b, args.order)
+        grid = _parse_grid(args.grid)
+        problem = dataclasses.replace(problem, grid_a=grid, grid_b=grid)
+    report = lancaster_report(problem, args.order)
     if args.json:
         _emit(_dump_json(report.to_json_dict(_float_digits())), args.out)
     else:

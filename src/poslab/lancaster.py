@@ -21,7 +21,7 @@ moments, conditional density, and truncated kernel for cross-checking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from math import comb
 
@@ -57,43 +57,46 @@ class SupportFlags:
     same_marginals: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "zero_in_supp_mu": self.zero_in_supp_mu,
-            "mu_unbounded": self.mu_unbounded,
-            "nu_unbounded": self.nu_unbounded,
-            "same_marginals": self.same_marginals,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict, where: str = "$") -> "SupportFlags":
         if not isinstance(data, dict):
             raise SchemaError(f"{where}: expected an object of boolean flags")
         kwargs = {}
-        for key in ("zero_in_supp_mu", "mu_unbounded", "nu_unbounded", "same_marginals"):
-            val = data.get(key, False)
+        for field in fields(cls):
+            val = data.get(field.name, field.default)
             if not isinstance(val, bool):
-                raise SchemaError(f"{where}.{key}: expected a boolean")
-            kwargs[key] = val
+                raise SchemaError(f"{where}.{field.name}: expected a boolean")
+            kwargs[field.name] = val
         return cls(**kwargs)
 
 
 @dataclass(frozen=True)
 class LancasterProblem:
-    """One candidate expansion: two families (as monic bases plus norms) and coefficients.
+    """One candidate expansion: two families, coefficients, and the grids it is tested on.
 
-    The families are interpreted in their orthonormal frames.  Construction
-    verifies c_0 = 1 (the conditional measures must be probability measures)
-    and that every norm ratio has an exact rational square root, which is
-    what keeps the moment recursion rational.
+    The families are interpreted in their orthonormal frames.  ``grid_a``
+    holds the y tested for X given Y = y, ``grid_b`` the x for Y given X = x;
+    each defaults to -2..2 in steps of 1/2, and one may be empty, not both.
+    Construction also verifies c_0 = 1 (the conditional measures must be
+    probability measures) and that every norm ratio has an exact rational
+    square root, which is what keeps the moment recursion rational.
     """
 
     alpha: OrthoBasis
     beta: OrthoBasis
     coeffs: tuple[Fraction, ...]
     support: SupportFlags = SupportFlags()
+    grid_a: tuple[Fraction, ...] = DEFAULT_GRID
+    grid_b: tuple[Fraction, ...] = DEFAULT_GRID
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(rat(c) for c in self.coeffs))
+        object.__setattr__(self, "grid_a", tuple(rat(v) for v in self.grid_a))
+        object.__setattr__(self, "grid_b", tuple(rat(v) for v in self.grid_b))
+        if not self.grid_a and not self.grid_b:
+            raise ValueError("both grids are empty: there is no grid point to test")
         n = len(self.coeffs) - 1
         if n < 0:
             raise ValueError("at least the order-0 coefficient is required")
@@ -122,36 +125,40 @@ class LancasterProblem:
         """sqrt(alpha_norm_n / beta_norm_n), exactly."""
         return self._scales[n]
 
-    def to_json_dict(self, grid_a=None, grid_b=None) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "alpha": self.alpha.to_json_dict(),
             "beta": self.beta.to_json_dict(),
             "coeffs": [rat_str(c) for c in self.coeffs],
-            "grid_a": [rat_str(v) for v in (grid_a if grid_a is not None else DEFAULT_GRID)],
-            "grid_b": [rat_str(v) for v in (grid_b if grid_b is not None else DEFAULT_GRID)],
+            "grid_a": [rat_str(v) for v in self.grid_a],
+            "grid_b": [rat_str(v) for v in self.grid_b],
             "support_flags": self.support.to_json_dict(),
         }
 
 
-def parse_problem_json(data: dict, where: str = "$") -> tuple[LancasterProblem, tuple, tuple]:
-    """Load a problem file: returns (problem, grid_a, grid_b)."""
+def parse_problem_json(data: dict, where: str = "$") -> LancasterProblem:
+    """Load a problem file.
+
+    A missing or null grid key keeps the default grid; a present one must be
+    a non-empty list.  The grids are read last, so a bad problem is reported
+    before a bad grid.
+    """
     if not isinstance(data, dict):
         raise SchemaError(f"{where}: expected a problem object")
     alpha = OrthoBasis.from_json_dict(data.get("alpha"), f"{where}.alpha")
     beta = OrthoBasis.from_json_dict(data.get("beta"), f"{where}.beta")
     coeffs = rational_list(data.get("coeffs"), f"{where}.coeffs")
-
-    def grid(key):
-        # a missing grid means the default one; an empty grid would test nothing
-        vals = data.get(key)
-        return DEFAULT_GRID if vals is None else rational_list(vals, f"{where}.{key}")
-
     flags = SupportFlags.from_json_dict(data.get("support_flags", {}), f"{where}.support_flags")
     try:
         problem = LancasterProblem(alpha, beta, coeffs, flags)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
-    return problem, grid("grid_a"), grid("grid_b")
+    grids = {
+        key: rational_list(data[key], f"{where}.{key}")
+        for key in ("grid_a", "grid_b")
+        if data.get(key) is not None
+    }
+    return replace(problem, **grids) if grids else problem
 
 
 @dataclass(frozen=True)
@@ -335,20 +342,15 @@ class LancasterReport:
         }
 
 
-def lancaster_report(
-    prob: LancasterProblem,
-    grid_a=DEFAULT_GRID,
-    grid_b=DEFAULT_GRID,
-    order: int | None = None,
-) -> LancasterReport:
-    """Evaluate conditional moments on both grids and aggregate Hankel verdicts.
+def lancaster_report(prob: LancasterProblem, order: int | None = None) -> LancasterReport:
+    """Evaluate conditional moments on the problem's two grids and aggregate Hankel verdicts.
 
     ``order`` is the Hankel depth per grid point and needs conditional
     moments to index 2*order, so it may be at most half the problem order.
     Any negative determinant anywhere refutes the expansion; otherwise the
     report is positive to the tested order.  Grid evaluations are
-    independent and the aggregation does not depend on their order.  Both
-    grids empty raises ValueError: such a report would test nothing.
+    independent and the aggregation does not depend on their order.  The
+    grids come from ``prob``, which holds at least one point.
     ``pc_flags[n]`` is ``c_n != 0``: :func:`full_order_check` would expand
     h_n = c_n beta_n in the beta family, which gives c_n times the n-th unit
     vector, so the O(N^3) expansion is not run.
@@ -361,13 +363,10 @@ def lancaster_report(
             f"grid test at order {order} needs conditional moments to index {2 * order}, "
             f"but the problem stops at {n}"
         )
-    if not grid_a and not grid_b:
-        raise ValueError("both grids are empty: there is no grid point to test")
     polys = moment_polynomials(prob)
     verdicts = []
-    for side, grid, family in (("a", grid_a, polys.ma), ("b", grid_b, polys.mb)):
+    for side, grid, family in (("a", prob.grid_a, polys.ma), ("b", prob.grid_b, polys.mb)):
         for point in grid:
-            point = rat(point)
             seq = MomentSequence(tuple(family[k](point) for k in range(2 * order + 1)))
             verdicts.append(GridVerdict(side, point, is_pm(seq, order)))
     return LancasterReport(
@@ -436,41 +435,37 @@ def mehler_kernel(x: float, y: float, rho, terms: int) -> float:
     return total
 
 
-_PRESET_COEFFS = {
-    "mehler": "powers of the correlation: c_n = rho^n",
-    "harmonic": "c_n = 1/(n+1)",
-    "catalan-ratio": "c_n = C(2n,n) / ((n+1) 4^n)",
-    "fibonacci-scaled": "c_n = Fibonacci(1,1,2,...)[n] / 3^n",
+# preset name -> (takes the correlation rho, builder of c_0..c_order from (order, rho))
+_PRESETS = {
+    "mehler": (True, lambda order, rho: tuple(rho**n for n in range(order + 1))),
+    "harmonic": (False, lambda order, rho: builtin("log_kernel", order + 1, 0).values),
+    "catalan-ratio": (False, lambda order, rho: tuple(
+        v / Fraction(4) ** n for n, v in enumerate(builtin("catalan", order + 1).values))),
+    "fibonacci-scaled": (False, lambda order, rho: builtin("fib_scaled", order + 1).values),
 }
 
 
 def preset_names() -> tuple[str, ...]:
-    return tuple(_PRESET_COEFFS)
+    return tuple(_PRESETS)
 
 
 def preset_problem(name: str, order: int, rho=None) -> LancasterProblem:
-    """Hermite/Hermite problems with the stock candidate coefficient families."""
-    if name not in _PRESET_COEFFS:
-        known = ", ".join(_PRESET_COEFFS)
-        raise ValueError(f"unknown preset {name!r}; known: {known}")
-    if name == "mehler":
-        if rho is None:
-            raise ValueError("preset 'mehler' needs a correlation rho")
-        rho = _check_rho(rho)
-        coeffs = tuple(rho**n for n in range(order + 1))
-    elif rho is not None:
+    """Hermite/Hermite problem with every support flag declared and the default grids.
+
+    c_n = rho^n for ``mehler``, the only preset that takes ``rho``; 1/(n+1)
+    for ``harmonic``; C(2n,n) / ((n+1) 4^n) for ``catalan-ratio``; and
+    Fibonacci(1,1,2,...)[n] / 3^n for ``fibonacci-scaled``.
+    """
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; known: {', '.join(_PRESETS)}")
+    takes_rho, build = _PRESETS[name]
+    if takes_rho and rho is None:
+        raise ValueError(f"preset {name!r} needs a correlation rho")
+    if not takes_rho and rho is not None:
         raise ValueError(f"preset {name!r} takes no correlation parameter")
-    elif name == "harmonic":
-        coeffs = builtin("log_kernel", order + 1, 0).values
-    elif name == "catalan-ratio":
-        cat = builtin("catalan", order + 1)
-        coeffs = tuple(v / Fraction(4) ** n for n, v in enumerate(cat.values))
-    else:  # fibonacci-scaled
-        coeffs = builtin("fib_scaled", order + 1).values
+    coeffs = build(order, _check_rho(rho) if takes_rho else None)
     basis = hermite(order)
-    flags = SupportFlags(
-        zero_in_supp_mu=True, mu_unbounded=True, nu_unbounded=True, same_marginals=True
-    )
+    flags = SupportFlags(**{field.name: True for field in fields(SupportFlags)})
     return LancasterProblem(basis, basis, coeffs, flags)
 
 

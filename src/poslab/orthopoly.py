@@ -259,11 +259,14 @@ def _family(p0: Polynomial, triples) -> list[Polynomial]:
 
 @dataclass(frozen=True)
 class OrthoBasis:
-    """Monic orthogonal family to some order, with norms and recurrence attached.
+    """Orthogonal family to some order, with squared norms and recurrence attached.
 
     ``recurrence[n]`` holds the triple (A_n, B_n, C_n) in
-    p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1}; construction rebuilds polys
-    from polys[0] with :func:`_family`, and requires C_n A_n A_{n-1} > 0.
+    p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1}; p_0 and the A_n are free, so
+    the family need not be monic.  Construction rebuilds polys from polys[0]
+    with :func:`_family`, and requires positive norms h_n with
+    h_n A_n = C_n A_{n-1} h_{n-1} for 1 <= n < N (<p_{n+1}, p_{n-1}> = 0),
+    which forces C_n A_n A_{n-1} > 0; h_N is free.
     """
 
     polys: tuple[Polynomial, ...]
@@ -296,9 +299,10 @@ class OrthoBasis:
         for n, (a, b, c) in enumerate(self.recurrence):
             if rebuilt[n + 1] != self.polys[n + 1]:
                 raise RecurrenceError(f"recurrence triple at n={n} does not rebuild p_{n + 1}")
-            if n >= 1 and not c * a * self.recurrence[n - 1][0] > 0:
+            if n and self.norms[n] * a != c * self.recurrence[n - 1][0] * self.norms[n - 1]:
                 raise RecurrenceError(
-                    f"C_n A_n A_(n-1) must be positive at n={n} for an infinite-support measure"
+                    f"squared norm at order {n} does not follow from the recurrence: "
+                    "h_n A_n must equal C_n A_(n-1) h_(n-1)"
                 )
 
     @property

@@ -152,6 +152,27 @@ class TestCertify:
             f"error: {path}: $.order: expected a nonnegative integer with basis 'hermite'\n",
         )
 
+    def test_a_norm_off_the_recurrence_is_an_input_error(self, capsys, tmp_path):
+        # h_2 A_2 = C_2 A_1 h_1 forces h_2 = 2; h_4 is not tied to any triple
+        _, out, _ = run(capsys, "build-basis", "--seq", "gaussian", "--order", "4")
+        assert json.loads(out)["norms"][2] == "2/1"
+        path = tmp_path / "series.json"
+        reports = {}
+        for key, norm in (("canonical", None), (2, "100/1"), (4, "100/1")):
+            doc = json.loads(out)
+            if norm:
+                doc["norms"][key] = norm
+            path.write_text(json.dumps({"basis": doc, "coeffs": ["1/1", "0/1", "1/2"]}))
+            reports[key] = run(capsys, "certify", "--in", str(path), "--order", "2")
+        assert reports[2] == (
+            2,
+            "",
+            f"error: {path}: $.basis: squared norm at order 2 does not follow from the "
+            "recurrence: h_n A_n must equal C_n A_(n-1) h_(n-1)\n",
+        )
+        assert reports[4] == reports["canonical"]
+        assert reports[4][0] == 0 and "verdict: certified-to-order 2" in reports[4][1]
+
 
 class TestLancaster:
     def test_preset_positive(self, capsys):
@@ -481,6 +502,20 @@ TEXT_REPORTS = {
         "  side b @ 1/2: NEGATIVE at order 1\n"
         "verdict: refuted\n",
     ),
+    "lancaster-file-grid": (
+        ("lancaster", "--in", "{mehler}", "--grid", "-1,0,3/2", "--order", "2"),
+        0,
+        "expansion problem of order 4, grid Hankel order 2\n"
+        "grid points tested: 6\n"
+        "full-order flags: 5/5 pass\n"
+        "  side a @ -1/1: ok\n"
+        "  side a @ 0/1: ok\n"
+        "  side a @ 3/2: ok\n"
+        "  side b @ -1/1: ok\n"
+        "  side b @ 0/1: ok\n"
+        "  side b @ 3/2: ok\n"
+        "verdict: positive-to-order 2\n",
+    ),
     "mehler-demo": (
         ("mehler-demo", "--rho", "1/2", "--order", "4"),
         0,
@@ -516,6 +551,8 @@ def test_text_report_bytes(capsys, tmp_path, name):
         # the Hermite series of a point mass at 0: c_n = He_n(0) / n!
         "degenerate": {"basis": "hermite", "order": 4, "coeffs": ["1/1", "0/1", "-1/2", "0/1", "1/8"]},
         "problem": problem,
+        # the default grids in the file, overridden by --grid
+        "mehler": preset_problem("mehler", 4, F(1, 2)).to_json_dict(),
     }
     paths = {}
     for key, doc in inputs.items():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 from unittest import mock
@@ -21,6 +22,7 @@ from poslab.lancaster import (
     mehler_moments,
     moment_polynomials,
     necessary_conditions,
+    preset_names,
     preset_problem,
 )
 from poslab.moments import MomentSequence, builtin
@@ -104,8 +106,8 @@ class TestMomentPolynomials:
         assert fwd.mb == rev.ma
         # and the grid reports transpose side-for-side
         ga, gb = (F(0), F(1)), (F(-1),)
-        rep_f = lancaster_report(LancasterProblem(h, scaled, cs), ga, gb, order=2)
-        rep_r = lancaster_report(LancasterProblem(scaled, h, cs), gb, ga, order=2)
+        rep_f = lancaster_report(LancasterProblem(h, scaled, cs, grid_a=ga, grid_b=gb), order=2)
+        rep_r = lancaster_report(LancasterProblem(scaled, h, cs, grid_a=gb, grid_b=ga), order=2)
         f_map = {(v.side, v.point): v.report for v in rep_f.grid_verdicts}
         r_map = {(v.side, v.point): v.report for v in rep_r.grid_verdicts}
         flip = {"a": "b", "b": "a"}
@@ -170,8 +172,8 @@ class TestSymmetricSolve:
 
     def test_equal_triangles_with_norm_scales_take_the_second_solve(self):
         h = hermite(5)
-        # the same polynomials with norms 4^n n!: every s_n = 2^-n
-        wide = OrthoBasis(h.polys, [v * 4**n for n, v in enumerate(h.norms)], h.recurrence,
+        # the same polynomials with norms 4 n!: every s_n = 1/2
+        wide = OrthoBasis(h.polys, [v * 4 for v in h.norms], h.recurrence,
                           h.source_moments)
         prob = LancasterProblem(h, wide, tuple(F(1, 3) ** n for n in range(6)))
         solves, (ma, mb) = solves_and_result(prob)
@@ -204,6 +206,38 @@ class TestProblemValidation:
         assert prob.norm_scale(2) == 4
 
 
+class TestProblemGrids:
+    """The problem holds its grids: construction applies the default, the
+    coercion and the rule that at least one point is tested."""
+
+    def test_default_grid_when_none_is_given(self):
+        prob = mehler_problem(F(1, 2), 4)
+        assert prob.grid_a == prob.grid_b == DEFAULT_GRID
+        assert DEFAULT_GRID == tuple(F(k, 2) for k in range(-4, 5))
+        assert preset_problem("harmonic", 4).grid_a == DEFAULT_GRID
+
+    def test_string_and_int_points_are_coerced(self):
+        basis = hermite(2)
+        prob = LancasterProblem(basis, basis, (1, 0, 0), grid_a=["1/2", 3], grid_b=("-0.25",))
+        assert prob.grid_a == (F(1, 2), F(3)) and prob.grid_b == (F(-1, 4),)
+        assert all(type(v) is F for v in prob.grid_a + prob.grid_b)
+
+    def test_both_grids_empty_is_an_error(self):
+        basis = hermite(2)
+        with pytest.raises(ValueError, match="^both grids are empty: there is no grid point"):
+            LancasterProblem(basis, basis, (1, 0, 0), grid_a=(), grid_b=[])
+        prob = LancasterProblem(basis, basis, (1, 0, 0), grid_a=(), grid_b=(F(0),))
+        with pytest.raises(ValueError, match="^both grids are empty"):
+            dataclasses.replace(prob, grid_b=())
+
+    def test_one_side_may_be_empty(self):
+        prob = dataclasses.replace(mehler_problem(F(1, 2), 4), grid_b=())
+        assert prob.grid_a == DEFAULT_GRID and prob.grid_b == ()
+        report = lancaster_report(prob)
+        assert {v.side for v in report.grid_verdicts} == {"a"}
+        assert [v.point for v in report.grid_verdicts] == list(DEFAULT_GRID)
+
+
 class TestGridReport:
     def test_mehler_grid_is_strictly_positive(self):
         report = lancaster_report(mehler_problem(F(1, 2), 10), order=3)
@@ -216,7 +250,8 @@ class TestGridReport:
         from tests_support import normal_moments
 
         rho = F(1, 2)
-        report = lancaster_report(mehler_problem(rho, 8), grid_a=(F(1),), grid_b=(), order=4)
+        prob = dataclasses.replace(mehler_problem(rho, 8), grid_a=(F(1),), grid_b=())
+        report = lancaster_report(prob, order=4)
         (verdict,) = report.grid_verdicts
         mp = moment_polynomials(mehler_problem(rho, 8))
         vals = tuple(mp.ma[k](F(1)) for k in range(9))
@@ -225,8 +260,10 @@ class TestGridReport:
     def test_overexpanded_geometric_is_refuted_at_the_origin(self):
         # c_n = 2^n: conditional variance at y=0 is 1 - c_2 = -3
         basis = hermite(4)
-        prob = LancasterProblem(basis, basis, tuple(F(2) ** n for n in range(5)))
-        report = lancaster_report(prob, grid_a=(F(0),), grid_b=(F(0),), order=1)
+        prob = LancasterProblem(
+            basis, basis, tuple(F(2) ** n for n in range(5)), grid_a=(F(0),), grid_b=(F(0),)
+        )
+        report = lancaster_report(prob, order=1)
         assert report.verdict == "refuted"
         origin = report.grid_verdicts[0].report
         assert origin.hankel_dets[1] == -3
@@ -249,14 +286,20 @@ class TestGridReport:
     def test_both_grids_empty_is_an_error(self):
         # such a report would be "positive" without testing a single point
         with pytest.raises(ValueError, match="both grids are empty"):
-            lancaster_report(mehler_problem(F(1, 2), 4), grid_a=(), grid_b=())
-        one_side = lancaster_report(mehler_problem(F(1, 2), 4), grid_a=(), grid_b=(F(0),))
+            dataclasses.replace(mehler_problem(F(1, 2), 4), grid_a=(), grid_b=())
+        one_side = lancaster_report(
+            dataclasses.replace(mehler_problem(F(1, 2), 4), grid_a=(), grid_b=(F(0),))
+        )
         assert [v.side for v in one_side.grid_verdicts] == ["b"]
 
     def test_report_is_independent_of_grid_order(self):
         prob = mehler_problem(F(1, 3), 6)
-        fwd = lancaster_report(prob, grid_a=(F(-1), F(0), F(1)), grid_b=(), order=3)
-        rev = lancaster_report(prob, grid_a=(F(1), F(0), F(-1)), grid_b=(), order=3)
+        fwd = lancaster_report(
+            dataclasses.replace(prob, grid_a=(F(-1), F(0), F(1)), grid_b=()), order=3
+        )
+        rev = lancaster_report(
+            dataclasses.replace(prob, grid_a=(F(1), F(0), F(-1)), grid_b=()), order=3
+        )
         assert {(v.side, v.point): v.report for v in fwd.grid_verdicts} == {
             (v.side, v.point): v.report for v in rev.grid_verdicts
         }
@@ -394,6 +437,24 @@ class TestPresetsAndBattery:
             preset_problem("harmonic", 6, rho=F(1, 2))
         with pytest.raises(ValueError):
             preset_problem("unknown", 6)
+
+    @pytest.mark.parametrize(
+        "name, rho, message",
+        [
+            ("nope", None,
+             "unknown preset 'nope'; known: mehler, harmonic, catalan-ratio, fibonacci-scaled"),
+            ("mehler", None, "preset 'mehler' needs a correlation rho"),
+            ("harmonic", F(1, 2), "preset 'harmonic' takes no correlation parameter"),
+            ("catalan-ratio", F(0), "preset 'catalan-ratio' takes no correlation parameter"),
+            ("fibonacci-scaled", F(-1, 3),
+             "preset 'fibonacci-scaled' takes no correlation parameter"),
+        ],
+    )
+    def test_preset_error_messages(self, name, rho, message):
+        assert preset_names() == ("mehler", "harmonic", "catalan-ratio", "fibonacci-scaled")
+        with pytest.raises(ValueError) as err:
+            preset_problem(name, 4, rho)
+        assert str(err.value) == message
 
     def test_battery_all_green(self):
         results = mehler_demo_battery(F(1, 2), 10)

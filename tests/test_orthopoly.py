@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poslab.errors import DegenerateMeasureError, InsufficientMomentsError, RecurrenceError
+from poslab.errors import (
+    DegenerateMeasureError,
+    InsufficientMomentsError,
+    RecurrenceError,
+    SchemaError,
+)
 from poslab.moments import MomentSequence, builtin
 from poslab.orthopoly import (
     ConnectionMatrix,
@@ -30,6 +35,7 @@ from tests_support import (
     expand_by_polynomial_ops,
     family_by_polynomial_ops,
     halved_hermite,
+    rescaled,
     solve_lower_by_fractions,
 )
 
@@ -331,7 +337,13 @@ def families(draw, max_order=7):
 
 def family_basis(p0, triples):
     polys = family_by_polynomial_ops(p0, triples)
-    return OrthoBasis(polys, (F(1),) * len(polys), triples, builtin("gaussian", 1))
+    # the norms the recurrence fixes, h_n = C_n A_(n-1) h_(n-1) / A_n, from h_0 = 1
+    norms = [F(1)]
+    for n in range(1, len(triples)):
+        a, _, c = triples[n]
+        norms.append(c * triples[n - 1][0] * norms[-1] / a)
+    norms += [F(1)] * (len(polys) - len(norms))  # h_N is free
+    return OrthoBasis(polys, norms, triples, builtin("gaussian", 1))
 
 
 class TestFusedStepsAgainstPolynomialOps:
@@ -429,6 +441,64 @@ class TestIntegerSolveAgainstFractions:
         xs, den = _solve_lower(polys, [(w, Polynomial.one()) for w in weights])
         assert den > 0
         assert [F(x, den) for x, in xs] == solve_lower_by_fractions(polys, weights)
+
+
+# zero and negative factors fail the positivity check first
+positive = st.fractions(min_value=0, max_value=20, max_denominator=12).filter(
+    lambda v: v not in (0, 1)
+)
+
+
+class TestNormRule:
+    """<p_(n+1), p_(n-1)> = 0 ties each squared norm to the recurrence:
+    h_n A_n = C_n A_(n-1) h_(n-1) for 1 <= n < N, and h_N is free."""
+
+    @staticmethod
+    def gaussian_doc():
+        return basis_from_moments(builtin("gaussian", 9), 4).to_json_dict()
+
+    def test_a_norm_off_the_recurrence_is_rejected(self):
+        doc = self.gaussian_doc()
+        assert doc["norms"][2] == "2/1"
+        doc["norms"][2] = "100/1"
+        with pytest.raises(
+            SchemaError, match=r"^\$: squared norm at order 2 does not follow from the recurrence"
+        ):
+            OrthoBasis.from_json_dict(doc)
+
+    def test_the_last_norm_is_free(self):
+        doc = self.gaussian_doc()
+        doc["norms"][4] = "100/1"
+        assert OrthoBasis.from_json_dict(doc).norms[4] == 100
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SOLVE_BASES), st.data())
+    def test_rescaled_families_are_accepted(self, base, data):
+        size = base.order + 1
+        scales = data.draw(st.lists(small.filter(bool), min_size=size, max_size=size))
+        basis = rescaled(base, scales)
+        assert basis.norms == tuple(h * s * s for h, s in zip(base.norms, scales))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([b for b in SOLVE_BASES if b.order >= 2]), st.data())
+    def test_scaling_one_norm_is_rejected(self, base, data):
+        n = data.draw(st.integers(1, base.order - 1))
+        norms = list(base.norms)
+        norms[n] *= data.draw(positive)
+        with pytest.raises(RecurrenceError, match=f"^squared norm at order {n} does not follow"):
+            OrthoBasis(base.polys, norms, base.recurrence, base.source_moments)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([b for b in SOLVE_BASES if b.order >= 2]), st.data())
+    def test_flipping_the_sign_of_one_c_n_is_rejected(self, base, data):
+        # the family rebuilt from the flipped triple, so only the norm check can catch it
+        n = data.draw(st.integers(1, base.order - 1))
+        triples = list(base.recurrence)
+        a, b, c = triples[n]
+        triples[n] = (a, b, -c)
+        polys = _family(base.polys[0], triples)
+        with pytest.raises(RecurrenceError, match=f"^squared norm at order {n} does not follow"):
+            OrthoBasis(polys, base.norms, triples, base.source_moments)
 
 
 class TestDeterminantFormulaOracle:

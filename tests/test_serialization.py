@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import sys
 from fractions import Fraction as F
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from poslab.errors import SchemaError
 from poslab.lancaster import (
+    DEFAULT_GRID,
     SupportFlags,
     lancaster_report,
     parse_problem_json,
@@ -258,13 +260,13 @@ class TestReportJson:
 class TestProblemJson:
     def test_round_trip_through_problem_file(self):
         prob = preset_problem("mehler", 6, F(1, 3))
-        doc = prob.to_json_dict(grid_a=(F(0), F(1)), grid_b=(F(-1),))
-        again, grid_a, grid_b = parse_problem_json(json.loads(json.dumps(doc)))
+        doc = dataclasses.replace(prob, grid_a=(F(0), F(1)), grid_b=(F(-1),)).to_json_dict()
+        again = parse_problem_json(json.loads(json.dumps(doc)))
         assert again.coeffs == prob.coeffs
         assert again.alpha.polys == prob.alpha.polys
         assert again.support == prob.support
-        assert grid_a == (F(0), F(1))
-        assert grid_b == (F(-1),)
+        assert again.grid_a == (F(0), F(1))
+        assert again.grid_b == (F(-1),)
 
     def test_schema_error_paths(self):
         doc = preset_problem("mehler", 4, F(1, 3)).to_json_dict()
@@ -286,6 +288,42 @@ class TestProblemJson:
         doc["support_flags"]["mu_unbounded"] = "yes"
         with pytest.raises(SchemaError, match=r"\$\.support_flags\.mu_unbounded"):
             parse_problem_json(doc)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(rationals, min_size=1, max_size=4), st.lists(rationals, min_size=1, max_size=4))
+    def test_problem_equals_its_file(self, grid_a, grid_b):
+        prob = preset_problem("mehler", 4, F(1, 3))
+        prob = dataclasses.replace(prob, grid_a=grid_a, grid_b=grid_b)
+        assert parse_problem_json(json.loads(json.dumps(prob.to_json_dict()))) == prob
+
+    def test_missing_or_null_grid_keys_give_the_default_grid(self):
+        prob = preset_problem("mehler", 4, F(1, 3))
+        doc = dataclasses.replace(prob, grid_a=(F(1),), grid_b=(F(2),)).to_json_dict()
+        del doc["grid_a"]
+        doc["grid_b"] = None
+        again = parse_problem_json(doc)
+        assert again.grid_a == again.grid_b == DEFAULT_GRID
+        assert again == prob
+
+    @pytest.mark.parametrize("value", ["yes", 1, None])
+    @pytest.mark.parametrize(
+        "key", ["zero_in_supp_mu", "mu_unbounded", "nu_unbounded", "same_marginals"]
+    )
+    def test_each_support_flag_must_be_a_boolean(self, key, value):
+        assert key in SupportFlags().to_json_dict()
+        doc = preset_problem("mehler", 4, F(1, 3)).to_json_dict()
+        doc["support_flags"][key] = value
+        with pytest.raises(SchemaError) as err:
+            parse_problem_json(doc)
+        assert str(err.value) == f"$.support_flags.{key}: expected a boolean"
+
+    def test_support_flags_write_their_fields_in_order(self):
+        flags = SupportFlags(mu_unbounded=True, same_marginals=True)
+        assert list(flags.to_json_dict().items()) == [
+            ("zero_in_supp_mu", False), ("mu_unbounded", True),
+            ("nu_unbounded", False), ("same_marginals", True),
+        ]
+        assert SupportFlags.from_json_dict(flags.to_json_dict()) == flags
 
     def test_support_flags_default_false(self):
         flags = SupportFlags.from_json_dict({})
@@ -351,7 +389,9 @@ VALID_DOCS = (
     (OrthoBasis.from_json_dict, hermite(3).to_json_dict()),
     (
         parse_problem_json,
-        preset_problem("mehler", 4, F(1, 3)).to_json_dict(grid_a=(F(0),), grid_b=(F(1), F(2))),
+        dataclasses.replace(
+            preset_problem("mehler", 4, F(1, 3)), grid_a=(F(0),), grid_b=(F(1), F(2))
+        ).to_json_dict(),
     ),
 )
 
