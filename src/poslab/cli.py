@@ -21,6 +21,10 @@ is read on each request.
 reuses it for every later request: nothing in the parser depends on the
 request, and argparse keeps no state between ``parse_args`` calls.
 ``build_parser`` still returns a fresh parser to any other caller.
+
+Every JSON report is written by :func:`_dump_json`, which emits the bytes
+of ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline from
+its own small recursive writer.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import (
@@ -85,7 +90,59 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    With ``indent`` set, ``json.dumps`` runs the pure-Python encoder; this
+    writer walks the payload itself instead (tuples as lists) and joins
+    each list of strings in one call, with the C string encoder of
+    :mod:`json`.  Booleans, ``None`` and plain ints are written as the
+    encoder writes them (``int.__repr__``); every other scalar, floats with
+    ``NaN``/``Infinity`` among them, goes through ``json.dumps`` itself.
+    """
+    out: list[str] = []
+    _write_json(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_JSON_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append ``value`` to ``out`` at the indent that ``newline`` ("\\n" and spaces) ends in."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(isinstance(v, str) for v in value):
+            out.append("[" + inner + ("," + inner).join(map(encode_basestring_ascii, value)))
+        else:
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                _write_json(item, inner, out)
+                sep = "," + inner
+        out.append(newline + "]")
+    elif value is True or value is False or value is None:
+        out.append(_JSON_LITERALS[value])
+    elif type(value) is int:
+        out.append(int.__repr__(value))
+    else:
+        out.append(json.dumps(value))
 
 
 def _load_json(path: str) -> dict:

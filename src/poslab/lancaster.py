@@ -5,7 +5,11 @@ conditional moment polynomials m_n(y) = E[X^n | Y=y] produced by a coupled
 triangular recursion form pm sequences for (almost) every y.  At finite
 order we sample y on a rational grid: a single negative Hankel determinant
 at any grid point refutes positivity outright, while all-nonnegative
-determinants certify it to the tested order.
+determinants certify it to the tested order.  The grid path runs on
+integers: each conditional moment is evaluated at a grid point p/q as an
+integer pair, the pairs are brought over one common denominator, and the
+numerators go straight to the Hankel battery of :mod:`poslab.moments`
+as :class:`~poslab.moments.IntegerMoments`.
 
 Orthonormal families carry 1/sqrt(norm) scale factors, but the recursion
 only ever consumes *ratios* of coefficients.  Whenever every norm ratio
@@ -23,10 +27,10 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import InsufficientMomentsError, SchemaError
-from .moments import MomentSequence, PmReport, builtin, is_pm
+from .moments import IntegerMoments, MomentSequence, PmReport, builtin, is_pm
 from .orthopoly import (
     OrthoBasis,
     Polynomial,
@@ -41,6 +45,12 @@ from .positivity import CERTIFIED, REFUTED, OrthogonalSeries, certify_positive
 from .rationals import double_factorial, rat, rat_str, rational_list, rational_sqrt
 
 DEFAULT_GRID = tuple(Fraction(k, 2) for k in range(-4, 5))
+
+
+def _reject_unknown_keys(data: dict, known, where: str) -> None:
+    unknown = next((key for key in data if key not in known), None)
+    if unknown is not None:
+        raise SchemaError(f"{where}: unknown key {unknown!r}")
 
 
 @dataclass(frozen=True)
@@ -61,8 +71,14 @@ class SupportFlags:
 
     @classmethod
     def from_json_dict(cls, data: dict, where: str = "$") -> "SupportFlags":
+        """The flags of ``data``; a missing flag is False, and an unknown key is an error.
+
+        A misspelled flag would otherwise read as undeclared and silently
+        switch its necessary-condition check off.
+        """
         if not isinstance(data, dict):
             raise SchemaError(f"{where}: expected an object of boolean flags")
+        _reject_unknown_keys(data, {field.name for field in fields(cls)}, where)
         kwargs = {}
         for field in fields(cls):
             val = data.get(field.name, field.default)
@@ -136,15 +152,20 @@ class LancasterProblem:
         }
 
 
+_PROBLEM_KEYS = ("alpha", "beta", "coeffs", "grid_a", "grid_b", "support_flags")
+
+
 def parse_problem_json(data: dict, where: str = "$") -> LancasterProblem:
     """Load a problem file.
 
-    A missing or null grid key keeps the default grid; a present one must be
-    a non-empty list.  The grids are read last, so a bad problem is reported
-    before a bad grid.
+    The keys are those of :meth:`LancasterProblem.to_json_dict`; any other
+    key is an error.  A missing or null grid key keeps the default grid; a
+    present one must be a non-empty list.  The grids are read last, so a bad
+    problem is reported before a bad grid.
     """
     if not isinstance(data, dict):
         raise SchemaError(f"{where}: expected a problem object")
+    _reject_unknown_keys(data, _PROBLEM_KEYS, where)
     alpha = OrthoBasis.from_json_dict(data.get("alpha"), f"{where}.alpha")
     beta = OrthoBasis.from_json_dict(data.get("beta"), f"{where}.beta")
     coeffs = rational_list(data.get("coeffs"), f"{where}.coeffs")
@@ -348,7 +369,13 @@ def lancaster_report(prob: LancasterProblem, order: int | None = None) -> Lancas
     ``order`` is the Hankel depth per grid point and needs conditional
     moments to index 2*order, so it may be at most half the problem order.
     Any negative determinant anywhere refutes the expansion; otherwise the
-    report is positive to the tested order.  Grid evaluations are
+    report is positive to the tested order.  This is the integer grid entry
+    of the Hankel battery: at each point p/q the conditional moments
+    E[X^k | Y = p/q], k <= 2*order, are evaluated as integer pairs
+    (:meth:`Polynomial._at`) and brought over one common denominator, and
+    :func:`is_pm` reads their numerators as :class:`IntegerMoments`, with
+    no Fraction per moment; the reports equal those of :func:`is_pm` on the
+    Fraction values of the same moments.  Grid evaluations are
     independent and the aggregation does not depend on their order.  The
     grids come from ``prob``, which holds at least one point.
     ``pc_flags[n]`` is ``c_n != 0``: :func:`full_order_check` would expand
@@ -366,8 +393,11 @@ def lancaster_report(prob: LancasterProblem, order: int | None = None) -> Lancas
     polys = moment_polynomials(prob)
     verdicts = []
     for side, grid, family in (("a", prob.grid_a, polys.ma), ("b", prob.grid_b, polys.mb)):
+        family = family[: 2 * order + 1]
         for point in grid:
-            seq = MomentSequence(tuple(family[k](point) for k in range(2 * order + 1)))
+            pairs = [poly._at(point.numerator, point.denominator) for poly in family]
+            scale = lcm(*(den for _, den in pairs))
+            seq = IntegerMoments(tuple(num * (scale // den) for num, den in pairs), scale)
             verdicts.append(GridVerdict(side, point, is_pm(seq, order)))
     return LancasterReport(
         moment_polys=polys,

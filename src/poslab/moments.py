@@ -27,6 +27,13 @@ or finitely supported sequence).  Only the orders beyond them, on input
 that is not flat, fall back to a fraction-free (Bareiss) determinant per
 order.
 
+The pass takes integers: :func:`is_pm` and :func:`_recurrence` scale
+their Fractions to integers once before it.  :func:`is_pm` also reads
+:class:`IntegerMoments`, integer numerators over one common denominator,
+as they are.  That is the integer grid entry: the grid of
+:func:`poslab.lancaster.lancaster_report` evaluates its conditional
+moments straight to integer numerators, with no Fraction per moment.
+
 All values are immutable and every function is pure, so everything here is
 safe for unrestricted concurrent use.
 """
@@ -89,11 +96,39 @@ class MomentSequence:
         return cls(rational_list(data.get("values"), f"{where}.values"), label)
 
 
+@dataclass(frozen=True)
+class IntegerMoments:
+    """Moments m_i = ints[i] / scale: integer numerators over one positive denominator.
+
+    The integer form that :func:`is_pm` reads without a Fraction per moment.
+    ``scale`` need not be the least common denominator: each determinant is
+    one Fraction, which reduces to the same value.  ``values`` builds the
+    Fraction view on each read; only the per-order Bareiss fallback of
+    :func:`is_pm` reads it.
+    """
+
+    ints: tuple[int, ...]
+    scale: int
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.scale) for v in self.ints)
+
+
 # ---------------------------------------------------------------------------
 # Exact determinants
 # ---------------------------------------------------------------------------
 
-def _hankel_window(m: MomentSequence, n: int, shift: int) -> Fraction:
+def _integers(values) -> tuple[list[int], int]:
+    """(M, D): the Fractions ``values`` as integers M_i = D v_i, D the lcm of their denominators."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _hankel_window(m: MomentSequence | IntegerMoments, n: int, shift: int) -> Fraction:
     """det[m_{shift+i+j}] for 0 <= i,j <= n by fraction-free (Bareiss) elimination.
 
     The window is scaled once to integers by the lcm D of its denominators,
@@ -108,9 +143,7 @@ def _hankel_window(m: MomentSequence, n: int, shift: int) -> Fraction:
         raise InsufficientMomentsError(
             f"{what} of order {n} needs {needed} moments, got {len(m)}"
         )
-    window = m.values[shift:needed]
-    scale = lcm(*(v.denominator for v in window))
-    ints = [v.numerator * (scale // v.denominator) for v in window]
+    ints, scale = _integers(m.values[shift:needed])
     mat = [ints[i : i + n + 1] for i in range(n + 1)]
     sign = 1
     prev = 1
@@ -128,12 +161,12 @@ def _hankel_window(m: MomentSequence, n: int, shift: int) -> Fraction:
     return Fraction(sign * mat[n][n], scale ** (n + 1))
 
 
-def hankel_det(m: MomentSequence, n: int) -> Fraction:
+def hankel_det(m: MomentSequence | IntegerMoments, n: int) -> Fraction:
     """det[m_{i+j}] for 0 <= i,j <= n, computed exactly (see :func:`_hankel_window`)."""
     return _hankel_window(m, n, 0)
 
 
-def shifted_hankel_det(m: MomentSequence, n: int) -> Fraction:
+def shifted_hankel_det(m: MomentSequence | IntegerMoments, n: int) -> Fraction:
     """det[m_{1+i+j}] for 0 <= i,j <= n; nonnegativity localizes the support in [0, oo)."""
     return _hankel_window(m, n, 1)
 
@@ -205,14 +238,14 @@ class PmReport:
         }
 
 
-def _chebyshev(values) -> tuple[int, list[int], list[int], list[int], int]:
+def _chebyshev(ints) -> tuple[list[int], list[int], list[int], int]:
     """Chebyshev's algorithm on integers: one exact pass from moments to Hankel minors.
 
-    Scales m_0..m_{L-1} once to integers M_i = D m_i, with D the lcm of the
-    denominators, and runs the modified Chebyshev recurrence (Gautschi,
-    *Orthogonal Polynomials: Computation and Approximation* (2004), section
-    2.1.7) for the monic orthogonal pi_k of the functional of M.  Returns
-    (D, dets, nexts, zeros, flat), with integer determinants in dets, nexts
+    Takes integer moments M_0..M_{L-1} (M_i = D m_i for the callers' scale
+    D) and runs the modified Chebyshev recurrence (Gautschi, *Orthogonal
+    Polynomials: Computation and Approximation* (2004), section 2.1.7) for
+    the monic orthogonal pi_k of the functional of M.  Returns
+    (dets, nexts, zeros, flat), with integer determinants in dets, nexts
     and zeros:
 
     * dets[k] = Delta_k = det[M_{i+j}]_{0 <= i,j <= k}, needing M_{2k};
@@ -249,11 +282,10 @@ def _chebyshev(values) -> tuple[int, list[int], list[int], list[int], int]:
     the whole row vanishes.  Without a zero minor ``flat`` is 0.  O(L^2)
     integer operations.
     """
-    scale = lcm(*(v.denominator for v in values))
-    size = len(values)
+    size = len(ints)
     # cur = den (<pi_k, x^l> for l < size - k, then pi_k(0)) for the
     # functional of M, in lowest terms; prev is the row of k - 1 (0 at k = 0)
-    cur = [v.numerator * (scale // v.denominator) for v in values] + [1]
+    cur = [*ints, 1]
     prev = [0] * (size + 1)
     den = 1
     dets: list[int] = []
@@ -287,14 +319,16 @@ def _chebyshev(values) -> tuple[int, list[int], list[int], list[int], int]:
             nxt = [x // g for x in nxt]
         zeros.append(det * nxt[-1] // den)
         prev, cur, piv_prev = cur, nxt, piv
-    return scale, dets, nexts, zeros, flat
+    return dets, nexts, zeros, flat
 
 
 def _recurrence(values) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
     """The monic recurrence of the functional behind ``values``, from :func:`_chebyshev`.
 
-    Returns (h, a, b) with h_k = <pi_k, pi_k> for the monic orthogonal
-    polynomials pi_{k+1} = (x - a_k) pi_k - b_k pi_{k-1}, b_0 = 0:
+    The Fractions ``values`` are scaled once to integers by the lcm D of
+    their denominators.  Returns (h, a, b) with h_k = <pi_k, pi_k> for the
+    monic orthogonal polynomials pi_{k+1} = (x - a_k) pi_k - b_k pi_{k-1},
+    b_0 = 0:
 
         h_k = Delta_k / (Delta_{k-1} D),
         a_k = s_k[k+1] / Delta_k - s_{k-1}[k] / Delta_{k-1},
@@ -302,7 +336,8 @@ def _recurrence(values) -> tuple[list[Fraction], list[Fraction], list[Fraction]]
 
     h ends at the first zero h_k, and a, b stop one entry before it.
     """
-    scale, dets, nexts, _, _ = _chebyshev(values)
+    ints, scale = _integers(values)
+    dets, nexts, _, _ = _chebyshev(ints)
     d_prev = [1] + dets  # Delta_{k-1}
     n_prev = [0] + nexts  # s_{k-1}[k]
     h = [Fraction(d, p * scale) for p, d in zip(d_prev, dets)]
@@ -317,17 +352,20 @@ def _recurrence(values) -> tuple[list[Fraction], list[Fraction], list[Fraction]]
     return h, a, b
 
 
-def is_pm(m: MomentSequence, max_order: int) -> PmReport:
+def is_pm(m: MomentSequence | IntegerMoments, max_order: int) -> PmReport:
     """Run the Hankel positivity battery on m up to the given order.
 
     Needs 2*max_order+1 moments for the plain determinants; shifted
     determinants are computed as far as the available length allows.  The
     report never claims anything beyond the tested orders.
 
-    One integer pass (:func:`_chebyshev`) gives every determinant up to the
-    first zero minor: with moments scaled by D, d_k = Delta_k / D^(k+1) and,
-    from the determinantal form of the monic orthogonal polynomials at
-    x = 0, d'_k = (-1)^(k+1) d_k pi_{k+1}(0) = (-1)^(k+1) P_{k+1}(0) / D^(k+1).
+    The moments the battery reads are scaled once to integers M_i = D m_i,
+    D the lcm of their denominators; :class:`IntegerMoments` come as such
+    already, with D their ``scale``.  One integer pass (:func:`_chebyshev`)
+    gives every determinant up to the first zero minor: d_k =
+    Delta_k / D^(k+1) and, from the determinantal form of the monic
+    orthogonal polynomials at x = 0, d'_k = (-1)^(k+1) d_k pi_{k+1}(0) =
+    (-1)^(k+1) P_{k+1}(0) / D^(k+1).
 
     Past a zero minor Delta_r the pass hands over ``flat``: the moments
     m_0..m_{flat-1} follow the recurrence of the monic pi_r.  For k >= r the
@@ -336,8 +374,9 @@ def is_pm(m: MomentSequence, max_order: int) -> PmReport:
     so d_k = 0 there, and d'_k = 0 when k + r + 1 < flat (the shifted row
     is (<pi_r, x^(j+1)>)_j).  Only the orders beyond that (a sequence that is
     not flat, such as a degenerate signed one) are computed one by one with
-    :func:`hankel_det` and :func:`shifted_hankel_det` (Bareiss).  The
-    battery returns determinants only; :class:`PmReport` reads the verdicts.
+    :func:`hankel_det` and :func:`shifted_hankel_det` (Bareiss), so only
+    they read the Fraction view of :class:`IntegerMoments`.  The battery
+    returns determinants only; :class:`PmReport` reads the verdicts.
     """
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
@@ -346,9 +385,12 @@ def is_pm(m: MomentSequence, max_order: int) -> PmReport:
             f"pm test to order {max_order} needs {2 * max_order + 1} moments, got {len(m)}"
         )
     shifted_max = min(max_order, (len(m) - 2) // 2)
-    scale, minors, _, zeros, flat = _chebyshev(
-        m.values[: max(2 * max_order + 1, 2 * shifted_max + 2)]
-    )
+    window = max(2 * max_order + 1, 2 * shifted_max + 2)
+    if isinstance(m, IntegerMoments):
+        ints, scale = m.ints[:window], m.scale
+    else:
+        ints, scale = _integers(m.values[:window])
+    minors, _, zeros, flat = _chebyshev(ints)
     if minors[-1] == 0:
         minors.pop()
     dets: list[Fraction] = []

@@ -54,8 +54,9 @@ class Polynomial:
     denominator, in lowest terms (no prime divides the denominator and every
     numerator) with trailing zeros stripped, so equal polynomials have equal
     storage.  Arithmetic runs on the integers and reduces once per result;
-    evaluation at p/q is homogeneous Horner, sum_i n_i p^i q^(d-i), which
-    ends in a single Fraction.  ``coeffs`` builds the Fraction coefficients
+    evaluation at p/q is homogeneous Horner, sum_i n_i p^i q^(d-i) over
+    den q^d (:meth:`_at`), which ends in a single Fraction, or in none on
+    the integer grid path of :func:`poslab.lancaster.lancaster_report`.  ``coeffs`` builds the Fraction coefficients
     on each read; the zero polynomial has no coefficients and degree -1.
     """
 
@@ -126,18 +127,25 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial(coeffs={self.coeffs!r})"
 
-    def __call__(self, x) -> Fraction:
-        x = rat(x)
-        p, q = x.numerator, x.denominator
+    def _at(self, p: int, q: int) -> tuple[int, int]:
+        """The value at p/q, for q > 0, as the integer pair (sum_i n_i p^i q^(d-i), den q^d).
+
+        Homogeneous Horner in p and q over the numerators n_i of degree d;
+        the pair is not reduced (the zero polynomial gives (0, 1)).
+        """
         num = self._num
         if not num:
-            return Fraction(0)
+            return 0, self._den
         acc = num[-1]
         qpow = 1
-        for v in reversed(num[:-1]):
+        for v in num[-2::-1]:
             qpow *= q
             acc = acc * p + v * qpow
-        return Fraction(acc, self._den * qpow)
+        return acc, self._den * qpow
+
+    def __call__(self, x) -> Fraction:
+        x = rat(x)
+        return Fraction(*self._at(x.numerator, x.denominator))
 
     def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
         if not isinstance(other, Polynomial):

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poslab import cli
 from poslab.cli import build_parser, main
@@ -284,6 +286,22 @@ class TestMehlerDemo:
         assert code == 2 and "not a rational string: '1e10000000'" in err
 
 
+    def test_unknown_keys_in_a_problem_file_are_input_errors(self, capsys, tmp_path):
+        doc = preset_problem("mehler", 4, F(1, 2)).to_json_dict()
+        path = tmp_path / "problem.json"
+        doc["support_flags"]["mu_unbouded"] = True
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "lancaster", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: $.support_flags: unknown key 'mu_unbouded'\n"
+        del doc["support_flags"]["mu_unbouded"]
+        doc["grid_A"] = ["0/1"]
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "lancaster", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: $: unknown key 'grid_A'\n"
+
+
 class TestDeterminism:
     def test_identical_inputs_identical_bytes(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -307,6 +325,38 @@ class TestDeterminism:
         monkeypatch.setenv("POSLAB_PRECISION", "zero")
         code, _, err = run(capsys, "certify", "--in", str(path), "--order", "2", "--json")
         assert code == 2 and "POSLAB_PRECISION" in err
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**40, max_value=10**400)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+    | st.text(alphabet=st.characters(max_codepoint=0x1F), max_size=4)
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.lists(st.text(), max_size=4)
+    | st.dictionaries(st.text(max_size=5), kids, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    """``_dump_json`` writes exactly the bytes of ``json.dumps(indent=2, sort_keys=True)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_documents)
+    @example(-0.0)
+    @example([1e300, float("nan"), float("inf"), float("-inf"), -(10**300)])
+    @example({"\u00e9\u2603\U0001f600": ["\x00\x1f\x7f", "\"\\/"], "": [[], {}, ()]})
+    @example({"b": (True, False, None), "a": {"c": [{}], "B": ()}})
+    def test_matches_the_json_module(self, value):
+        assert cli._dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 class TestUsageErrors:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poslab import lancaster
+from poslab import lancaster, moments
 from poslab.cli import main
 from poslab.errors import InsufficientMomentsError
 from poslab.lancaster import (
@@ -27,7 +27,12 @@ from poslab.lancaster import (
 )
 from poslab.moments import MomentSequence, builtin
 from poslab.orthopoly import OrthoBasis, Polynomial, basis_from_moments, hermite
-from tests_support import halved_hermite, rescaled, solve_lower_by_fractions
+from tests_support import (
+    grid_verdicts_by_fractions,
+    halved_hermite,
+    rescaled,
+    solve_lower_by_fractions,
+)
 
 
 ALL_FLAGS = SupportFlags(
@@ -303,6 +308,75 @@ class TestGridReport:
         assert {(v.side, v.point): v.report for v in fwd.grid_verdicts} == {
             (v.side, v.point): v.report for v in rev.grid_verdicts
         }
+
+
+ODD_GRID = (F(-7, 3), F(-3, 2), F(-1), F(-1, 4), F(0), F(1, 3), F(2), F(5, 2))
+
+
+def grid_problem(alpha, beta, coeffs):
+    return LancasterProblem(alpha, beta, coeffs, ALL_FLAGS, grid_a=ODD_GRID, grid_b=ODD_GRID[::-1])
+
+
+GRID_PROBLEMS = {
+    "hermite": grid_problem(hermite(8), hermite(8), tuple(F(1, 2) ** n for n in range(9))),
+    "perturbed-hermite": grid_problem(
+        hermite(8), hermite(8), (1,) + tuple(F(-2, 3) ** n + F(20, 1000) for n in range(1, 9))
+    ),
+    "halved-hermite": grid_problem(
+        halved_hermite(8), halved_hermite(8), tuple(F(-1, 3) ** n for n in range(9))
+    ),
+    "distinct-families": grid_problem(
+        hermite(8), halved_hermite(8), tuple(F(3, 4) ** n for n in range(9))
+    ),
+    # odd conditional moments are the zero polynomial
+    "product-measure": grid_problem(hermite(8), hermite(8), (1,) + (0,) * 8),
+    # X = Y: m_n(y) = y^n, a zero minor at order 1 at every point
+    "x-equals-y": grid_problem(hermite(8), hermite(8), (1,) * 9),
+    # zero minors that are not flat: the per-order Bareiss fallback runs
+    "bareiss-fallback": grid_problem(hermite(4), hermite(4), (1, -1, 1, 2, 1)),
+}
+
+
+class TestIntegerGridPath:
+    """The integer grid batteries against the Fraction route they replaced."""
+
+    @pytest.mark.parametrize("name", GRID_PROBLEMS)
+    def test_grid_verdicts_equal_the_fraction_route(self, name):
+        prob = GRID_PROBLEMS[name]
+        for order in range(prob.order // 2 + 1):
+            expected = grid_verdicts_by_fractions(prob, order)
+            assert lancaster_report(prob, order).grid_verdicts == expected
+
+    def test_the_fixtures_reach_each_branch(self):
+        flat = lancaster_report(GRID_PROBLEMS["x-equals-y"]).grid_verdicts
+        assert all(v.report.first_zero_order == 1 for v in flat)
+        assert lancaster_report(GRID_PROBLEMS["perturbed-hermite"]).verdict == "refuted"
+        assert any(p.is_zero for p in moment_polynomials(GRID_PROBLEMS["product-measure"]).ma)
+        with mock.patch.object(moments, "hankel_det", wraps=moments.hankel_det) as det:
+            lancaster_report(GRID_PROBLEMS["bareiss-fallback"])
+        assert det.called
+
+    def test_a_flat_battery_never_builds_the_fallback_sequence(self):
+        prob = GRID_PROBLEMS["x-equals-y"]
+        expected = grid_verdicts_by_fractions(prob, 4)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the fallback ran on a flat battery")
+
+        with mock.patch.multiple(moments, hankel_det=fail, shifted_hankel_det=fail), \
+                mock.patch.object(moments.IntegerMoments, "values", property(fail)):
+            assert lancaster_report(prob, 4).grid_verdicts == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.fractions(min_value=-1, max_value=1, max_denominator=7),
+        st.integers(-30, 30),
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5), min_size=1, max_size=4),
+    )
+    def test_perturbed_mehler_grids_equal_the_fraction_route(self, rho, shift, grid):
+        coeffs = (1,) + tuple(rho**n + F(shift, 1000) for n in range(1, 7))
+        prob = LancasterProblem(hermite(6), hermite(6), coeffs, grid_a=grid, grid_b=grid[::-1])
+        assert lancaster_report(prob).grid_verdicts == grid_verdicts_by_fractions(prob, 3)
 
 
 class TestNecessaryConditions:

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import accumulate
-from math import factorial
+from math import factorial, lcm
 from operator import mul
 
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from poslab import moments
 from poslab.errors import InsufficientMomentsError
 from poslab.moments import (
+    IntegerMoments,
     MomentSequence,
     builtin,
     carleman_partial,
@@ -170,6 +171,15 @@ class TestBatteryEngine:
     @given(_atomic_inputs())
     def test_matches_per_order_determinants_past_a_zero_minor(self, case):
         _assert_battery_matches_bareiss(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_battery_inputs(), _atomic_inputs()), st.integers(1, 12))
+    def test_integer_moments_over_any_common_denominator(self, case, extra):
+        seq, order = case
+        scale = lcm(*(v.denominator for v in seq.values)) * extra
+        ints = tuple(v.numerator * (scale // v.denominator) for v in seq.values)
+        assert IntegerMoments(ints, scale).values == seq.values
+        assert is_pm(IntegerMoments(ints, scale), order) == is_pm(seq, order)
 
     def test_flat_sequences_skip_the_per_order_fallback(self, monkeypatch):
         def no_fallback(m, k):

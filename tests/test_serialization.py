@@ -329,6 +329,19 @@ class TestProblemJson:
         flags = SupportFlags.from_json_dict({})
         assert flags == SupportFlags()
 
+    def test_unknown_keys_are_rejected(self):
+        # a misspelled flag would otherwise read as undeclared and switch its check off
+        doc = preset_problem("mehler", 4, F(1, 3)).to_json_dict()
+        doc["support_flags"]["mu_unbouded"] = True
+        with pytest.raises(SchemaError) as err:
+            parse_problem_json(doc)
+        assert str(err.value) == "$.support_flags: unknown key 'mu_unbouded'"
+        doc = preset_problem("mehler", 4, F(1, 3)).to_json_dict()
+        doc["grid_A"] = doc.pop("grid_a")
+        with pytest.raises(SchemaError) as err:
+            parse_problem_json(doc)
+        assert str(err.value) == "$: unknown key 'grid_A'"
+
 
 class TestConnectionJson:
     def test_gamma_rows_serialize(self):

@@ -8,7 +8,8 @@ pass it checks.  The recurrence, expansion and combination oracles run on
 :class:`Polynomial` arithmetic (one multiply and one add or subtract per
 step), a separate route from the fused integer steps of the library.
 :func:`solve_lower_by_fractions` is the Fraction forward substitution that the
-integer solve of the library replaced.  :func:`catalog_instances`,
+integer solve of the library replaced, and :func:`grid_verdicts_by_fractions`
+the Fraction route of the grid batteries that the integer grid path replaced.  :func:`catalog_instances`,
 :func:`rescaled` and :func:`halved_hermite` are fixtures, not oracles: they
 read the catalog and the library's families themselves.
 """
@@ -16,7 +17,15 @@ read the catalog and the library's families themselves.
 from fractions import Fraction as F
 from math import comb, factorial
 
-from poslab.moments import MomentSequence, builtin, catalog_entries, hankel_det, shifted_hankel_det
+from poslab.lancaster import GridVerdict, moment_polynomials
+from poslab.moments import (
+    MomentSequence,
+    builtin,
+    catalog_entries,
+    hankel_det,
+    is_pm,
+    shifted_hankel_det,
+)
 from poslab.orthopoly import OrthoBasis, Polynomial, hermite
 
 
@@ -190,3 +199,25 @@ def combination_by_polynomial_ops(weights, polys):
     for w, p in zip(weights, polys):
         acc = acc + w * p
     return acc
+
+
+def grid_verdicts_by_fractions(prob, order):
+    """The grid verdicts of ``lancaster_report(prob, order)`` by the Fraction route.
+
+    Each conditional moment polynomial is evaluated to a Fraction at each
+    grid point, and :func:`is_pm` runs on the resulting
+    :class:`MomentSequence`: the route the integer grid path replaced.  The
+    evaluation sums the Fraction coefficients times powers of the point,
+    apart from the homogeneous Horner loop that both ``Polynomial.__call__``
+    and the integer path use.
+    """
+    polys = moment_polynomials(prob)
+    verdicts = []
+    for side, grid, family in (("a", prob.grid_a, polys.ma), ("b", prob.grid_b, polys.mb)):
+        for point in grid:
+            seq = MomentSequence(tuple(
+                sum((c * point**i for i, c in enumerate(p.coeffs)), F(0))
+                for p in family[: 2 * order + 1]
+            ))
+            verdicts.append(GridVerdict(side, point, is_pm(seq, order)))
+    return tuple(verdicts)
