@@ -17,6 +17,7 @@ from .errors import (
     InsufficientMomentsError,
     PoslabError,
     RecurrenceError,
+    ReportLimitError,
     SchemaError,
 )
 from .lancaster import (
@@ -96,6 +97,7 @@ __all__ = [
     "PoslabError",
     "PositivityCertificate",
     "RecurrenceError",
+    "ReportLimitError",
     "SchemaError",
     "SupportFlags",
     "basis_from_moments",

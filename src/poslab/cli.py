@@ -6,7 +6,7 @@ parameter spaces:
     0  success (certified / positive / completed)
     1  refuted or degenerate input measure -- a valid mathematical outcome
     2  input, schema, or usage error
-    3  insufficient moments / order for the requested computation
+    3  insufficient moments / order, or a report value past the int-string limit
 
 Identical inputs always produce byte-identical reports.  Rationals are
 accepted only as strings, "p/q", "p" or an exact decimal like "0.3": JSON
@@ -44,6 +44,7 @@ from .errors import (
     DegenerateMeasureError,
     InsufficientMomentsError,
     PoslabError,
+    ReportLimitError,
     SchemaError,
 )
 from .lancaster import (
@@ -148,7 +149,7 @@ def _write_json(value, newline: str, out: list[str]) -> None:
 def _load_json(path: str) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: cannot read input file ({exc})")
     try:
         data = json.loads(raw)
@@ -460,7 +461,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except InsufficientMomentsError as exc:
+    except (InsufficientMomentsError, ReportLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT
     except DegenerateMeasureError as exc:

@@ -30,3 +30,7 @@ class SchemaError(PoslabError):
     Messages always name the offending field (and the file path when read
     through the CLI).
     """
+
+
+class ReportLimitError(PoslabError):
+    """A computed value has an integer past Python's int-string limit, so it cannot be written."""

@@ -8,8 +8,8 @@ at any grid point refutes positivity outright, while all-nonnegative
 determinants certify it to the tested order.  The grid path runs on
 integers: each conditional moment is evaluated at a grid point p/q as an
 integer pair, the pairs are brought over one common denominator, and the
-numerators go straight to the Hankel battery of :mod:`poslab.moments`
-as :class:`~poslab.moments.IntegerMoments`.
+numerators go straight into a :class:`~poslab.moments.MomentSequence`,
+whose Hankel battery reads them as they are.
 
 Orthonormal families carry 1/sqrt(norm) scale factors, but the recursion
 only ever consumes *ratios* of coefficients.  Whenever every norm ratio
@@ -27,10 +27,10 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .errors import InsufficientMomentsError, SchemaError
-from .moments import IntegerMoments, MomentSequence, PmReport, builtin, is_pm
+from .moments import MomentSequence, PmReport, builtin, is_pm
 from .orthopoly import (
     OrthoBasis,
     Polynomial,
@@ -42,7 +42,7 @@ from .orthopoly import (
     hermite,
 )
 from .positivity import CERTIFIED, REFUTED, OrthogonalSeries, certify_positive
-from .rationals import double_factorial, rat, rat_str, rational_list, rational_sqrt
+from .rationals import double_factorial, over_lcm, rat, rat_str, rational_list, rational_sqrt, wire_row
 
 DEFAULT_GRID = tuple(Fraction(k, 2) for k in range(-4, 5))
 
@@ -352,8 +352,8 @@ class LancasterReport:
 
     def to_json_dict(self, float_digits: int = 17) -> dict:
         return {
-            "conditional_moments_a": [p._wire() for p in self.moment_polys.ma],
-            "conditional_moments_b": [p._wire() for p in self.moment_polys.mb],
+            "conditional_moments_a": [wire_row(p._num, p._den) for p in self.moment_polys.ma],
+            "conditional_moments_b": [wire_row(p._num, p._den) for p in self.moment_polys.mb],
             "grid_verdicts": [v.to_json_dict() for v in self.grid_verdicts],
             "necessary_conditions": self.necessary.to_json_dict(float_digits),
             "pc_flags": list(self.pc_flags),
@@ -373,7 +373,7 @@ def lancaster_report(prob: LancasterProblem, order: int | None = None) -> Lancas
     of the Hankel battery: at each point p/q the conditional moments
     E[X^k | Y = p/q], k <= 2*order, are evaluated as integer pairs
     (:meth:`Polynomial._at`) and brought over one common denominator, and
-    :func:`is_pm` reads their numerators as :class:`IntegerMoments`, with
+    the numerators become a :class:`MomentSequence` (``_from_ints``), with
     no Fraction per moment; the reports equal those of :func:`is_pm` on the
     Fraction values of the same moments.  Grid evaluations are
     independent and the aggregation does not depend on their order.  The
@@ -396,8 +396,7 @@ def lancaster_report(prob: LancasterProblem, order: int | None = None) -> Lancas
         family = family[: 2 * order + 1]
         for point in grid:
             pairs = [poly._at(point.numerator, point.denominator) for poly in family]
-            scale = lcm(*(den for _, den in pairs))
-            seq = IntegerMoments(tuple(num * (scale // den) for num, den in pairs), scale)
+            seq = MomentSequence._from_ints(*over_lcm(pairs))
             verdicts.append(GridVerdict(side, point, is_pm(seq, order)))
     return LancasterReport(
         moment_polys=polys,

@@ -13,13 +13,13 @@ explicit about the order it was tested at.
 
 One exact engine serves both the Hankel battery here and the orthogonal
 family in :mod:`poslab.orthopoly`: a single O(K^2) pass of Chebyshev's
-algorithm (Gautschi, SIAM J. Sci. Stat. Comput. 3, 1982) over the moments,
-run on integers.  The moments are scaled once by the lcm D of their
-denominators, and the pass returns the integer Hankel minors Delta_k of the
-scaled moments together with the values at 0 of the integral orthogonal
-polynomials, in the fraction-free form of Bareiss (Math. Comp. 22, 1968):
-d_k = Delta_k / D^(k+1), the shifted determinants, and the monic norms and
-recurrence (h_k, a_k, b_k) all follow from them by one division each.  At a
+algorithm (Gautschi, SIAM J. Sci. Stat. Comput. 3, 1982) over the integer
+numerators M_i = D m_i of the moments, D their common denominator.  The
+pass returns the integer Hankel minors Delta_k of the numerators together
+with the values at 0 of the integral orthogonal polynomials, in the
+fraction-free form of Bareiss (Math. Comp. 22, 1968): d_k = Delta_k /
+D^(k+1), the shifted determinants, and the monic norms and recurrence
+(h_k, a_k, b_k) all follow from them by one division each.  At a
 zero minor Delta_r the recurrence stops; the pass then reports how many
 leading moments follow the recurrence of pi_r, and every determinant of
 order k >= r that those moments cover is an exact zero (a flat, r-atomic
@@ -27,12 +27,10 @@ or finitely supported sequence).  Only the orders beyond them, on input
 that is not flat, fall back to a fraction-free (Bareiss) determinant per
 order.
 
-The pass takes integers: :func:`is_pm` and :func:`_recurrence` scale
-their Fractions to integers once before it.  :func:`is_pm` also reads
-:class:`IntegerMoments`, integer numerators over one common denominator,
-as they are.  That is the integer grid entry: the grid of
-:func:`poslab.lancaster.lancaster_report` evaluates its conditional
-moments straight to integer numerators, with no Fraction per moment.
+A :class:`MomentSequence` holds those numerators over D in lowest terms,
+as a polynomial holds its coefficients, and the pass reads them as they
+are.  Callers that hold integers, such as the grid of
+:func:`poslab.lancaster.lancaster_report`, build one with ``_from_ints``.
 
 All values are immutable and every function is pure, so everything here is
 safe for unrestricted concurrent use.
@@ -44,47 +42,66 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 
 from .errors import InsufficientMomentsError, SchemaError
-from .rationals import fibonacci, rat, rat_str, rational_list
+from .rationals import fibonacci, over_lcm, rat, rat_str, rational_row, wire_row
 
 DIAGNOSTIC_DIGITS = 50
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MomentSequence:
-    """A finite prefix of exact power moments, orders 0..N."""
+    """A finite prefix of exact power moments, orders 0..N.
 
-    values: tuple[Fraction, ...]
+    Integer numerators over one positive denominator, in lowest terms, so
+    equal sequences have equal fields; ``values`` and ``[i]`` build Fractions.
+    """
+
+    _num: tuple[int, ...]
+    _den: int
     label: str = ""
 
-    def __post_init__(self):
-        vals = tuple(rat(v) for v in self.values)
-        if not vals:
+    def __init__(self, values, label: str = ""):
+        num, den = over_lcm([rat(v).as_integer_ratio() for v in values])
+        if not num:
             raise ValueError("a moment sequence needs at least the order-0 moment")
-        object.__setattr__(self, "values", vals)
+        vars(self).update(_num=tuple(num), _den=den, label=label)  # past the frozen __setattr__
+
+    @classmethod
+    def _from_ints(cls, num, den: int, label: str = "") -> "MomentSequence":
+        """The sequence num[i] / den, for den > 0."""
+        if not num:
+            raise ValueError("a moment sequence needs at least the order-0 moment")
+        g = gcd(den, *num)
+        out = object.__new__(cls)
+        vars(out).update(_num=tuple(v // g for v in num), _den=den // g, label=label)
+        return out
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self._den) for v in self._num)
 
     @property
     def normalized(self) -> bool:
         """True iff m_0 = 1, i.e. the underlying measure is a probability measure."""
-        return self.values[0] == 1
+        return self._num[0] == self._den
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._num)
 
     def __getitem__(self, index: int) -> Fraction:
-        return self.values[index]
+        return Fraction(self._num[index], self._den)
 
     def prefix(self, length: int) -> "MomentSequence":
-        if length > len(self.values):
+        if length > len(self._num):
             raise InsufficientMomentsError(
-                f"{self.label or 'sequence'}: asked for {length} moments, only {len(self.values)} available"
+                f"{self.label or 'sequence'}: asked for {length} moments, only {len(self._num)} available"
             )
-        return MomentSequence(self.values[:length], self.label)
+        return MomentSequence._from_ints(self._num[:length], self._den, self.label)
 
     def to_json_dict(self) -> dict:
-        return {"label": self.label, "values": [rat_str(v) for v in self.values]}
+        return {"label": self.label, "values": wire_row(self._num, self._den)}
 
     @classmethod
     def from_json_dict(cls, data: dict, where: str = "$") -> "MomentSequence":
@@ -93,47 +110,19 @@ class MomentSequence:
         label = data.get("label", "")
         if not isinstance(label, str):
             raise SchemaError(f"{where}.label: expected a string")
-        return cls(rational_list(data.get("values"), f"{where}.values"), label)
-
-
-@dataclass(frozen=True)
-class IntegerMoments:
-    """Moments m_i = ints[i] / scale: integer numerators over one positive denominator.
-
-    The integer form that :func:`is_pm` reads without a Fraction per moment.
-    ``scale`` need not be the least common denominator: each determinant is
-    one Fraction, which reduces to the same value.  ``values`` builds the
-    Fraction view on each read; only the per-order Bareiss fallback of
-    :func:`is_pm` reads it.
-    """
-
-    ints: tuple[int, ...]
-    scale: int
-
-    def __len__(self) -> int:
-        return len(self.ints)
-
-    @property
-    def values(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(v, self.scale) for v in self.ints)
+        return cls._from_ints(*rational_row(data.get("values"), f"{where}.values"), label)
 
 
 # ---------------------------------------------------------------------------
 # Exact determinants
 # ---------------------------------------------------------------------------
 
-def _integers(values) -> tuple[list[int], int]:
-    """(M, D): the Fractions ``values`` as integers M_i = D v_i, D the lcm of their denominators."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
-def _hankel_window(m: MomentSequence | IntegerMoments, n: int, shift: int) -> Fraction:
+def _hankel_window(m: MomentSequence, n: int, shift: int) -> Fraction:
     """det[m_{shift+i+j}] for 0 <= i,j <= n by fraction-free (Bareiss) elimination.
 
-    The window is scaled once to integers by the lcm D of its denominators,
-    as in :func:`_chebyshev`, and eliminated with row pivoting and exact
-    integer divisions only, so sign decisions near zero are trustworthy.
+    Runs on the integer numerators M_i = D m_i of m, D its denominator, as
+    :func:`_chebyshev` does, with row pivoting and exact integer divisions
+    only, so sign decisions near zero are trustworthy.
     """
     if n < 0:
         raise ValueError("Hankel order must be nonnegative")
@@ -143,8 +132,8 @@ def _hankel_window(m: MomentSequence | IntegerMoments, n: int, shift: int) -> Fr
         raise InsufficientMomentsError(
             f"{what} of order {n} needs {needed} moments, got {len(m)}"
         )
-    ints, scale = _integers(m.values[shift:needed])
-    mat = [ints[i : i + n + 1] for i in range(n + 1)]
+    ints = m._num[shift:needed]
+    mat = [list(ints[i : i + n + 1]) for i in range(n + 1)]
     sign = 1
     prev = 1
     for k in range(n):
@@ -158,15 +147,15 @@ def _hankel_window(m: MomentSequence | IntegerMoments, n: int, shift: int) -> Fr
             for j in range(k + 1, n + 1):
                 mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
         prev = mat[k][k]
-    return Fraction(sign * mat[n][n], scale ** (n + 1))
+    return Fraction(sign * mat[n][n], m._den ** (n + 1))
 
 
-def hankel_det(m: MomentSequence | IntegerMoments, n: int) -> Fraction:
+def hankel_det(m: MomentSequence, n: int) -> Fraction:
     """det[m_{i+j}] for 0 <= i,j <= n, computed exactly (see :func:`_hankel_window`)."""
     return _hankel_window(m, n, 0)
 
 
-def shifted_hankel_det(m: MomentSequence | IntegerMoments, n: int) -> Fraction:
+def shifted_hankel_det(m: MomentSequence, n: int) -> Fraction:
     """det[m_{1+i+j}] for 0 <= i,j <= n; nonnegativity localizes the support in [0, oo)."""
     return _hankel_window(m, n, 1)
 
@@ -241,10 +230,10 @@ class PmReport:
 def _chebyshev(ints) -> tuple[list[int], list[int], list[int], int]:
     """Chebyshev's algorithm on integers: one exact pass from moments to Hankel minors.
 
-    Takes integer moments M_0..M_{L-1} (M_i = D m_i for the callers' scale
-    D) and runs the modified Chebyshev recurrence (Gautschi, *Orthogonal
-    Polynomials: Computation and Approximation* (2004), section 2.1.7) for
-    the monic orthogonal pi_k of the functional of M.  Returns
+    Takes integer moments M_0..M_{L-1} (M_i = D m_i, D the denominator of
+    the sequence) and runs the modified Chebyshev recurrence (Gautschi,
+    *Orthogonal Polynomials: Computation and Approximation* (2004), section
+    2.1.7) for the monic orthogonal pi_k of the functional of M.  Returns
     (dets, nexts, zeros, flat), with integer determinants in dets, nexts
     and zeros:
 
@@ -322,13 +311,12 @@ def _chebyshev(ints) -> tuple[list[int], list[int], list[int], int]:
     return dets, nexts, zeros, flat
 
 
-def _recurrence(values) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-    """The monic recurrence of the functional behind ``values``, from :func:`_chebyshev`.
+def _recurrence(m: MomentSequence) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
+    """The monic recurrence of the functional behind m, from :func:`_chebyshev`.
 
-    The Fractions ``values`` are scaled once to integers by the lcm D of
-    their denominators.  Returns (h, a, b) with h_k = <pi_k, pi_k> for the
-    monic orthogonal polynomials pi_{k+1} = (x - a_k) pi_k - b_k pi_{k-1},
-    b_0 = 0:
+    The pass reads the numerators M_i = D m_i of m, D its denominator.
+    Returns (h, a, b) with h_k = <pi_k, pi_k> for the monic orthogonal
+    polynomials pi_{k+1} = (x - a_k) pi_k - b_k pi_{k-1}, b_0 = 0:
 
         h_k = Delta_k / (Delta_{k-1} D),
         a_k = s_k[k+1] / Delta_k - s_{k-1}[k] / Delta_{k-1},
@@ -336,11 +324,10 @@ def _recurrence(values) -> tuple[list[Fraction], list[Fraction], list[Fraction]]
 
     h ends at the first zero h_k, and a, b stop one entry before it.
     """
-    ints, scale = _integers(values)
-    dets, nexts, _, _ = _chebyshev(ints)
+    dets, nexts, _, _ = _chebyshev(m._num)
     d_prev = [1] + dets  # Delta_{k-1}
     n_prev = [0] + nexts  # s_{k-1}[k]
-    h = [Fraction(d, p * scale) for p, d in zip(d_prev, dets)]
+    h = [Fraction(d, p * m._den) for p, d in zip(d_prev, dets)]
     a = [
         Fraction(n * d_prev[k] - n_prev[k] * dets[k], dets[k] * d_prev[k])
         for k, n in enumerate(nexts)
@@ -352,20 +339,18 @@ def _recurrence(values) -> tuple[list[Fraction], list[Fraction], list[Fraction]]
     return h, a, b
 
 
-def is_pm(m: MomentSequence | IntegerMoments, max_order: int) -> PmReport:
+def is_pm(m: MomentSequence, max_order: int) -> PmReport:
     """Run the Hankel positivity battery on m up to the given order.
 
     Needs 2*max_order+1 moments for the plain determinants; shifted
     determinants are computed as far as the available length allows.  The
     report never claims anything beyond the tested orders.
 
-    The moments the battery reads are scaled once to integers M_i = D m_i,
-    D the lcm of their denominators; :class:`IntegerMoments` come as such
-    already, with D their ``scale``.  One integer pass (:func:`_chebyshev`)
-    gives every determinant up to the first zero minor: d_k =
-    Delta_k / D^(k+1) and, from the determinantal form of the monic
-    orthogonal polynomials at x = 0, d'_k = (-1)^(k+1) d_k pi_{k+1}(0) =
-    (-1)^(k+1) P_{k+1}(0) / D^(k+1).
+    The battery reads the numerators M_i = D m_i of m, D its denominator.
+    One integer pass (:func:`_chebyshev`) gives every determinant up to the
+    first zero minor: d_k = Delta_k / D^(k+1) and, from the determinantal
+    form of the monic orthogonal polynomials at x = 0,
+    d'_k = (-1)^(k+1) d_k pi_{k+1}(0) = (-1)^(k+1) P_{k+1}(0) / D^(k+1).
 
     Past a zero minor Delta_r the pass hands over ``flat``: the moments
     m_0..m_{flat-1} follow the recurrence of the monic pi_r.  For k >= r the
@@ -374,9 +359,9 @@ def is_pm(m: MomentSequence | IntegerMoments, max_order: int) -> PmReport:
     so d_k = 0 there, and d'_k = 0 when k + r + 1 < flat (the shifted row
     is (<pi_r, x^(j+1)>)_j).  Only the orders beyond that (a sequence that is
     not flat, such as a degenerate signed one) are computed one by one with
-    :func:`hankel_det` and :func:`shifted_hankel_det` (Bareiss), so only
-    they read the Fraction view of :class:`IntegerMoments`.  The battery
-    returns determinants only; :class:`PmReport` reads the verdicts.
+    :func:`hankel_det` and :func:`shifted_hankel_det` (Bareiss), on the
+    same numerators.  The battery returns determinants only;
+    :class:`PmReport` reads the verdicts.
     """
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
@@ -386,18 +371,14 @@ def is_pm(m: MomentSequence | IntegerMoments, max_order: int) -> PmReport:
         )
     shifted_max = min(max_order, (len(m) - 2) // 2)
     window = max(2 * max_order + 1, 2 * shifted_max + 2)
-    if isinstance(m, IntegerMoments):
-        ints, scale = m.ints[:window], m.scale
-    else:
-        ints, scale = _integers(m.values[:window])
-    minors, _, zeros, flat = _chebyshev(ints)
+    minors, _, zeros, flat = _chebyshev(m._num[:window])
     if minors[-1] == 0:
         minors.pop()
     dets: list[Fraction] = []
     shifted: list[Fraction] = []
     power = 1
     for k, dk in enumerate(minors):
-        power *= scale
+        power *= m._den
         dets.append(Fraction(dk, power))
         if k < min(len(zeros), shifted_max + 1):
             shifted.append(Fraction(zeros[k] if k % 2 else -zeros[k], power))

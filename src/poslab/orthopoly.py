@@ -17,7 +17,8 @@ straight into numerators (:func:`poslab.rationals.rational_row`), each
 recurrence step of :func:`_family`, each back-substitution step of
 :func:`_expand_in_basis` and each row check of :class:`ConnectionMatrix` is
 one pass over integer numerators, and the ``"p/q"`` wire strings of a
-family are written straight from them.
+family are written straight from them.  Moment sequences share the form,
+so the bilinear form :func:`_inner` is one integer dot product.
 
 Connection coefficients between two families come from an exact triangular
 solve; the constant column of that triangle is what links series
@@ -25,10 +26,10 @@ coefficients to recovered measure moments in :mod:`poslab.positivity`.
 Systems Pi x = r through the monomial triangle Pi of a family, for recovered
 moments and for conditional moments, share one forward substitution,
 :func:`_solve_lower`, which runs on integer vectors over one shared
-denominator.  Fractions are still built for scalars: squared norms,
-recurrence triples, connection coefficients (the output of
-:func:`_expand_in_basis`), the recovered moments that the solve hands back,
-and the ``coeffs``, ``coefficient`` and ``leading`` reads of a polynomial.
+denominator; the recovered moments it hands back stay integer numerators.
+Fractions are still built for scalars: squared norms, recurrence triples,
+connection coefficients (the output of :func:`_expand_in_basis`), and the
+``coeffs``, ``coefficient`` and ``leading`` reads of a polynomial.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
+from operator import mul
 
 from .errors import (
     DegenerateMeasureError,
@@ -44,7 +46,7 @@ from .errors import (
     SchemaError,
 )
 from .moments import MomentSequence, _recurrence, builtin
-from .rationals import rat, rat_str, rational_list, rational_row, rational_sqrt
+from .rationals import over_lcm, rat, rat_str, rational_list, rational_row, rational_sqrt, wire_row
 
 
 class Polynomial:
@@ -63,9 +65,7 @@ class Polynomial:
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
-        vals = [rat(c) for c in coeffs]
-        den = lcm(*(v.denominator for v in vals))
-        self._store([v.numerator * (den // v.denominator) for v in vals], den)
+        self._store(*over_lcm([rat(c).as_integer_ratio() for c in coeffs]))
 
     def _store(self, num: list[int], den: int) -> None:
         while num and not num[-1]:
@@ -82,15 +82,6 @@ class Polynomial:
         """The polynomial sum_i num[i] x^i / den, for den > 0; takes ownership of ``num``."""
         out = object.__new__(cls)
         out._store(num, den)
-        return out
-
-    def _wire(self) -> list[str]:
-        """The coefficients as lowest-terms ``"p/q"`` strings, constant term first."""
-        den = self._den
-        out = []
-        for v in self._num:
-            g = gcd(v, den)
-            out.append(f"{v // g}/{den // g}")
         return out
 
     @property
@@ -227,11 +218,7 @@ def _inner(p: Polynomial, q: Polynomial, m: MomentSequence) -> Fraction:
         raise InsufficientMomentsError(
             f"bilinear form needs moments to order {prod.degree}, got {len(m) - 1}"
         )
-    total = Fraction(0)
-    for j, c in enumerate(prod.coeffs):
-        if c:
-            total += c * m[j]
-    return total
+    return Fraction(sum(map(mul, prod._num, m._num)), prod._den * m._den)
 
 
 def _family(p0: Polynomial, triples) -> list[Polynomial]:
@@ -320,7 +307,7 @@ class OrthoBasis:
     def to_json_dict(self) -> dict:
         return {
             "moments": self.source_moments.to_json_dict(),
-            "pi": [p._wire() for p in self.polys],
+            "pi": [wire_row(p._num, p._den) for p in self.polys],
             "norms": [rat_str(h) for h in self.norms],
             "recurrence": [[rat_str(a), rat_str(b), rat_str(c)] for a, b, c in self.recurrence],
             "status": self.status,
@@ -359,8 +346,8 @@ def basis_from_moments(
 ) -> OrthoBasis:
     """Monic orthogonal polynomials of the measure behind m, up to the given order.
 
-    One integer Chebyshev pass over m_0..m_{2 order} (scaled by the lcm D of
-    their denominators; see :func:`poslab.moments._chebyshev`) gives the
+    One integer Chebyshev pass over the numerators of m_0..m_{2 order} (over
+    their denominator D; see :func:`poslab.moments._chebyshev`) gives the
     Hankel minors Delta_k and s_k[k+1], the pairing of the integral
     orthogonal polynomial Delta_{k-1} p_k with x^(k+1).  They give the squared
     norms h_k = Delta_k / (Delta_{k-1} D) and the recurrence
@@ -384,7 +371,7 @@ def basis_from_moments(
             f"basis to order {order} needs {2 * order + 1} moments, got {len(m)}"
         )
 
-    h, a, b = _recurrence(m.values[: 2 * order + 1])
+    h, a, b = _recurrence(m.prefix(2 * order + 1))
     top = order
     status = "ok"
     bad = next((k for k, hk in enumerate(h) if hk <= 0), None)

@@ -59,7 +59,7 @@ def moments_from_coefficients(series: OrthogonalSeries) -> MomentSequence:
     one = Polynomial.one()
     rhs = [(c * h, one) for c, h in zip(series.padded_coeffs(), basis.norms)]
     xs, den = _solve_lower(basis.polys, rhs)
-    return MomentSequence(tuple(Fraction(x, den) for x, in xs), label="recovered")
+    return MomentSequence._from_ints([x for x, in xs], den, label="recovered")
 
 
 def coefficients_from_moments(basis: OrthoBasis, nu: MomentSequence) -> tuple[Fraction, ...]:

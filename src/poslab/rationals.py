@@ -1,25 +1,27 @@
 """Exact rational helpers: parsing, formatting, square roots, small combinatorics.
 
 Scalar quantities that carry mathematical meaning in this package are
-``fractions.Fraction`` values; polynomials hold integer numerators over one
-denominator (:mod:`poslab.orthopoly`).  Floats are deliberately rejected by
-the parsers: a float argument is almost always a silent loss of exactness.
-:func:`_rat_pair` is the one parser of rational strings: it reads the
-``"p/q"`` wire form with ``int`` directly into an integer pair.  :func:`rat`
-builds a Fraction from it, and so does :func:`rational_list`, the one
-reader of rational lists in JSON input; :func:`rational_row` reads the same
-input as integer numerators over one denominator, which is how a basis
-reads its ``pi`` rows, and the polynomials write them back from their
-numerators, so a polynomial coefficient is never a Fraction on the way in
-or out.
+``fractions.Fraction`` values; polynomials and moment sequences hold
+integer numerators over one denominator.  Floats are rejected by the
+parsers: a float argument is almost always a silent loss of exactness.
+:func:`_rat_pair` is the one parser of rational strings, straight to an
+integer pair; :func:`rat` and :func:`rational_list`, the one reader of
+rational lists in JSON input, build Fractions from it, and
+:func:`rational_row` reads the same input as integer numerators over one
+denominator.  :func:`over_lcm` brings integer pairs over their lcm, and
+:func:`wire_row`, the one ``"p/q"`` writer, writes numerators back, so a
+vector entry is never a Fraction on the way in or out.  A value past
+Python's int-string limit (4300 digits by default) raises
+:class:`~poslab.errors.ReportLimitError` there.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
-from .errors import SchemaError
+from .errors import ReportLimitError, SchemaError
 
 
 def _rat_pair(value: str) -> tuple[int, int]:
@@ -98,21 +100,44 @@ def rational_list(raw, where: str, length: int | None = None) -> tuple[Fraction,
     return tuple(Fraction(p, q) for p, q in _pairs(raw, where, length))
 
 
-def rational_row(raw, where: str, length: int | None = None) -> tuple[list[int], int]:
-    """:func:`rational_list`'s input and errors, read as integer numerators over one denominator.
-
-    Returns ``(numerators, d)`` with d the lcm of the entries' q's, so entry
-    i is numerators[i] / d; nothing is reduced, and no Fraction is built.
-    """
-    pairs = _pairs(raw, where, length)
+def over_lcm(pairs) -> tuple[list[int], int]:
+    """Integer pairs (p, q), q > 0, as (numerators, d) over the lcm d of the q's; not reduced."""
     den = lcm(*(q for _, q in pairs))
     return [p * (den // q) for p, q in pairs], den
+
+
+def rational_row(raw, where: str, length: int | None = None) -> tuple[list[int], int]:
+    """:func:`rational_list`'s input and errors, read as :func:`over_lcm` of the entries."""
+    return over_lcm(_pairs(raw, where, length))
+
+
+def _unwritable() -> ReportLimitError:
+    """The error for the ValueError that str(int) raises past the int-string limit."""
+    return ReportLimitError(
+        f"a value exceeds the {sys.get_int_max_str_digits()}-digit limit "
+        "for integer string conversion; it cannot be written"
+    )
+
+
+def wire_row(num, den: int) -> list[str]:
+    """The values num[i] / den, den > 0, as lowest-terms ``"p/q"`` wire strings."""
+    out = []
+    try:
+        for v in num:
+            g = gcd(v, den)
+            out.append(f"{v // g}/{den // g}")
+    except ValueError:
+        raise _unwritable() from None
+    return out
 
 
 def rat_str(value: Fraction) -> str:
     """Render a Fraction as the canonical ``"p/q"`` wire string."""
     q = rat(value)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise _unwritable() from None
 
 
 def rational_sqrt(value: Fraction) -> Fraction | None:

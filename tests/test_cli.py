@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -70,6 +71,35 @@ class TestCheckPm:
             code, _, err = run(capsys, "check-pm", "--in", str(path), "--order", "0")
             assert code == 2
             assert err.startswith(f"error: {path}: $.values[1]: ")
+
+    def test_input_that_is_not_utf8_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "check-pm", "--in", str(path), "--order", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: cannot read input file ('utf-8' codec ")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-string digit limit"
+    )
+    def test_values_past_the_int_string_limit_exit_three(self, capsys, tmp_path):
+        # the order-60 determinants of n! run past 4300 digits; order 55 stays under
+        report = tmp_path / "report"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for mode in ("--json", "--text"):
+                argv = ("check-pm", "--seq", "factorial", "--order")
+                code, out, err = run(capsys, *argv, "60", mode, "--out", str(report))
+                assert (code, out) == (3, "") and not report.exists()
+                assert err == (
+                    "error: a value exceeds the 4300-digit limit for integer string "
+                    "conversion; it cannot be written\n"
+                )
+                code, _, err = run(capsys, *argv, "55", mode)
+                assert (code, err) == (0, "")
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestBuildBasisAndConnect:

@@ -364,7 +364,7 @@ class TestIntegerGridPath:
             raise AssertionError("the fallback ran on a flat battery")
 
         with mock.patch.multiple(moments, hankel_det=fail, shifted_hankel_det=fail), \
-                mock.patch.object(moments.IntegerMoments, "values", property(fail)):
+                mock.patch.object(moments.MomentSequence, "values", property(fail)):
             assert lancaster_report(prob, 4).grid_verdicts == expected
 
     @settings(max_examples=30, deadline=None)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from poslab import moments
 from poslab.errors import InsufficientMomentsError
 from poslab.moments import (
-    IntegerMoments,
     MomentSequence,
     builtin,
     carleman_partial,
@@ -177,9 +176,11 @@ class TestBatteryEngine:
     def test_integer_moments_over_any_common_denominator(self, case, extra):
         seq, order = case
         scale = lcm(*(v.denominator for v in seq.values)) * extra
-        ints = tuple(v.numerator * (scale // v.denominator) for v in seq.values)
-        assert IntegerMoments(ints, scale).values == seq.values
-        assert is_pm(IntegerMoments(ints, scale), order) == is_pm(seq, order)
+        ints = [v.numerator * (scale // v.denominator) for v in seq.values]
+        wide = MomentSequence._from_ints(ints, scale, seq.label)
+        assert wide == seq and hash(wide) == hash(seq)
+        assert wide.values == seq.values
+        assert is_pm(wide, order) == is_pm(seq, order)
 
     def test_flat_sequences_skip_the_per_order_fallback(self, monkeypatch):
         def no_fallback(m, k):
@@ -230,8 +231,8 @@ _engine_inputs = st.one_of(
 
 
 def _assert_engine_matches_oracle(values):
-    assert _recurrence(values) == chebyshev_recurrence(values)
     seq = MomentSequence(values)
+    assert _recurrence(seq) == chebyshev_recurrence(values)
     for order in {(len(values) - 1) // 2, (len(values) - 2) // 2}:
         if order >= 0:
             rep = is_pm(seq, order)
@@ -511,6 +512,8 @@ class TestMomentSequence:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             MomentSequence(())
+        with pytest.raises(ValueError):
+            builtin("catalan", 3).prefix(0)
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):

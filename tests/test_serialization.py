@@ -181,9 +181,21 @@ class TestMomentSequenceJson:
             MomentSequence.from_json_dict({"label": 7, "values": ["1/2"]})
         with pytest.raises(SchemaError, match=r"\$\.values"):
             MomentSequence.from_json_dict({"label": "x", "values": []})
-        for item in (True, 1, 0.5, None, "1e5"):
-            with pytest.raises(SchemaError, match=r"^\$\.values\[1\]: "):
+        for item in (True, 1, 0.5, None, "1e5", "1/0", LONG, "1/" + LONG):
+            with pytest.raises(SchemaError, match=r"^\$\.values\[1\]: ") as info:
                 MomentSequence.from_json_dict({"label": "x", "values": ["1/2", item]})
+            with pytest.raises(SchemaError) as expected:
+                rational_list(["1/2", item], "$.values")
+            assert str(info.value) == str(expected.value)
+
+    @given(st.lists(rationals, min_size=1, max_size=12), st.integers(2, 12))
+    def test_values_in_any_terms_read_as_the_canonical_sequence(self, values, k):
+        canonical = MomentSequence(tuple(values), "x")
+        wide = [f"{k * q.numerator}/{k * q.denominator}" for q in values]
+        again = MomentSequence.from_json_dict({"label": "x", "values": wide})
+        assert again == canonical and hash(again) == hash(canonical)
+        assert again.to_json_dict() == canonical.to_json_dict()
+        assert again.to_json_dict()["values"] == [f"{q.numerator}/{q.denominator}" for q in values]
 
 
 class TestBasisJson:
