@@ -6,7 +6,7 @@ parameter spaces:
     0  success (certified / positive / completed)
     1  refuted or degenerate input measure -- a valid mathematical outcome
     2  input, schema, or usage error
-    3  insufficient moments / order, or a report value past the int-string limit
+    3  insufficient moments / order, or a report value past the int-string or float range
 
 Identical inputs always produce byte-identical reports.  Rationals are
 accepted only as strings, "p/q", "p" or an exact decimal like "0.3": JSON

@@ -42,7 +42,9 @@ from .orthopoly import (
     hermite,
 )
 from .positivity import CERTIFIED, REFUTED, OrthogonalSeries, certify_positive
-from .rationals import double_factorial, over_lcm, rat, rat_str, rational_list, rational_sqrt, wire_row
+from .rationals import (
+    double_factorial, over_lcm, rat, rat_str, rational_list, rational_sqrt, report_float, wire_row,
+)
 
 DEFAULT_GRID = tuple(Fraction(k, 2) for k in range(-4, 5))
 
@@ -257,7 +259,7 @@ class NecessaryConditions:
 
     def to_json_dict(self, float_digits: int = 17) -> dict:
         return {
-            "square_sum_partials": [f"{float(v):.{float_digits}g}" for v in self.square_sum_partials],
+            "square_sum_partials": [f"{report_float(v):.{float_digits}g}" for v in self.square_sum_partials],
             "origin_sum": rat_str(self.origin_sum) if self.origin_sum is not None else None,
             "origin_sign": None
             if self.origin_sum is None

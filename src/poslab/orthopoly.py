@@ -2,8 +2,9 @@
 
 Given the moments of a measure with strictly positive Hankel determinants,
 the integer Chebyshev pass of :mod:`poslab.moments` yields the squared norms
-and three-term recurrence of the monic orthogonal family, and the recurrence
-builds the polynomials.  Monic is the canonical normalization here: it keeps
+and three-term recurrence of the monic orthogonal family; a family is its
+recurrence (Favard), and :class:`OrthoBasis` builds the polynomials from it
+once.  Monic is the canonical normalization here: it keeps
 every coefficient rational.  Orthonormal quantities are always handled as a
 (monic polynomial, squared norm) pair so that square roots are only ever
 taken of perfect rational squares.
@@ -34,7 +35,7 @@ connection coefficients (the output of :func:`_expand_in_basis`), and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from operator import mul
@@ -138,24 +139,15 @@ class Polynomial:
         x = rat(x)
         return Fraction(*self._at(x.numerator, x.denominator))
 
-    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+    def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self._num, other._num
-        den = lcm(self._den, other._den)
-        sa, sb = den // self._den, sign * (den // other._den)
-        if len(a) < len(b):
-            a, b, sa, sb = b, a, sb, sa
-        out = [v * sa for v in a]
-        for i, v in enumerate(b):
-            out[i] += v * sb
-        return Polynomial._from_ints(out, den)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self._combine(other, 1)
+        return _combination((1, 1), (self, other))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self._combine(other, -1)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return _combination((1, -1), (self, other))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._from_ints([-v for v in self._num], self._den)
@@ -224,8 +216,8 @@ def _inner(p: Polynomial, q: Polynomial, m: MomentSequence) -> Fraction:
 def _family(p0: Polynomial, triples) -> list[Polynomial]:
     """p_0, p_1, ... from p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1}, with p_{-1} = 0.
 
-    The one loop that applies a three-term recurrence to polynomials: it
-    builds every family and re-checks every :class:`OrthoBasis`.  Each step
+    The one loop that applies a three-term recurrence to polynomials, run
+    once per :class:`OrthoBasis`.  Each step
     is one pass over integer numerators: with p_n = N_n / d_n and the
     triple's entries over their own denominators, everything is brought to
     lcm(A.den d_n, B.den d_n, C.den d_{n-1}) and reduced once.
@@ -252,49 +244,49 @@ def _family(p0: Polynomial, triples) -> list[Polynomial]:
     return polys
 
 
+def _check_full_degree(polys) -> None:
+    """Raise ValueError unless every p_n has degree exactly n."""
+    for n, p in enumerate(polys):
+        if p.degree != n:
+            raise ValueError(f"basis polynomial {n} has degree {p.degree}, not full order")
+
+
 @dataclass(frozen=True)
 class OrthoBasis:
     """Orthogonal family to some order, with squared norms and recurrence attached.
 
     ``recurrence[n]`` holds the triple (A_n, B_n, C_n) in
-    p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1}; p_0 and the A_n are free, so
-    the family need not be monic.  Construction rebuilds polys from polys[0]
-    with :func:`_family`, and requires positive norms h_n with
+    p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1}; p_0 = ``p0`` and the A_n are
+    free, so the family need not be monic.  ``polys`` is derived: built once,
+    by :func:`_family`, and required to have full degrees (so p_0 and every
+    A_n are nonzero).  The norms h_n must be positive with
     h_n A_n = C_n A_{n-1} h_{n-1} for 1 <= n < N (<p_{n+1}, p_{n-1}> = 0),
     which forces C_n A_n A_{n-1} > 0; h_N is free.
     """
 
-    polys: tuple[Polynomial, ...]
     norms: tuple[Fraction, ...]
     recurrence: tuple[tuple[Fraction, Fraction, Fraction], ...]
     source_moments: MomentSequence
     status: str = "ok"
+    p0: Fraction = Fraction(1)
+    polys: tuple[Polynomial, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "polys", tuple(self.polys))
+        p0 = rat(self.p0)
+        triples = tuple((rat(a), rat(b), rat(c)) for a, b, c in self.recurrence)
+        polys = tuple(_family(Polynomial._from_ints([p0.numerator], p0.denominator), triples))
+        object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "norms", tuple(rat(v) for v in self.norms))
-        object.__setattr__(
-            self,
-            "recurrence",
-            tuple((rat(a), rat(b), rat(c)) for a, b, c in self.recurrence),
-        )
-        if not self.polys:
-            raise ValueError("a basis needs at least the order-0 polynomial")
-        for n, p in enumerate(self.polys):
-            if p.degree != n:
-                raise ValueError(f"basis polynomial {n} has degree {p.degree}, not full order")
-        if len(self.norms) != len(self.polys):
+        object.__setattr__(self, "recurrence", triples)
+        object.__setattr__(self, "polys", polys)
+        _check_full_degree(polys)
+        if len(self.norms) != len(polys):
             raise ValueError("one squared norm per polynomial required")
         for n, h in enumerate(self.norms):
             if h <= 0:
                 raise ValueError(f"squared norm at order {n} must be positive, got {h}")
-        if len(self.recurrence) != len(self.polys) - 1:
-            raise ValueError("need one recurrence triple per constructed order")
-        rebuilt = _family(self.polys[0], self.recurrence)
-        for n, (a, b, c) in enumerate(self.recurrence):
-            if rebuilt[n + 1] != self.polys[n + 1]:
-                raise RecurrenceError(f"recurrence triple at n={n} does not rebuild p_{n + 1}")
-            if n and self.norms[n] * a != c * self.recurrence[n - 1][0] * self.norms[n - 1]:
+        for n, (a, _, c) in enumerate(triples):
+            if n and self.norms[n] * a != c * triples[n - 1][0] * self.norms[n - 1]:
                 raise RecurrenceError(
                     f"squared norm at order {n} does not follow from the recurrence: "
                     "h_n A_n must equal C_n A_(n-1) h_(n-1)"
@@ -315,6 +307,7 @@ class OrthoBasis:
 
     @classmethod
     def from_json_dict(cls, data: dict, where: str = "$") -> "OrthoBasis":
+        """Read a basis file; each ``pi`` row must be the p_n that p_0 and the triples build."""
         if not isinstance(data, dict):
             raise SchemaError(f"{where}: expected an object with 'moments', 'pi', 'norms', 'recurrence'")
         moments = MomentSequence.from_json_dict(data.get("moments"), f"{where}.moments")
@@ -336,9 +329,14 @@ class OrthoBasis:
         if not isinstance(status, str):
             raise SchemaError(f"{where}.status: expected a string")
         try:
-            return cls(polys, norms, triples, moments, status)
+            _check_full_degree(polys)
+            basis = cls(norms, triples, moments, status, polys[0].coefficient(0))
         except (ValueError, RecurrenceError) as exc:
             raise SchemaError(f"{where}: {exc}") from exc
+        for n, (row, built) in enumerate(zip(polys, basis.polys)):
+            if row != built:
+                raise SchemaError(f"{where}: recurrence triple at n={n - 1} does not rebuild p_{n}")
+        return basis
 
 
 def basis_from_moments(
@@ -353,8 +351,8 @@ def basis_from_moments(
     norms h_k = Delta_k / (Delta_{k-1} D) and the recurrence
     p_{k+1} = (x - a_k) p_k - b_k p_{k-1} with
     a_k = s_k[k+1] / Delta_k - s_{k-1}[k] / Delta_{k-1} and
-    b_k = Delta_k Delta_{k-2} / Delta_{k-1}^2; the triples (1, -a_k, b_k) go
-    to :func:`_family`, which builds the polynomials.
+    b_k = Delta_k Delta_{k-2} / Delta_{k-1}^2; the basis of the triples
+    (1, -a_k, b_k) builds the polynomials.
     Delta_k and s_k[k+1] are integer determinants, so the pass recovers each
     by an exact integer division, as in Bareiss's elimination (Math. Comp.
     22, 1968).  The family requires every Hankel determinant d_0..d_order to be
@@ -386,7 +384,7 @@ def basis_from_moments(
         top = bad - 1
 
     triples = tuple((Fraction(1), -a[k], b[k]) for k in range(top))
-    return OrthoBasis(_family(Polynomial.one(), triples), h[: top + 1], triples, m, status)
+    return OrthoBasis(h[: top + 1], triples, m, status)
 
 
 def squared_norms(basis: OrthoBasis) -> tuple[Fraction, ...]:
@@ -484,29 +482,17 @@ def _expand_in_basis(p: Polynomial, polys: tuple[Polynomial, ...]) -> list[Fract
 def three_term(basis: OrthoBasis) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
     """Extract the (A_n, B_n, C_n) recurrence triples from the polynomials alone.
 
-    Works by expanding p_{n+1} - A_n x p_n back in the family; any component
-    outside span{p_n, p_{n-1}} means the input cannot be an orthogonal
-    family and raises :class:`RecurrenceError`.  C_0 is reported as 0.
+    The independent route to the stored triples: expanding p_{n+1} - A_n x p_n
+    back in the family leaves only its p_n and p_{n-1} components, B_n and
+    -C_n, since every basis is built from its recurrence.  C_0 is reported as 0.
     """
     x = Polynomial.x()
     triples = []
     for n in range(basis.order):
         pn, pn1 = basis.polys[n], basis.polys[n + 1]
         a = pn1.leading / pn.leading
-        rest = pn1 - a * (x * pn)
-        coeffs = _expand_in_basis(rest, basis.polys[: n + 1])
-        b = coeffs[n]
-        c = -coeffs[n - 1] if n >= 1 else Fraction(0)
-        for j in range(n - 1):
-            if coeffs[j] != 0:
-                raise RecurrenceError(
-                    f"p_{n + 1} has a p_{j} component: not a three-term recurrence family"
-                )
-        if n >= 1 and not c * a * triples[n - 1][0] > 0:
-            raise RecurrenceError(
-                f"C_n A_n A_(n-1) must be positive at n={n}; got C={c}, A={a}"
-            )
-        triples.append((a, b, c))
+        coeffs = _expand_in_basis(pn1 - a * (x * pn), basis.polys[: n + 1])
+        triples.append((a, coeffs[n], -coeffs[n - 1] if n else Fraction(0)))
     return tuple(triples)
 
 
@@ -571,7 +557,7 @@ def connection(from_basis: OrthoBasis, to_basis: OrthoBasis) -> ConnectionMatrix
 def hermite(order: int) -> OrthoBasis:
     """Probabilists' Hermite polynomials He_0..He_order.
 
-    Built by :func:`_family` from the closed-form triples (1, 0, n) of
+    The basis of the closed-form triples (1, 0, n) of
     He_{n+1} = x He_n - n He_{n-1}; monic with squared norms n! against the
     standard normal moments.  The orthonormal variant is the pair (He_n, n!):
     scale by 1/sqrt(n!) only when the context guarantees the root is rational.
@@ -586,7 +572,6 @@ def hermite(order: int) -> OrthoBasis:
         raise ValueError("order must be nonnegative")
     triples = tuple((Fraction(1), Fraction(0), Fraction(n)) for n in range(order))
     return OrthoBasis(
-        polys=_family(Polynomial.one(), triples),
         norms=tuple(Fraction(factorial(n)) for n in range(order + 1)),
         recurrence=triples,
         source_moments=builtin("gaussian", 2 * order + 1),

@@ -21,7 +21,7 @@ from math import log
 from .errors import InsufficientMomentsError
 from .moments import MomentSequence, PmReport, is_pm
 from .orthopoly import OrthoBasis, Polynomial, _combination, _inner, _solve_lower
-from .rationals import rat, rat_str
+from .rationals import rat, rat_str, report_float
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ def log_weighted_partials(energies) -> tuple[float, ...]:
     out = []
     acc = 0.0
     for n, e in enumerate(energies):
-        acc += float(e) * log(n + 1) ** 2
+        acc += report_float(e) * log(n + 1) ** 2
         out.append(acc)
     return tuple(out)
 

@@ -11,8 +11,8 @@ rational lists in JSON input, build Fractions from it, and
 denominator.  :func:`over_lcm` brings integer pairs over their lcm, and
 :func:`wire_row`, the one ``"p/q"`` writer, writes numerators back, so a
 vector entry is never a Fraction on the way in or out.  A value past
-Python's int-string limit (4300 digits by default) raises
-:class:`~poslab.errors.ReportLimitError` there.
+Python's int-string limit (4300 digits by default), or a float diagnostic
+past the float range (:func:`report_float`), raises ``ReportLimitError``.
 """
 
 from __future__ import annotations
@@ -138,6 +138,17 @@ def rat_str(value: Fraction) -> str:
         return f"{q.numerator}/{q.denominator}"
     except ValueError:
         raise _unwritable() from None
+
+
+def report_float(value: Fraction) -> float:
+    """``float(value)`` for a float diagnostic; past the float range, :class:`ReportLimitError`."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ReportLimitError(
+            f"a value exceeds the float range (about {sys.float_info.max:.3g}); "
+            "its float diagnostic cannot be written"
+        ) from None
 
 
 def rational_sqrt(value: Fraction) -> Fraction | None:

@@ -127,7 +127,73 @@ class TestBuildBasisAndConnect:
         assert doc["norms"] == ["1/1", "1/1", "2/1", "6/1"]
 
 
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _norm_rule(n):
+    return (
+        f"squared norm at order {n} does not follow from the recurrence: "
+        "h_n A_n must equal C_n A_(n-1) h_(n-1)"
+    )
+
+
+# One fault each in the gaussian basis file of order 4 (He_0..He_4, triples (1, 0, n),
+# norms n!), read by connect: the message after "FILE: ", or None where the file is valid.
+# An A_n or C_n changed alone, A_n = 0 among them, is caught by the basis itself (its
+# degree or norm rule) before the pi rows are compared with the family it builds.
+BASIS_FAULTS = {
+    "pi-entry": (("pi", 3, 0), "1/1", "$: recurrence triple at n=2 does not rebuild p_3"),
+    "pi-degree": (("pi", 2, 2), "0/1", "$: basis polynomial 2 has degree 0, not full order"),
+    "p0-zero": (("pi", 0, 0), "0/1", "$: basis polynomial 0 has degree -1, not full order"),
+    "p0-two": (("pi", 0, 0), "2/1", "$: recurrence triple at n=0 does not rebuild p_1"),
+    "b-n": (("recurrence", 1, 1), "1/1", "$: recurrence triple at n=1 does not rebuild p_2"),
+    "a-n-zero": (("recurrence", 2, 0), "0/1", "$: basis polynomial 3 has degree 1, not full order"),
+    "a-n": (("recurrence", 2, 0), "2/1", f"$: {_norm_rule(2)}"),
+    "a-0": (("recurrence", 0, 0), "2/1", f"$: {_norm_rule(1)}"),
+    "c-n-flipped": (("recurrence", 2, 2), "-2/1", f"$: {_norm_rule(2)}"),
+    "norm": (("norms", 2), "100/1", f"$: {_norm_rule(2)}"),
+    "negative-norm": (("norms", 1), "-1/1", "$: squared norm at order 1 must be positive, got -1"),
+    "last-norm": (("norms", 4), "100/1", None),
+    "status": (("status",), 3, "$.status: expected a string"),
+}
+
+
+class TestBasisFileFaults:
+    @pytest.mark.parametrize("name", sorted(BASIS_FAULTS))
+    def test_one_fault_per_file(self, capsys, tmp_path, name):
+        path, value, message = BASIS_FAULTS[name]
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        run(capsys, "build-basis", "--seq", "gaussian", "--order", "4", "--out", str(good))
+        doc = json.loads(good.read_text())
+        _set(doc, path, value)
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "connect", "--in", str(bad), "--to", str(good))
+        if message is None:
+            assert (code, err) == (0, "") and json.loads(out)["gamma"][4][4] == "1/1"
+        else:
+            assert (code, out, err) == (2, "", f"error: {bad}: {message}\n")
+
+
+FLOAT_RANGE = (
+    "error: a value exceeds the float range (about 1.8e+308); "
+    "its float diagnostic cannot be written\n"
+)
+HUGE = "1" + "0" * 400 + "/1"
+
+
 class TestCertify:
+    def test_a_diagnostic_past_the_float_range_exits_three(self, capsys, tmp_path):
+        # the Rademacher-Menshov partials are floats; c_2^2 h_2 = 2 * 10^800 is past their range
+        path, report = tmp_path / "series.json", tmp_path / "report"
+        path.write_text(json.dumps({"basis": "hermite", "order": 4, "coeffs": ["1/1", "0/1", HUGE]}))
+        for mode in ("--json", "--text"):
+            argv = ("certify", "--in", str(path), "--order", "2", mode, "--out", str(report))
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (3, "", FLOAT_RANGE) and not report.exists()
+
     def test_refuted_series_exit_one(self, capsys, tmp_path):
         path = tmp_path / "series.json"
         path.write_text(json.dumps({"basis": "hermite", "order": 2, "coeffs": ["0/1", "1/1", "0/1"]}))
@@ -228,6 +294,17 @@ class TestLancaster:
         code, _, err = run(capsys, "lancaster", "--in", str(path), "--order", "1")
         assert code == 2
         assert err == f"error: {path}: $.coeffs[1]: expected a rational string, got 2\n"
+
+    def test_a_diagnostic_past_the_float_range_exits_three(self, capsys, tmp_path):
+        # square_sum_partials is a float diagnostic of the JSON report only
+        doc = preset_problem("mehler", 4, F(1, 2)).to_json_dict()
+        doc["coeffs"][2] = HUGE
+        path, report = tmp_path / "problem.json", tmp_path / "report"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "lancaster", "--in", str(path), "--json", "--out", str(report))
+        assert (code, out, err) == (3, "", FLOAT_RANGE) and not report.exists()
+        code, out, err = run(capsys, "lancaster", "--in", str(path), "--text")
+        assert (code, err) == (1, "") and out.endswith("verdict: refuted\n")
 
     def test_grid_override(self, capsys):
         code, out, _ = run(

@@ -178,8 +178,7 @@ class TestSymmetricSolve:
     def test_equal_triangles_with_norm_scales_take_the_second_solve(self):
         h = hermite(5)
         # the same polynomials with norms 4 n!: every s_n = 1/2
-        wide = OrthoBasis(h.polys, [v * 4 for v in h.norms], h.recurrence,
-                          h.source_moments)
+        wide = OrthoBasis([v * 4 for v in h.norms], h.recurrence, h.source_moments)
         prob = LancasterProblem(h, wide, tuple(F(1, 3) ** n for n in range(6)))
         solves, (ma, mb) = solves_and_result(prob)
         assert solves == 2

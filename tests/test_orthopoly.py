@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poslab import orthopoly
 from poslab.errors import (
     DegenerateMeasureError,
     InsufficientMomentsError,
@@ -28,7 +29,7 @@ from poslab.orthopoly import (
     squared_norms,
     three_term,
 )
-from poslab.rationals import double_factorial
+from poslab.rationals import double_factorial, rat_str
 from tests_support import (
     catalog_instances,
     combination_by_polynomial_ops,
@@ -307,15 +308,18 @@ class TestNormsAndRecurrence:
         assert tuple(family_by_polynomial_ops(basis.polys[0], basis.recurrence)) == basis.polys
 
     def test_non_orthogonal_family_is_rejected(self):
-        # x^2 alone cannot extend {1, x} under any three-term recurrence with C_1 A_1 A_0 > 0
-        polys = (Polynomial.one(), Polynomial.x(), Polynomial((F(1), F(1), F(1))))
-        with pytest.raises(RecurrenceError):
-            OrthoBasis(
-                polys=polys,
-                norms=(F(1), F(1), F(1)),
-                recurrence=((F(1), F(0), F(0)), (F(1), F(1), F(-1))),
-                source_moments=builtin("gaussian", 5),
-            )
+        # 1, x, x^2 + x + 1 follow these triples, but C_1 A_1 A_0 < 0: no positive norms fit
+        doc = {
+            "moments": builtin("gaussian", 5).to_json_dict(),
+            "pi": [["1/1"], ["0/1", "1/1"], ["1/1", "1/1", "1/1"]],
+            "norms": ["1/1", "1/1", "1/1"],
+            "recurrence": [["1/1", "0/1", "0/1"], ["1/1", "1/1", "-1/1"]],
+        }
+        rule = "squared norm at order 1 does not follow from the recurrence"
+        with pytest.raises(SchemaError, match=rf"^\$: {rule}"):
+            OrthoBasis.from_json_dict(doc)
+        with pytest.raises(RecurrenceError, match=f"^{rule}"):
+            OrthoBasis(doc["norms"], doc["recurrence"], builtin("gaussian", 5))
 
 
 small = st.fractions(min_value=-9, max_value=9, max_denominator=12)
@@ -336,14 +340,45 @@ def families(draw, max_order=7):
 
 
 def family_basis(p0, triples):
-    polys = family_by_polynomial_ops(p0, triples)
     # the norms the recurrence fixes, h_n = C_n A_(n-1) h_(n-1) / A_n, from h_0 = 1
     norms = [F(1)]
     for n in range(1, len(triples)):
         a, _, c = triples[n]
         norms.append(c * triples[n - 1][0] * norms[-1] / a)
-    norms += [F(1)] * (len(polys) - len(norms))  # h_N is free
-    return OrthoBasis(polys, norms, triples, builtin("gaussian", 1))
+    norms += [F(1)] * (len(triples) + 1 - len(norms))  # h_N is free
+    return OrthoBasis(norms, triples, builtin("gaussian", 1), p0=p0.coefficient(0))
+
+
+class TestOneBuild:
+    """A basis is built from its recurrence once: one :func:`_family` pass per construction,
+    and the pi rows of a file are compared with that build, not rebuilt."""
+
+    def test_each_construction_runs_the_recurrence_once(self, monkeypatch):
+        doc = basis_from_moments(builtin("catalan", 13), 6).to_json_dict()
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _family(*args)
+
+        monkeypatch.setattr(orthopoly, "_family", counted)
+        builds = {
+            "basis_from_moments": lambda: basis_from_moments(builtin("catalan", 13), 6),
+            "hermite": lambda: hermite(6),
+            "from_json_dict": lambda: OrthoBasis.from_json_dict(doc),
+        }
+        for name, build in builds.items():
+            calls.clear()
+            assert build().order == 6
+            assert len(calls) == 1, name
+
+    @settings(max_examples=100, deadline=None)
+    @given(families())
+    def test_json_round_trip_of_any_family(self, family):
+        basis = family_basis(*family)
+        again = OrthoBasis.from_json_dict(basis.to_json_dict())
+        assert again == basis and again.polys == basis.polys
+        assert again.p0 == basis.p0 != 1
 
 
 class TestFusedStepsAgainstPolynomialOps:
@@ -362,16 +397,18 @@ class TestFusedStepsAgainstPolynomialOps:
     def test_basis_rebuild_and_its_rejections(self, family, data):
         p0, triples = family
         basis = family_basis(p0, triples)
-        assert list(basis.polys) == _family(p0, triples)
+        assert list(basis.polys) == family_by_polynomial_ops(p0, triples)
         # C_0 multiplies p_(-1) = 0, so three_term reports it as 0
         want = tuple((a, b, c if n else 0) for n, (a, b, c) in enumerate(triples))
         assert three_term(basis) == want
         if triples:
+            # pi rows kept, one B_n changed: only the row check of the reader can see it
             n = data.draw(st.integers(0, len(triples) - 1))
-            a, b, c = triples[n]
-            bad = triples[:n] + ((a, b + 1, c),) + triples[n + 1 :]
-            with pytest.raises(RecurrenceError, match=f"at n={n} does not rebuild"):
-                OrthoBasis(basis.polys, basis.norms, bad, basis.source_moments)
+            doc = basis.to_json_dict()
+            doc["recurrence"][n][1] = rat_str(triples[n][1] + 1)
+            message = rf"^\$: recurrence triple at n={n} does not rebuild p_{n + 1}$"
+            with pytest.raises(SchemaError, match=message):
+                OrthoBasis.from_json_dict(doc)
 
     @settings(max_examples=100, deadline=None)
     @given(families(), st.lists(small, max_size=8))
@@ -477,6 +514,7 @@ class TestNormRule:
         size = base.order + 1
         scales = data.draw(st.lists(small.filter(bool), min_size=size, max_size=size))
         basis = rescaled(base, scales)
+        assert basis.polys == tuple(p * s for p, s in zip(base.polys, scales))
         assert basis.norms == tuple(h * s * s for h, s in zip(base.norms, scales))
 
     @settings(max_examples=60, deadline=None)
@@ -486,19 +524,18 @@ class TestNormRule:
         norms = list(base.norms)
         norms[n] *= data.draw(positive)
         with pytest.raises(RecurrenceError, match=f"^squared norm at order {n} does not follow"):
-            OrthoBasis(base.polys, norms, base.recurrence, base.source_moments)
+            OrthoBasis(norms, base.recurrence, base.source_moments, p0=base.p0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([b for b in SOLVE_BASES if b.order >= 2]), st.data())
     def test_flipping_the_sign_of_one_c_n_is_rejected(self, base, data):
-        # the family rebuilt from the flipped triple, so only the norm check can catch it
+        # the family is built from the flipped triple, so only the norm check can catch it
         n = data.draw(st.integers(1, base.order - 1))
         triples = list(base.recurrence)
         a, b, c = triples[n]
         triples[n] = (a, b, -c)
-        polys = _family(base.polys[0], triples)
         with pytest.raises(RecurrenceError, match=f"^squared norm at order {n} does not follow"):
-            OrthoBasis(polys, base.norms, triples, base.source_moments)
+            OrthoBasis(base.norms, triples, base.source_moments, p0=base.p0)
 
 
 class TestDeterminantFormulaOracle:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poslab.errors import SchemaError
+from poslab.errors import ReportLimitError, SchemaError
 from poslab.lancaster import (
     DEFAULT_GRID,
     SupportFlags,
@@ -19,7 +19,7 @@ from poslab.lancaster import (
 from poslab.moments import MomentSequence, builtin, is_pm
 from poslab.orthopoly import OrthoBasis, Polynomial, basis_from_moments, connection, hermite
 from poslab.positivity import OrthogonalSeries, certify_positive
-from poslab.rationals import rat, rat_str, rational_list, rational_row
+from poslab.rationals import rat, rat_str, rational_list, rational_row, report_float
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
@@ -41,6 +41,13 @@ class TestRationalStrings:
 
     def test_parse_accepts_exact_decimal_strings(self):
         assert rat("0.3") == F(3, 10)
+
+    def test_float_diagnostics_past_the_float_range_raise(self):
+        assert report_float(F(1, 3)) == 1 / 3
+        assert report_float(F(1, 10**400)) == 0.0  # underflow is a float value, not an error
+        for value in (F(10**400), F(-(10**400), 3)):
+            with pytest.raises(ReportLimitError, match=r"^a value exceeds the float range \(about 1.8e\+308\)"):
+                report_float(value)
 
     def test_parse_rejects_exponent_notation(self):
         # Fraction("1e10000000") alone takes seconds; larger exponents never end

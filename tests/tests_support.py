@@ -132,18 +132,18 @@ def chebyshev_battery(m, max_order):
 def rescaled(basis, scales):
     """The family s_n p_n of ``basis`` for nonzero rationals s_n, as an :class:`OrthoBasis`.
 
-    Norms become s_n^2 h_n and the triples (s_{n+1} A_n / s_n,
+    p_0 becomes s_0 p_0, norms s_n^2 h_n and the triples (s_{n+1} A_n / s_n,
     s_{n+1} B_n / s_n, s_{n+1} C_n / s_{n-1}), so C_n A_n A_{n-1} keeps its sign.
     """
     s = [F(v) for v in scales]
     return OrthoBasis(
-        polys=tuple(p * s[n] for n, p in enumerate(basis.polys)),
         norms=tuple(v * s[n] ** 2 for n, v in enumerate(basis.norms)),
         recurrence=tuple(
             (s[n + 1] * a / s[n], s[n + 1] * b / s[n], s[n + 1] * c / (s[n - 1] if n else 1))
             for n, (a, b, c) in enumerate(basis.recurrence)
         ),
         source_moments=basis.source_moments,
+        p0=s[0] * basis.p0,
     )
 
 
