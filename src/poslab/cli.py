@@ -8,14 +8,14 @@ parameter spaces:
     2  input, schema, or usage error
     3  insufficient moments / order, or a report value past the int-string or float range
 
-Identical inputs always produce byte-identical reports.  Rationals are
-accepted only as strings, "p/q", "p" or an exact decimal like "0.3": JSON
-numbers, booleans, floats and exponent notation are rejected.  A schema
-error in an input file reads ``FILE: $.field[i]: reason``.  An empty grid,
-in a file or in ``--grid``, is an error; leave it out for the default grid.
-The environment variable POSLAB_PRECISION (default 17) sets the
-number of significant digits used for float diagnostics in reports; it
-is read on each request.
+A report depends only on the arguments and the input files, so identical
+inputs always produce byte-identical reports; float diagnostics are
+written at 17 significant digits by :func:`poslab.rationals.float_str`.
+Rationals are accepted only as strings, "p/q", "p" or an exact decimal
+like "0.3": JSON numbers, booleans, floats and exponent notation are
+rejected.  A schema error in an input file reads ``FILE: $.field[i]:
+reason``.  An empty grid, in a file or in ``--grid``, is an error; leave
+it out for the default grid.
 
 ``main`` builds one argument parser per process, on its first call, and
 reuses it for every later request: nothing in the parser depends on the
@@ -33,7 +33,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -70,17 +69,6 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INPUT = 2
 EXIT_INSUFFICIENT = 3
-
-
-def _float_digits() -> int:
-    raw = os.environ.get("POSLAB_PRECISION", "17")
-    try:
-        digits = int(raw)
-    except ValueError:
-        raise SchemaError(f"POSLAB_PRECISION: expected an integer, got {raw!r}")
-    if not 1 <= digits <= 50:
-        raise SchemaError(f"POSLAB_PRECISION: expected 1..50, got {digits}")
-    return digits
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -215,12 +203,12 @@ def _cmd_catalog(args) -> int:
 
 
 def _sequence_from_args(args, needed: int) -> MomentSequence:
-    if args.seq and getattr(args, "infile", None):
+    if args.seq and args.infile:
         raise SchemaError("give either --seq or --in, not both")
     if args.seq:
         name, param = parse_catalog_key(args.seq)
         return builtin(name, needed, param)
-    if getattr(args, "infile", None):
+    if args.infile:
         return _load(args.infile, MomentSequence.from_json_dict)
     raise SchemaError("a sequence is required: pass --seq KEY or --in FILE")
 
@@ -278,7 +266,7 @@ def _cmd_certify(args) -> int:
     order = args.order if args.order is not None else series.basis.order // 2
     cert = certify_positive(series, order)
     if args.json:
-        _emit(_dump_json(cert.to_json_dict(_float_digits())), args.out)
+        _emit(_dump_json(cert.to_json_dict()), args.out)
     else:
         lines = [
             f"series over basis of order {series.basis.order}, Hankel battery to order {order}",
@@ -311,7 +299,7 @@ def _cmd_lancaster(args) -> int:
         problem = dataclasses.replace(problem, grid_a=grid, grid_b=grid)
     report = lancaster_report(problem, args.order)
     if args.json:
-        _emit(_dump_json(report.to_json_dict(_float_digits())), args.out)
+        _emit(_dump_json(report.to_json_dict()), args.out)
     else:
         lines = [
             f"expansion problem of order {problem.order}, grid Hankel order {report.order}",
@@ -327,10 +315,11 @@ def _cmd_lancaster(args) -> int:
 
 
 def _cmd_mehler_demo(args) -> int:
-    results = mehler_demo_battery(rat(args.rho), args.order)
+    rho = rat(args.rho)
+    results = mehler_demo_battery(rho, args.order)
     if args.json:
         payload = {
-            "rho": rat_str(rat(args.rho)),
+            "rho": rat_str(rho),
             "order": args.order,
             "checks": [
                 {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
@@ -339,7 +328,7 @@ def _cmd_mehler_demo(args) -> int:
         }
         _emit(_dump_json(payload), args.out)
     else:
-        lines = [f"reference battery at rho = {rat_str(rat(args.rho))}, order {args.order}"]
+        lines = [f"reference battery at rho = {rat_str(rho)}, order {args.order}"]
         for r in results:
             tag = "PASS" if r.passed else "FAIL"
             detail = f"  ({r.detail})" if r.detail else ""

@@ -43,7 +43,7 @@ from .orthopoly import (
 )
 from .positivity import CERTIFIED, REFUTED, OrthogonalSeries, certify_positive
 from .rationals import (
-    double_factorial, over_lcm, rat, rat_str, rational_list, rational_sqrt, report_float, wire_row,
+    double_factorial, float_str, over_lcm, rat, rat_str, rational_list, rational_sqrt, wire_row,
 )
 
 DEFAULT_GRID = tuple(Fraction(k, 2) for k in range(-4, 5))
@@ -257,9 +257,9 @@ class NecessaryConditions:
     def origin_sum(self) -> Fraction | None:
         return self.origin_partials[-1] if self.origin_partials else None
 
-    def to_json_dict(self, float_digits: int = 17) -> dict:
+    def to_json_dict(self) -> dict:
         return {
-            "square_sum_partials": [f"{report_float(v):.{float_digits}g}" for v in self.square_sum_partials],
+            "square_sum_partials": [float_str(v) for v in self.square_sum_partials],
             "origin_sum": rat_str(self.origin_sum) if self.origin_sum is not None else None,
             "origin_sign": None
             if self.origin_sum is None
@@ -352,12 +352,12 @@ class LancasterReport:
             return "refuted"
         return f"positive-to-order {self.order}"
 
-    def to_json_dict(self, float_digits: int = 17) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "conditional_moments_a": [wire_row(p._num, p._den) for p in self.moment_polys.ma],
             "conditional_moments_b": [wire_row(p._num, p._den) for p in self.moment_polys.mb],
             "grid_verdicts": [v.to_json_dict() for v in self.grid_verdicts],
-            "necessary_conditions": self.necessary.to_json_dict(float_digits),
+            "necessary_conditions": self.necessary.to_json_dict(),
             "pc_flags": list(self.pc_flags),
             "order": self.order,
             "verdict": self.verdict,

@@ -21,7 +21,7 @@ from math import log
 from .errors import InsufficientMomentsError
 from .moments import MomentSequence, PmReport, is_pm
 from .orthopoly import OrthoBasis, Polynomial, _combination, _inner, _solve_lower
-from .rationals import rat, rat_str, report_float
+from .rationals import float_str, rat, rat_str, report_float
 
 
 @dataclass(frozen=True)
@@ -135,14 +135,14 @@ class PositivityCertificate:
             return f"refuted-at-order {self.verdict_order}"
         return f"degenerate-at-order {self.verdict_order}"
 
-    def to_json_dict(self, float_digits: int = 17) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "recovered_moments": self.recovered_moments.to_json_dict(),
             "pm_report": self.pm_report.to_json_dict(),
             "verdict": self.verdict,
             "verdict_order": self.verdict_order,
             "verdict_label": self.verdict_label,
-            "rm_partials": [f"{x:.{float_digits}g}" for x in self.rm_partials],
+            "rm_partials": [float_str(x) for x in self.rm_partials],
             "notes": list(self.notes),
         }
 
@@ -164,11 +164,11 @@ def certify_positive(series: OrthogonalSeries, order: int) -> PositivityCertific
 
 
 def log_weighted_partials(energies) -> tuple[float, ...]:
-    """Partial sums S_N = sum_{n<=N} energies[n] * log(n+1)^2, as floats."""
+    """Partial sums S_N = sum_{n<=N} energies[n] * log(n+1)^2, as :func:`report_float` floats."""
     out = []
     acc = 0.0
     for n, e in enumerate(energies):
-        acc += report_float(e) * log(n + 1) ** 2
+        acc = report_float(acc + report_float(e) * log(n + 1) ** 2)
         out.append(acc)
     return tuple(out)
 

@@ -10,16 +10,18 @@ rational lists in JSON input, build Fractions from it, and
 :func:`rational_row` reads the same input as integer numerators over one
 denominator.  :func:`over_lcm` brings integer pairs over their lcm, and
 :func:`wire_row`, the one ``"p/q"`` writer, writes numerators back, so a
-vector entry is never a Fraction on the way in or out.  A value past
-Python's int-string limit (4300 digits by default), or a float diagnostic
-past the float range (:func:`report_float`), raises ``ReportLimitError``.
+vector entry is never a Fraction on the way in or out.  :func:`float_str`
+is the one writer of float diagnostics, at 17 significant digits, which
+round-trip any double.  A value past Python's int-string limit (4300
+digits by default), or a float diagnostic past the float range
+(:func:`report_float`), raises ``ReportLimitError``.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, inf, isqrt, lcm
 
 from .errors import ReportLimitError, SchemaError
 
@@ -140,15 +142,23 @@ def rat_str(value: Fraction) -> str:
         raise _unwritable() from None
 
 
-def report_float(value: Fraction) -> float:
-    """``float(value)`` for a float diagnostic; past the float range, :class:`ReportLimitError`."""
+def report_float(value: Fraction | float) -> float:
+    """``float(value)``; a value past the float range, or infinite, raises :class:`ReportLimitError`."""
     try:
-        return float(value)
+        out = float(value)
     except OverflowError:
+        out = inf
+    if abs(out) == inf:
         raise ReportLimitError(
             f"a value exceeds the float range (about {sys.float_info.max:.3g}); "
             "its float diagnostic cannot be written"
-        ) from None
+        )
+    return out
+
+
+def float_str(value: Fraction | float) -> str:
+    """A float diagnostic as written in reports: :func:`report_float` at 17 significant digits."""
+    return f"{report_float(value):.17g}"
 
 
 def rational_sqrt(value: Fraction) -> Fraction | None:

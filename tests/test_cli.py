@@ -186,13 +186,15 @@ HUGE = "1" + "0" * 400 + "/1"
 
 class TestCertify:
     def test_a_diagnostic_past_the_float_range_exits_three(self, capsys, tmp_path):
-        # the Rademacher-Menshov partials are floats; c_2^2 h_2 = 2 * 10^800 is past their range
+        # the Rademacher-Menshov partials are floats; c_2^2 h_2 = 2 * 10^800 is past their
+        # range, and c_2^2 h_2 = 1.62e308 is a float whose log(3)^2 multiple overflows the sum
         path, report = tmp_path / "series.json", tmp_path / "report"
-        path.write_text(json.dumps({"basis": "hermite", "order": 4, "coeffs": ["1/1", "0/1", HUGE]}))
-        for mode in ("--json", "--text"):
-            argv = ("certify", "--in", str(path), "--order", "2", mode, "--out", str(report))
-            code, out, err = run(capsys, *argv)
-            assert (code, out, err) == (3, "", FLOAT_RANGE) and not report.exists()
+        for c2 in (HUGE, "9" + "0" * 153 + "/1"):
+            path.write_text(json.dumps({"basis": "hermite", "order": 4, "coeffs": ["1/1", "0/1", c2]}))
+            for mode in ("--json", "--text"):
+                argv = ("certify", "--in", str(path), "--order", "2", mode, "--out", str(report))
+                code, out, err = run(capsys, *argv)
+                assert (code, out, err) == (3, "", FLOAT_RANGE) and not report.exists()
 
     def test_refuted_series_exit_one(self, capsys, tmp_path):
         path = tmp_path / "series.json"
@@ -417,21 +419,25 @@ class TestDeterminism:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_precision_env_var_controls_float_digits(self, capsys, tmp_path, monkeypatch):
+    def test_float_diagnostics_do_not_depend_on_the_environment(self, capsys, tmp_path, monkeypatch):
+        # a report depends only on the arguments and input files, so no variable changes it
         path = tmp_path / "series.json"
         path.write_text(json.dumps({"basis": "hermite", "order": 6, "coeffs": ["1/1", "1/3"]}))
-        monkeypatch.setenv("POSLAB_PRECISION", "4")
-        code, out, _ = run(capsys, "certify", "--in", str(path), "--order", "3", "--json")
-        partials = json.loads(out)["rm_partials"]
-        digits = partials[-1].replace("-", "").replace(".", "").split("e")[0].lstrip("0")
-        assert len(digits) <= 4
-
-    def test_bad_precision_rejected(self, capsys, tmp_path, monkeypatch):
-        path = tmp_path / "series.json"
-        path.write_text(json.dumps({"basis": "hermite", "order": 4, "coeffs": ["1/1"]}))
-        monkeypatch.setenv("POSLAB_PRECISION", "zero")
-        code, _, err = run(capsys, "certify", "--in", str(path), "--order", "2", "--json")
-        assert code == 2 and "POSLAB_PRECISION" in err
+        requests = [
+            ("certify", "--in", str(path), "--order", "3", "--json"),
+            ("lancaster", "--preset", "mehler", "--rho", "1/2", "--problem-order", "6", "--json"),
+        ]
+        for argv in requests:
+            monkeypatch.delenv("POSLAB_PRECISION", raising=False)
+            want = run(capsys, *argv)
+            assert want[0] == 0
+            for value in ("4", "zero"):
+                monkeypatch.setenv("POSLAB_PRECISION", value)
+                assert run(capsys, *argv) == want
+        assert json.loads(want[1])["necessary_conditions"]["square_sum_partials"][2:4] == [
+            "1.3125",
+            "1.328125",
+        ]
 
 
 json_scalars = (
@@ -697,8 +703,8 @@ TEXT_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(TEXT_REPORTS))
-def test_text_report_bytes(capsys, tmp_path, name):
+def report_argv(tmp_path, name):
+    """The argv of ``TEXT_REPORTS[name]``, with its input files written under ``tmp_path``."""
     problem = preset_problem("mehler", 4, F(1, 2)).to_json_dict()
     problem["coeffs"] = ["1/1", "2/1", "4/1", "8/1", "16/1"]
     inputs = {
@@ -715,6 +721,81 @@ def test_text_report_bytes(capsys, tmp_path, name):
     for key, doc in inputs.items():
         paths[key] = tmp_path / f"{key}.json"
         paths[key].write_text(json.dumps(doc))
-    argv, want_code, want_out = TEXT_REPORTS[name]
-    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    return [arg.format(**paths) for arg in TEXT_REPORTS[name][0]]
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_REPORTS))
+def test_text_report_bytes(capsys, tmp_path, name):
+    _, want_code, want_out = TEXT_REPORTS[name]
+    code, out, err = run(capsys, *report_argv(tmp_path, name))
     assert (code, out, err) == (want_code, want_out, "")
+
+
+def first_negative_order(report):
+    """The verdict of a PmReport JSON dict: None if pm, else the first negative order."""
+    k = report["is_pm_to_order"]
+    return None if k == len(report["hankel_dets"]) - 1 else k + 1
+
+
+def text_from_json(command, doc):
+    """The lines of the text report that carry the same fields as the JSON report ``doc``."""
+    if command == "check-pm":
+        rep = doc["report"]
+        first_negative = first_negative_order(rep)
+        yes = {True: "yes", False: "no"}
+        return [
+            f"sequence: {doc['sequence']}",
+            f"tested order: {doc['order']}",
+            "hankel determinants: " + ", ".join(rep["hankel_dets"]),
+            "shifted determinants: " + ", ".join(rep["shifted_dets"]),
+            f"pm to order: {rep['is_pm_to_order']}",
+            f"strictly positive: {yes[rep['strictly_positive']]}",
+            f"nonnegative-support compatible: {yes[rep['nonneg_support']]}",
+            *(f"note: {note}" for note in rep["notes"]),
+            "verdict: "
+            + ("pm" if first_negative is None else f"not pm (first negative at order {first_negative})"),
+        ]
+    if command == "certify":
+        dets, values = doc["pm_report"]["hankel_dets"], doc["recovered_moments"]["values"]
+        order = len(dets) - 1
+        return [
+            f"series over basis of order {len(values) - 1}, Hankel battery to order {order}",
+            "recovered moments: " + ", ".join(values[: 2 * order + 1]),
+            "hankel determinants: " + ", ".join(dets),
+            f"verdict: {doc['verdict_label']}",
+            *(f"note: {note}" for note in doc["notes"]),
+        ]
+    if command == "lancaster":
+        verdicts, flags = doc["grid_verdicts"], doc["pc_flags"]
+        problem_order = len(doc["conditional_moments_a"]) - 1
+        lines = [
+            f"expansion problem of order {problem_order}, grid Hankel order {doc['order']}",
+            f"grid points tested: {len(verdicts)}",
+            f"full-order flags: {sum(flags)}/{len(flags)} pass",
+        ]
+        for v in verdicts:
+            k = first_negative_order(v["report"])
+            mark = "ok" if k is None else f"NEGATIVE at order {k}"
+            lines.append(f"  side {v['side']} @ {v['point']}: {mark}")
+        return lines + [f"verdict: {doc['verdict_label']}"]
+    assert command == "mehler-demo"
+    checks = doc["checks"]
+    return [
+        f"reference battery at rho = {doc['rho']}, order {doc['order']}",
+        *(
+            ("PASS" if c["passed"] else "FAIL") + f"  {c['name']}"
+            + (f"  ({c['detail']})" if c["detail"] else "")
+            for c in checks
+        ),
+        f"{sum(c['passed'] for c in checks)}/{len(checks)} checks passed",
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_REPORTS))
+def test_text_and_json_reports_agree(capsys, tmp_path, name):
+    # every number, label and mark of a text report is the matching field of the JSON report
+    argv = report_argv(tmp_path, name)
+    text_code, text, _ = run(capsys, *argv, "--text")
+    json_code, out, _ = run(capsys, *argv, "--json")
+    assert text_code == json_code
+    assert text.splitlines() == text_from_json(argv[0], json.loads(out))

@@ -18,8 +18,7 @@ from poslab.lancaster import (
 )
 from poslab.moments import MomentSequence, builtin, is_pm
 from poslab.orthopoly import OrthoBasis, Polynomial, basis_from_moments, connection, hermite
-from poslab.positivity import OrthogonalSeries, certify_positive
-from poslab.rationals import rat, rat_str, rational_list, rational_row, report_float
+from poslab.rationals import float_str, rat, rat_str, rational_list, rational_row, report_float
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
@@ -45,9 +44,16 @@ class TestRationalStrings:
     def test_float_diagnostics_past_the_float_range_raise(self):
         assert report_float(F(1, 3)) == 1 / 3
         assert report_float(F(1, 10**400)) == 0.0  # underflow is a float value, not an error
-        for value in (F(10**400), F(-(10**400), 3)):
+        for value in (F(10**400), F(-(10**400), 3), float("inf"), float("-inf")):
             with pytest.raises(ReportLimitError, match=r"^a value exceeds the float range \(about 1.8e\+308\)"):
                 report_float(value)
+
+    @given(
+        st.fractions(min_value=-(10**308), max_value=10**308)
+        | st.floats(allow_nan=False, allow_infinity=False).map(F)
+    )
+    def test_float_strings_round_trip_every_double(self, q):
+        assert float(float_str(q)) == float(q)
 
     def test_parse_rejects_exponent_notation(self):
         # Fraction("1e10000000") alone takes seconds; larger exponents never end
@@ -261,14 +267,6 @@ class TestReportJson:
         doc = rep.to_json_dict()
         assert doc["hankel_dets"] == ["1/1", "1/1", "2/1", "12/1", "288/1"]
         assert doc["strictly_positive"] is True
-
-    def test_certificate_floats_have_requested_digits(self):
-        series = OrthogonalSeries(hermite(6), (F(1), F(1, 3)))
-        cert = certify_positive(series, 3)
-        doc = cert.to_json_dict(float_digits=5)
-        for x in doc["rm_partials"]:
-            significant = x.split("e")[0].replace("-", "").replace(".", "").lstrip("0")
-            assert len(significant) <= 5
 
     def test_lancaster_report_round_trips_through_json_module(self):
         report = lancaster_report(preset_problem("mehler", 8, F(1, 2)), order=2)
