@@ -73,7 +73,10 @@ EXIT_INSUFFICIENT = 3
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        try:
+            Path(out_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise SchemaError(f"{out_path}: cannot write the report ({exc})")
     else:
         sys.stdout.write(text)
 
@@ -141,7 +144,8 @@ def _load_json(path: str) -> dict:
         raise SchemaError(f"{path}: cannot read input file ({exc})")
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad syntax, a number past the int-string limit, or nesting past the recursion limit
         raise SchemaError(f"{path}: not valid JSON ({exc})")
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: expected a JSON object at the top level")

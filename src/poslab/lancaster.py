@@ -240,8 +240,8 @@ class NecessaryConditions:
     """Cheap necessary conditions every positive expansion must satisfy.
 
     * square_sum_partials: partial sums of c_n^2 (must stay bounded);
-    * origin_partials: partial sums of c_n a_{n,0} b_{n,0} (nonnegative limit
-      when 0 lies in the support of mu); None unless declared;
+    * origin_sum: the sum of c_n a_{n,0} b_{n,0} over n <= N (nonnegative
+      limit when 0 lies in the support of mu); None unless declared;
     * ratio_pm: Hankel report of {c_n a_nn/b_nn} (a moment sequence when mu
       has unbounded support); None unless declared;
     * coeff_pm: Hankel report of {c_n} itself (equal marginals with unbounded
@@ -249,13 +249,9 @@ class NecessaryConditions:
     """
 
     square_sum_partials: tuple[Fraction, ...]
-    origin_partials: tuple[Fraction, ...] | None
+    origin_sum: Fraction | None
     ratio_pm: PmReport | None
     coeff_pm: PmReport | None
-
-    @property
-    def origin_sum(self) -> Fraction | None:
-        return self.origin_partials[-1] if self.origin_partials else None
 
     def to_json_dict(self) -> dict:
         return {
@@ -285,13 +281,10 @@ def necessary_conditions(prob: LancasterProblem) -> NecessaryConditions:
     if prob.support.zero_in_supp_mu:
         # a_{n,0} b_{n,0} = pa_{n,0} pb_{n,0} / sqrt(norm_a norm_b), and
         # sqrt(norm_a norm_b) = norm_scale * beta_norm exactly.
-        origin = []
-        acc0 = Fraction(0)
+        origin = Fraction(0)
         for n, c in enumerate(cs):
             root = prob.norm_scale(n) * prob.beta.norms[n]
-            acc0 += c * pa[n].coefficient(0) * pb[n].coefficient(0) / root
-            origin.append(acc0)
-        origin = tuple(origin)
+            origin += c * pa[n].coefficient(0) * pb[n].coefficient(0) / root
 
     ratio_report = None
     if prob.support.mu_unbounded:
@@ -442,9 +435,11 @@ def mehler_moments(rho, order: int) -> tuple[Polynomial, ...]:
 
 
 def mehler_density(x: float, y: float, rho) -> float:
-    """Conditional Gaussian density g(x; y, rho) of N(rho*y, 1 - rho^2) at x."""
+    """Conditional Gaussian density g(x; y, rho) of N(rho*y, 1 - rho^2) at x, for float(rho) != +-1."""
     rho = float(_check_rho(rho))
     var = 1.0 - rho * rho
+    if not var:
+        raise ValueError(f"rho rounds to {rho:+.0f} as a float, where the density is degenerate")
     return math.exp(-((x - rho * y) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
@@ -535,6 +530,32 @@ def _kernel_tail(rho: Fraction, terms: int) -> float:
     return 1.0865**2 * math.e**2 * r ** (terms + 1) / (1 - r)
 
 
+def _kernel_vs_density(rho: Fraction) -> tuple[bool, str]:
+    """(passed, detail) of the battery's kernel-vs-density check."""
+    if abs(float(rho)) == 1.0:
+        return False, f"rho rounds to {float(rho):+.0f} as a float, where the density is degenerate"
+    terms = 30
+    while terms < _KERNEL_MAX_TERMS and _kernel_tail(rho, terms) > 1e-8:
+        terms += 1
+    worst = largest = 0.0
+    for xi in range(-2, 3):
+        for yi in range(-2, 3):
+            kernel = mehler_kernel(float(xi), float(yi), rho, terms)
+            oracle = (
+                mehler_density(float(xi), float(yi), rho)
+                * math.sqrt(2 * math.pi)
+                * math.exp(xi * xi / 2.0)
+            )
+            worst = max(worst, abs(kernel - oracle))
+            largest = max(largest, oracle)
+    tolerance = max(1e-8, _kernel_tail(rho, terms))
+    kernel_detail = f"max deviation {worst:.3e} on the integer grid, {terms} terms"
+    if tolerance > 1e-8:
+        kernel_detail += f", tolerance is the proven tail {tolerance:.3e} at the term cap"
+    # a tolerance as large as every value compared would pass any kernel
+    return worst <= tolerance < largest, kernel_detail
+
+
 def mehler_demo_battery(rho, order: int = 10) -> list[CheckResult]:
     """Run the full exact-identity battery on the Gaussian reference instance.
 
@@ -544,7 +565,8 @@ def mehler_demo_battery(rho, order: int = 10) -> list[CheckResult]:
     ``_KERNEL_MAX_TERMS``, past which the proven tail is the tolerance and
     the check's detail names it).  Near |rho| = 1 that tolerance reaches the
     largest density value on the grid, so it could not tell any kernel from
-    the density, and the check is recorded as not passed.
+    the density, and the check is recorded as not passed; so it is where
+    float(rho) is +-1, which has no float density and no tail bound.
     """
     rho = _check_rho(rho)
     if order < 4:
@@ -633,8 +655,8 @@ def mehler_demo_battery(rho, order: int = 10) -> list[CheckResult]:
     origin_ok = nec.origin_sum is not None and nec.origin_sum > 0
     origin_detail = ""
     if origin_ok:
-        target = 1.0 / math.sqrt(float(one_m))
-        origin_detail = f"truncated {float(nec.origin_sum):.6f} vs limit {target:.6f}"
+        limit = f"{1.0 / math.sqrt(float(one_m)):.6f}" if float(one_m) else "1/sqrt(1 - rho^2)"
+        origin_detail = f"truncated {float(nec.origin_sum):.6f} vs limit {limit}"
         # The limit 1/sqrt(1 - rho^2) sums t_k = rho^(2k) C(2k,k) / 4^k, and
         # t_(k+1) / t_k < rho^2, so the terms past the truncation add up to at
         # most the next one over 1 - rho^2.  Squaring keeps the test exact:
@@ -660,27 +682,7 @@ def mehler_demo_battery(rho, order: int = 10) -> list[CheckResult]:
         "Hankel collapses beyond d_0 for c_n = rho^n",
     )
 
-    terms = 30
-    while terms < _KERNEL_MAX_TERMS and _kernel_tail(rho, terms) > 1e-8:
-        terms += 1
-    worst = 0.0
-    largest = 0.0
-    for xi in range(-2, 3):
-        for yi in range(-2, 3):
-            kernel = mehler_kernel(float(xi), float(yi), rho, terms)
-            oracle = (
-                mehler_density(float(xi), float(yi), rho)
-                * math.sqrt(2 * math.pi)
-                * math.exp(xi * xi / 2.0)
-            )
-            worst = max(worst, abs(kernel - oracle))
-            largest = max(largest, oracle)
-    tolerance = max(1e-8, _kernel_tail(rho, terms))
-    kernel_detail = f"max deviation {worst:.3e} on the integer grid, {terms} terms"
-    if tolerance > 1e-8:
-        kernel_detail += f", tolerance is the proven tail {tolerance:.3e} at the term cap"
-    # a tolerance as large as every value compared would pass any kernel
-    record("kernel-vs-density", worst <= tolerance < largest, kernel_detail)
+    record("kernel-vs-density", *_kernel_vs_density(rho))
 
     # He_n itself, not rho^n He_n: at rho = 0 the latter is zero for n >= 1
     h_good = list(hb.polys[: order + 1])

@@ -40,14 +40,13 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, exp, factorial, inf, log
 
 from .errors import InsufficientMomentsError, SchemaError
-from .rationals import fibonacci, over_lcm, rat, rat_str, rational_row, wire_row
-
-DIAGNOSTIC_DIGITS = 50
+from .rationals import (
+    fibonacci, lowest_terms, over_lcm, rat, rat_str, rational_row, report_float, wire_row,
+)
 
 
 @dataclass(frozen=True, init=False)
@@ -73,9 +72,9 @@ class MomentSequence:
         """The sequence num[i] / den, for den > 0."""
         if not num:
             raise ValueError("a moment sequence needs at least the order-0 moment")
-        g = gcd(den, *num)
+        num, den = lowest_terms(num, den)
         out = object.__new__(cls)
-        vars(out).update(_num=tuple(v // g for v in num), _den=den // g, label=label)
+        vars(out).update(_num=tuple(num), _den=den, label=label)
         return out
 
     @property
@@ -301,11 +300,7 @@ def _chebyshev(ints) -> tuple[list[int], list[int], list[int], int]:
             for l in range(k + 1, size - 1 - k)
         ]
         nxt.append(mid * cur[-1] - back * prev[-1])
-        den *= lead
-        g = gcd(den, *nxt)
-        if g > 1:
-            den //= g
-            nxt = [x // g for x in nxt]
+        nxt, den = lowest_terms(nxt, den * lead)
         zeros.append(det * nxt[-1] // den)
         prev, cur, piv_prev = cur, nxt, piv
     return dets, nexts, zeros, flat
@@ -636,12 +631,14 @@ def parse_catalog_key(key: str) -> tuple[str, Fraction | None]:
 # Float diagnostics (never part of a verdict)
 # ---------------------------------------------------------------------------
 
-def carleman_partial(m: MomentSequence, upper: int) -> Decimal:
-    """Partial sum sum_{n=1..upper} m_{2n}^(-1/(2n)), at 50 significant digits.
+def carleman_partial(m: MomentSequence, upper: int) -> float:
+    """Partial sum sum_{n=1..upper} m_{2n}^(-1/(2n)), as a float.
 
     Divergence of the full series would certify that the moment problem is
     determinate; a finite prefix can only ever be suggestive, so this is a
-    diagnostic and never feeds a verdict.
+    diagnostic and never feeds a verdict.  For m_{2n} = p/q the term is
+    exp((log q - log p) / (2n)), with the logs of the integers themselves;
+    a sum past the float range raises ``ReportLimitError``.
     """
     if upper < 1:
         raise ValueError("upper summation index must be at least 1")
@@ -649,24 +646,25 @@ def carleman_partial(m: MomentSequence, upper: int) -> Decimal:
         raise InsufficientMomentsError(
             f"Carleman partial sum to {upper} needs {2 * upper + 1} moments, got {len(m)}"
         )
-    with localcontext() as ctx:
-        ctx.prec = DIAGNOSTIC_DIGITS
-        total = Decimal(0)
-        for n in range(1, upper + 1):
-            q = m[2 * n]
-            if q <= 0:
-                raise ValueError(f"even moment m_{2 * n} = {q} is not positive")
-            base = Decimal(q.numerator) / Decimal(q.denominator)
-            total += base ** (Decimal(-1) / Decimal(2 * n))
-        return +total
+    total = 0.0
+    for n in range(1, upper + 1):
+        p, q = m._num[2 * n], m._den
+        if p <= 0:
+            raise ValueError(f"even moment m_{2 * n} = {m[2 * n]} is not positive")
+        try:
+            total += exp((log(q) - log(p)) / (2 * n))
+        except OverflowError:
+            total = inf
+    return report_float(total)
 
 
-def moment_gf_eval(m: MomentSequence, t: Fraction, terms: int) -> Decimal:
-    """Truncated exponential generating function sum_{n<terms} t^n m_n / n!.
+def moment_gf_eval(m: MomentSequence, t: Fraction, terms: int) -> float:
+    """Truncated exponential generating function sum_{n<terms} t^n m_n / n!, as a float.
 
     The full series is the Laplace transform of the measure; its existence
     near 0 is a determinacy heuristic.  The rational partial sum is computed
-    exactly and only converted to 50 digits at the end.
+    exactly and converted once, at the end; a sum past the float range
+    raises ``ReportLimitError``.
     """
     t = rat(t)
     if terms < 1:
@@ -680,6 +678,4 @@ def moment_gf_eval(m: MomentSequence, t: Fraction, terms: int) -> Decimal:
     for n in range(terms):
         total += power * m[n] / factorial(n)
         power *= t
-    with localcontext() as ctx:
-        ctx.prec = DIAGNOSTIC_DIGITS
-        return Decimal(total.numerator) / Decimal(total.denominator)
+    return report_float(total)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, lcm
 from operator import mul
 
 from .errors import (
@@ -47,7 +47,9 @@ from .errors import (
     SchemaError,
 )
 from .moments import MomentSequence, _recurrence, builtin
-from .rationals import over_lcm, rat, rat_str, rational_list, rational_row, rational_sqrt, wire_row
+from .rationals import (
+    lowest_terms, over_lcm, rat, rat_str, rational_list, rational_row, rational_sqrt, wire_row,
+)
 
 
 class Polynomial:
@@ -71,12 +73,8 @@ class Polynomial:
     def _store(self, num: list[int], den: int) -> None:
         while num and not num[-1]:
             num.pop()
-        g = gcd(den, *num) if num else den
-        if g != 1:
-            num = [v // g for v in num]
-            den //= g
+        num, self._den = lowest_terms(num, den)
         self._num = tuple(num)
-        self._den = den
 
     @classmethod
     def _from_ints(cls, num: list[int], den: int) -> "Polynomial":
@@ -433,11 +431,7 @@ def _solve_lower(polys, rhs) -> tuple[list[list[int]], int]:
             if c:
                 for i, v in enumerate(xs[j]):
                     out[i] -= c * v
-        e = common * row[n]
-        g = gcd(e, *out)
-        if g != 1:
-            out = [v // g for v in out]
-            e //= g
+        out, e = lowest_terms(out, common * row[n])
         grown = lcm(den, e)
         if grown != den:
             f = grown // den
@@ -471,11 +465,7 @@ def _expand_in_basis(p: Polynomial, polys: tuple[Polynomial, ...]) -> list[Fract
         lead = basis._num[n]
         out[n] = Fraction(r * basis._den, den * lead)
         res = [lead * v - r * w for v, w in zip(res[:n], basis._num)]
-        den *= lead
-        g = gcd(den, *res)
-        if g != 1:
-            res = [v // g for v in res]
-            den //= g
+        res, den = lowest_terms(res, den * lead)
     return out
 
 
@@ -544,7 +534,7 @@ class ConnectionMatrix:
 def connection(from_basis: OrthoBasis, to_basis: OrthoBasis) -> ConnectionMatrix:
     """Exact connection coefficients between two full-order families."""
     if to_basis.order < from_basis.order:
-        raise ValueError(
+        raise InsufficientMomentsError(
             f"target basis order {to_basis.order} < source order {from_basis.order}"
         )
     rows = tuple(

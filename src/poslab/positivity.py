@@ -65,17 +65,15 @@ def moments_from_coefficients(series: OrthogonalSeries) -> MomentSequence:
 def coefficients_from_moments(basis: OrthoBasis, nu: MomentSequence) -> tuple[Fraction, ...]:
     """Series coefficients of the measure with moments nu, over the given family.
 
-    c_n = (sum_j pi_{n,j} nu_j) / norm_n; the exact inverse of
-    :func:`moments_from_coefficients`.
+    c_n = <p_n, 1> / norm_n by the bilinear form :func:`poslab.orthopoly._inner`:
+    the exact inverse of :func:`moments_from_coefficients`, and independent of its solve.
     """
     if len(nu) < basis.order + 1:
         raise InsufficientMomentsError(
             f"need {basis.order + 1} moments of the target measure, got {len(nu)}"
         )
-    return tuple(
-        sum((c * nu[j] for j, c in enumerate(p.coeffs)), Fraction(0)) / h
-        for p, h in zip(basis.polys, basis.norms)
-    )
+    one = Polynomial.one()
+    return tuple(_inner(p, one, nu) / h for p, h in zip(basis.polys, basis.norms))
 
 
 CERTIFIED = "certified"

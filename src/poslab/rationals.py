@@ -2,8 +2,9 @@
 
 Scalar quantities that carry mathematical meaning in this package are
 ``fractions.Fraction`` values; polynomials and moment sequences hold
-integer numerators over one denominator.  Floats are rejected by the
-parsers: a float argument is almost always a silent loss of exactness.
+integer numerators over one denominator, reduced by :func:`lowest_terms`.
+Floats are rejected by the parsers: a float argument is almost always a
+silent loss of exactness.
 :func:`_rat_pair` is the one parser of rational strings, straight to an
 integer pair; :func:`rat` and :func:`rational_list`, the one reader of
 rational lists in JSON input, build Fractions from it, and
@@ -14,7 +15,8 @@ vector entry is never a Fraction on the way in or out.  :func:`float_str`
 is the one writer of float diagnostics, at 17 significant digits, which
 round-trip any double.  A value past Python's int-string limit (4300
 digits by default), or a float diagnostic past the float range
-(:func:`report_float`), raises ``ReportLimitError``.
+(:func:`report_float`, which every float diagnostic passes), raises
+``ReportLimitError``.
 """
 
 from __future__ import annotations
@@ -106,6 +108,12 @@ def over_lcm(pairs) -> tuple[list[int], int]:
     """Integer pairs (p, q), q > 0, as (numerators, d) over the lcm d of the q's; not reduced."""
     den = lcm(*(q for _, q in pairs))
     return [p * (den // q) for p, q in pairs], den
+
+
+def lowest_terms(num, den: int) -> tuple[list[int], int]:
+    """(num, den), den != 0, divided through by gcd(den, *num); returned as given when that gcd is 1."""
+    g = gcd(den, *num)
+    return (num, den) if g == 1 else ([v // g for v in num], den // g)
 
 
 def rational_row(raw, where: str, length: int | None = None) -> tuple[list[int], int]:

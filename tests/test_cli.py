@@ -79,6 +79,36 @@ class TestCheckPm:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path}: cannot read input file ('utf-8' codec ")
 
+    @pytest.mark.parametrize("where", ["missing-dir", "dir"])
+    def test_an_unwritable_out_path_exits_two(self, capsys, tmp_path, where):
+        # exit 1 would read as a refutation
+        path = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+        code, out, err = run(capsys, "check-pm", "--seq", "catalan", "--order", "2", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: cannot write the report (")
+
+    def test_nesting_past_the_recursion_limit_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, "check-pm", "--in", str(path), "--order", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: not valid JSON (")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-string digit limit"
+    )
+    def test_a_json_number_past_the_int_string_limit_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"label": "x", "values": [' + "1" * 5000 + "]}")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run(capsys, "check-pm", "--in", str(path), "--order", "0")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: not valid JSON (Exceeds the limit (4300 digits)")
+
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no int-string digit limit"
     )
@@ -113,6 +143,14 @@ class TestBuildBasisAndConnect:
         doc = json.loads(out)
         assert len(doc["gamma"]) == 5
         assert doc["gamma"][0] == ["1/1"]
+
+    def test_a_shorter_target_exits_three(self, capsys, tmp_path):
+        gauss = tmp_path / "gauss.json"
+        cat = tmp_path / "catalan.json"
+        run(capsys, "build-basis", "--seq", "gaussian", "--order", "4", "--out", str(gauss))
+        run(capsys, "build-basis", "--seq", "catalan", "--order", "2", "--out", str(cat))
+        code, out, err = run(capsys, "connect", "--in", str(gauss), "--to", str(cat))
+        assert (code, out, err) == (3, "", "error: target basis order 2 < source order 4\n")
 
     def test_degenerate_input_exits_one(self, capsys):
         code, _, err = run(capsys, "build-basis", "--seq", "geometric(2)", "--order", "3")
@@ -393,6 +431,19 @@ class TestMehlerDemo:
         assert code == 2 and "|rho| < 1" in err
         code, _, err = run(capsys, "mehler-demo", "--rho", "1e10000000")
         assert code == 2 and "not a rational string: '1e10000000'" in err
+
+    @pytest.mark.parametrize(
+        "rho",
+        ["0.99999999999999999999", "-0.99999999999999999999", "0." + "9" * 400],
+        ids=["20-nines", "minus-20-nines", "400-nines"],
+    )
+    def test_a_rho_whose_float_is_one_fails_the_kernel_check(self, capsys, rho):
+        # |rho| < 1 exactly, so the exact checks run; 1 - float(rho)^2 is 0
+        code, out, err = run(capsys, "mehler-demo", "--rho", rho, "--order", "4")
+        assert (code, err) == (1, "")
+        sign = "-" if rho.startswith("-") else "+"
+        assert f"FAIL  kernel-vs-density  (rho rounds to {sign}1 as a float, where" in out
+        assert out.endswith("12/13 checks passed\n")
 
 
     def test_unknown_keys_in_a_problem_file_are_input_errors(self, capsys, tmp_path):

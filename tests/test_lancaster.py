@@ -408,7 +408,7 @@ class TestNecessaryConditions:
         prob = mehler_problem(F(1, 2), 6)
         bare = LancasterProblem(prob.alpha, prob.beta, prob.coeffs)  # no declared support
         nec = necessary_conditions(bare)
-        assert nec.origin_partials is None
+        assert nec.origin_sum is None
         assert nec.ratio_pm is None
         assert nec.coeff_pm is None
 
@@ -471,6 +471,15 @@ class TestMehlerReference:
             mehler_moments(F(1), 3)
         with pytest.raises(ValueError):
             mehler_density(0.0, 0.0, F(3, 2))
+
+    @pytest.mark.parametrize(
+        "rho",
+        ["0.99999999999999999999", "-0.99999999999999999999", "0." + "9" * 400],
+        ids=["20-nines", "minus-20-nines", "400-nines"],
+    )
+    def test_density_is_refused_where_the_float_of_rho_is_one(self, rho):
+        with pytest.raises(ValueError, match="rho rounds to [+-]1 as a float"):
+            mehler_density(0.0, 0.0, F(rho))
 
     def test_density_values(self):
         assert mehler_density(0.0, 0.0, F(0)) == pytest.approx(1 / math.sqrt(2 * math.pi))

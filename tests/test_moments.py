@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poslab import moments
-from poslab.errors import InsufficientMomentsError
+from poslab.errors import InsufficientMomentsError, ReportLimitError
 from poslab.moments import (
     MomentSequence,
     builtin,
@@ -498,6 +498,18 @@ class TestDiagnostics:
 
         val = float(moment_gf_eval(builtin("geometric", 30, 2), F(1, 2), 30))
         assert val == pytest.approx(math.exp(1.0), abs=1e-9)
+
+    def test_diagnostics_are_floats(self):
+        assert type(carleman_partial(builtin("gaussian", 9), 4)) is float
+        assert type(moment_gf_eval(builtin("gaussian", 20), F(1), 20)) is float
+
+    def test_diagnostics_past_the_float_range_raise(self):
+        # sum_{n<400} 10^n is about 1.1e399
+        with pytest.raises(ReportLimitError, match="float range"):
+            moment_gf_eval(builtin("factorial", 400), 10, 400)
+        # m_2^(-1/2) = 10^350
+        with pytest.raises(ReportLimitError, match="float range"):
+            carleman_partial(ms([1, 0, F(1, 10**700)]), 1)
 
     def test_gf_requires_enough_moments(self):
         with pytest.raises(InsufficientMomentsError):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction as F
 
@@ -18,7 +19,9 @@ from poslab.lancaster import (
 )
 from poslab.moments import MomentSequence, builtin, is_pm
 from poslab.orthopoly import OrthoBasis, Polynomial, basis_from_moments, connection, hermite
-from poslab.rationals import float_str, rat, rat_str, rational_list, rational_row, report_float
+from poslab.rationals import (
+    float_str, lowest_terms, rat, rat_str, rational_list, rational_row, report_float,
+)
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
@@ -83,6 +86,23 @@ def outcome(parse, text):
 
 
 LONG = "7" * 4301  # past Python's default 4300-digit int-string limit
+
+
+class TestLowestTerms:
+    @given(
+        st.lists(st.integers(-10**30, 10**30), max_size=6),
+        st.integers(-10**30, 10**30).filter(bool),
+        st.integers(1, 10**6),
+    )
+    def test_keeps_the_values_and_leaves_gcd_one(self, num, den, scale):
+        num, den = [v * scale for v in num], den * scale
+        got, got_den = lowest_terms(num, den)
+        assert [F(v, got_den) for v in got] == [F(v, den) for v in num]
+        assert math.gcd(got_den, *got) == 1 and (got_den > 0) == (den > 0)
+
+    def test_a_reduced_row_comes_back_unchanged(self):
+        row = [3, -4]
+        assert lowest_terms(row, 5) == (row, 5) and lowest_terms(row, 5)[0] is row
 
 
 class TestRatParity:
