@@ -166,11 +166,12 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
 
 
 def _pm_text(label: str, order: int, report: PmReport) -> str:
+    doc = report.to_json_dict()
     lines = [
         f"sequence: {label}",
         f"tested order: {order}",
-        "hankel determinants: " + ", ".join(rat_str(d) for d in report.hankel_dets),
-        "shifted determinants: " + ", ".join(rat_str(d) for d in report.shifted_dets),
+        "hankel determinants: " + ", ".join(doc["hankel_dets"]),
+        "shifted determinants: " + ", ".join(doc["shifted_dets"]),
         f"pm to order: {report.is_pm_to_order}",
         f"strictly positive: {'yes' if report.strictly_positive else 'no'}",
         f"nonnegative-support compatible: {'yes' if report.nonneg_support else 'no'}",
@@ -275,8 +276,8 @@ def _cmd_certify(args) -> int:
         lines = [
             f"series over basis of order {series.basis.order}, Hankel battery to order {order}",
             "recovered moments: "
-            + ", ".join(rat_str(v) for v in cert.recovered_moments.values[: 2 * order + 1]),
-            "hankel determinants: " + ", ".join(rat_str(d) for d in cert.pm_report.hankel_dets),
+            + ", ".join(cert.recovered_moments.prefix(2 * order + 1).to_json_dict()["values"]),
+            "hankel determinants: " + ", ".join(cert.pm_report.to_json_dict()["hankel_dets"]),
             f"verdict: {cert.verdict_label}",
         ]
         for note in cert.notes:

@@ -163,13 +163,17 @@ def parse_problem_json(data: dict, where: str = "$") -> LancasterProblem:
     The keys are those of :meth:`LancasterProblem.to_json_dict`; any other
     key is an error.  A missing or null grid key keeps the default grid; a
     present one must be a non-empty list.  The grids are read last, so a bad
-    problem is reported before a bad grid.
+    problem is reported before a bad grid.  A ``beta`` object equal to the
+    ``alpha`` object is that same family and is not read twice.
     """
     if not isinstance(data, dict):
         raise SchemaError(f"{where}: expected a problem object")
     _reject_unknown_keys(data, _PROBLEM_KEYS, where)
     alpha = OrthoBasis.from_json_dict(data.get("alpha"), f"{where}.alpha")
-    beta = OrthoBasis.from_json_dict(data.get("beta"), f"{where}.beta")
+    if data.get("beta") == data.get("alpha"):
+        beta = alpha
+    else:
+        beta = OrthoBasis.from_json_dict(data.get("beta"), f"{where}.beta")
     coeffs = rational_list(data.get("coeffs"), f"{where}.coeffs")
     flags = SupportFlags.from_json_dict(data.get("support_flags", {}), f"{where}.support_flags")
     try:

@@ -31,6 +31,10 @@ A :class:`MomentSequence` holds those numerators over D in lowest terms,
 as a polynomial holds its coefficients, and the pass reads them as they
 are.  Callers that hold integers, such as the grid of
 :func:`poslab.lancaster.lancaster_report`, build one with ``_from_ints``.
+A :class:`PmReport` holds the battery's determinants the same way, as the
+integer numerators Delta_k over D^(k+1): its verdicts are read from their
+signs, its report strings are written from them, and its ``hankel_dets``
+and ``shifted_dets`` Fractions are built on read.
 
 All values are immutable and every function is pure, so everything here is
 safe for unrestricted concurrent use.
@@ -39,13 +43,15 @@ safe for unrestricted concurrent use.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, factorial, inf, log
+from itertools import accumulate, repeat
+from math import comb, exp, factorial, inf, lcm, log
+from operator import mul
 
 from .errors import InsufficientMomentsError, SchemaError
 from .rationals import (
-    fibonacci, lowest_terms, over_lcm, rat, rat_str, rational_row, report_float, wire_row,
+    fibonacci, lowest_terms, over_lcm, rat, rational_row, report_float, wire_row,
 )
 
 
@@ -116,12 +122,13 @@ class MomentSequence:
 # Exact determinants
 # ---------------------------------------------------------------------------
 
-def _hankel_window(m: MomentSequence, n: int, shift: int) -> Fraction:
-    """det[m_{shift+i+j}] for 0 <= i,j <= n by fraction-free (Bareiss) elimination.
+def _hankel_window(m: MomentSequence, n: int, shift: int) -> int:
+    """D^(n+1) det[m_{shift+i+j}] for 0 <= i,j <= n by fraction-free (Bareiss) elimination.
 
     Runs on the integer numerators M_i = D m_i of m, D its denominator, as
     :func:`_chebyshev` does, with row pivoting and exact integer divisions
-    only, so sign decisions near zero are trustworthy.
+    only, so sign decisions near zero are trustworthy.  Returns the integer
+    determinant det[M_{shift+i+j}], the numerator over D^(n+1).
     """
     if n < 0:
         raise ValueError("Hankel order must be nonnegative")
@@ -139,65 +146,113 @@ def _hankel_window(m: MomentSequence, n: int, shift: int) -> Fraction:
         if mat[k][k] == 0:
             pivot = next((i for i in range(k + 1, n + 1) if mat[i][k] != 0), None)
             if pivot is None:
-                return Fraction(0)
+                return 0
             mat[k], mat[pivot] = mat[pivot], mat[k]
             sign = -sign
         for i in range(k + 1, n + 1):
             for j in range(k + 1, n + 1):
                 mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
         prev = mat[k][k]
-    return Fraction(sign * mat[n][n], m._den ** (n + 1))
+    return sign * mat[n][n]
 
 
 def hankel_det(m: MomentSequence, n: int) -> Fraction:
     """det[m_{i+j}] for 0 <= i,j <= n, computed exactly (see :func:`_hankel_window`)."""
-    return _hankel_window(m, n, 0)
+    return Fraction(_hankel_window(m, n, 0), m._den ** (n + 1))
 
 
 def shifted_hankel_det(m: MomentSequence, n: int) -> Fraction:
     """det[m_{1+i+j}] for 0 <= i,j <= n; nonnegativity localizes the support in [0, oo)."""
-    return _hankel_window(m, n, 1)
+    return Fraction(_hankel_window(m, n, 1), m._den ** (n + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PmReport:
     """Finite-order positivity report for one moment sequence.
 
-    Built from the Hankel determinants d_0..d_K and the shifted ones alone:
-    it is the one place their sign pattern is read, once, at construction.
-    ``first_zero_order`` is the first zero before any negative determinant
-    (pm-compatible: finite support possible), and ``is_pm_to_order`` the
-    largest K with d_0..d_K nonnegative (-1 if d_0 < 0 already).  Shifted
-    determinants are tested as far as the data allows and feed
-    ``nonneg_support``.
+    Built from the Hankel determinants d_0..d_K and the shifted ones alone,
+    held as integer numerators over one positive denominator D, as a
+    :class:`MomentSequence` holds its values: d_k = ``_dets[k]`` / D^(k+1)
+    and d'_k = ``_shifted[k]`` / D^(k+1).  :func:`is_pm` builds one with
+    ``_from_ints`` over the denominator of its sequence; ``PmReport(dets,
+    shifted)`` takes rationals and brings them over the lcm of their
+    denominators.  ``hankel_dets`` and ``shifted_dets`` build the Fractions
+    on each read, and two reports are equal iff those values are.
+
+    :meth:`_read` is the one place the sign pattern is read, once, at
+    construction, on the numerators.  ``first_zero_order`` is the first
+    zero before any negative determinant (pm-compatible: finite support
+    possible), and ``is_pm_to_order`` the largest K with d_0..d_K
+    nonnegative (-1 if d_0 < 0 already).  Shifted determinants are tested
+    as far as the data allows and feed ``nonneg_support``.
     """
 
-    hankel_dets: tuple[Fraction, ...]
-    shifted_dets: tuple[Fraction, ...]
-    first_negative_order: int | None = field(init=False)
-    first_zero_order: int | None = field(init=False)
-    strictly_positive: bool = field(init=False)
-    nonneg_support: bool = field(init=False)
+    _dets: tuple[int, ...]
+    _shifted: tuple[int, ...]
+    _den: int
+    first_negative_order: int | None
+    first_zero_order: int | None
+    strictly_positive: bool
+    nonneg_support: bool
 
-    def __post_init__(self):
-        # signs are read on .numerator: an int comparison, not Fraction's
+    def __init__(self, hankel_dets, shifted_dets):
+        dets = [rat(d) for d in hankel_dets]
+        shifted = [rat(d) for d in shifted_dets]
+        den = lcm(*(d.denominator for d in dets + shifted))
+        powers = list(accumulate(repeat(den, max(len(dets), len(shifted))), mul))
+
+        def over_powers(values):
+            return tuple(d.numerator * (p // d.denominator) for d, p in zip(values, powers))
+
+        self._read(over_powers(dets), over_powers(shifted), den)
+
+    @classmethod
+    def _from_ints(cls, dets, shifted, den: int) -> "PmReport":
+        """The report with d_k = dets[k] / den^(k+1) and d'_k = shifted[k] / den^(k+1), den > 0."""
+        out = object.__new__(cls)
+        out._read(tuple(dets), tuple(shifted), den)
+        return out
+
+    def _read(self, dets: tuple[int, ...], shifted: tuple[int, ...], den: int) -> None:
         negative = zero = None
-        for k, d in enumerate(self.hankel_dets):
-            if d.numerator < 0:
+        for k, d in enumerate(dets):
+            if d < 0:
                 negative = k
                 break
-            if zero is None and not d.numerator:
+            if zero is None and not d:
                 zero = k
-        object.__setattr__(self, "first_negative_order", negative)
-        object.__setattr__(self, "first_zero_order", zero)
-        object.__setattr__(self, "strictly_positive", negative is None and zero is None)
-        object.__setattr__(
-            self, "nonneg_support", all(d.numerator >= 0 for d in self.shifted_dets)
+        vars(self).update(  # past the frozen __setattr__
+            _dets=dets,
+            _shifted=shifted,
+            _den=den,
+            first_negative_order=negative,
+            first_zero_order=zero,
+            strictly_positive=negative is None and zero is None,
+            nonneg_support=all(d >= 0 for d in shifted),
         )
+
+    def _fractions(self, nums: tuple[int, ...]) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, p) for v, p in zip(nums, accumulate(repeat(self._den), mul)))
+
+    @property
+    def hankel_dets(self) -> tuple[Fraction, ...]:
+        return self._fractions(self._dets)
+
+    @property
+    def shifted_dets(self) -> tuple[Fraction, ...]:
+        return self._fractions(self._shifted)
+
+    def __eq__(self, other):
+        if not isinstance(other, PmReport):
+            return NotImplemented
+        return (self.hankel_dets, self.shifted_dets) == (other.hankel_dets, other.shifted_dets)
+
+    def __hash__(self):
+        return hash((self.hankel_dets, self.shifted_dets))
 
     @property
     def order(self) -> int:
-        return len(self.hankel_dets) - 1
+        return len(self._dets) - 1
 
     @property
     def is_pm_to_order(self) -> int:
@@ -217,8 +272,8 @@ class PmReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "hankel_dets": [rat_str(d) for d in self.hankel_dets],
-            "shifted_dets": [rat_str(d) for d in self.shifted_dets],
+            "hankel_dets": wire_row(self._dets, self._den, self._den),
+            "shifted_dets": wire_row(self._shifted, self._den, self._den),
             "is_pm_to_order": self.is_pm_to_order,
             "strictly_positive": self.strictly_positive,
             "nonneg_support": self.nonneg_support,
@@ -353,10 +408,10 @@ def is_pm(m: MomentSequence, max_order: int) -> PmReport:
     pi_r, to the row (<pi_r, x^j>)_{j <= k}, which vanishes when k + r < flat;
     so d_k = 0 there, and d'_k = 0 when k + r + 1 < flat (the shifted row
     is (<pi_r, x^(j+1)>)_j).  Only the orders beyond that (a sequence that is
-    not flat, such as a degenerate signed one) are computed one by one with
-    :func:`hankel_det` and :func:`shifted_hankel_det` (Bareiss), on the
-    same numerators.  The battery returns determinants only;
-    :class:`PmReport` reads the verdicts.
+    not flat, such as a degenerate signed one) are computed one by one by
+    :func:`_hankel_window` (Bareiss), on the same numerators.  The battery
+    returns the integer numerators over D^(k+1) only, with no Fraction per
+    determinant; :class:`PmReport` reads the verdicts from them.
     """
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
@@ -366,26 +421,17 @@ def is_pm(m: MomentSequence, max_order: int) -> PmReport:
         )
     shifted_max = min(max_order, (len(m) - 2) // 2)
     window = max(2 * max_order + 1, 2 * shifted_max + 2)
-    minors, _, zeros, flat = _chebyshev(m._num[:window])
-    if minors[-1] == 0:
-        minors.pop()
-    dets: list[Fraction] = []
-    shifted: list[Fraction] = []
-    power = 1
-    for k, dk in enumerate(minors):
-        power *= m._den
-        dets.append(Fraction(dk, power))
-        if k < min(len(zeros), shifted_max + 1):
-            shifted.append(Fraction(zeros[k] if k % 2 else -zeros[k], power))
+    dets, _, zeros, flat = _chebyshev(m._num[:window])
+    if dets[-1] == 0:
+        dets.pop()
+    shifted = [z if k % 2 else -z for k, z in enumerate(zeros[: shifted_max + 1])]
     r = len(dets)  # the order of the zero minor, if the pass met one
-    dets += [
-        Fraction(0) if k + r < flat else hankel_det(m, k) for k in range(r, max_order + 1)
-    ]
+    dets += [0 if k + r < flat else _hankel_window(m, k, 0) for k in range(r, max_order + 1)]
     shifted += [
-        Fraction(0) if k + r + 1 < flat else shifted_hankel_det(m, k)
+        0 if k + r + 1 < flat else _hankel_window(m, k, 1)
         for k in range(len(shifted), shifted_max + 1)
     ]
-    return PmReport(tuple(dets), tuple(shifted))
+    return PmReport._from_ints(dets, shifted, m._den)
 
 
 # ---------------------------------------------------------------------------

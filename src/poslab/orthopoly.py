@@ -572,44 +572,43 @@ def hermite(order: int) -> OrthoBasis:
 # Hermite addition formula (exact bivariate identity)
 # ---------------------------------------------------------------------------
 
-def _mix_powers(a: Fraction, b: Fraction, k: int) -> dict[tuple[int, int], Fraction]:
-    """Monomial expansion of (a*x + b*y)^k as {(i, j): coefficient}."""
-    return {
-        (i, k - i): comb(k, i) * a**i * b ** (k - i)
-        for i in range(k + 1)
-    }
-
-
-def _poly_in_mix(p: Polynomial, a: Fraction, b: Fraction) -> dict[tuple[int, int], Fraction]:
-    out: dict[tuple[int, int], Fraction] = {}
-    for k, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        for key, w in _mix_powers(a, b, k).items():
-            out[key] = out.get(key, Fraction(0)) + c * w
-    return {k: v for k, v in out.items() if v != 0}
-
-
 def _hermite_addition_sides(hs, n: int, a) -> tuple[dict, dict]:
-    """:func:`hermite_addition_sides` over given Hermite polynomials hs[0..n]."""
+    """:func:`hermite_addition_sides` over given Hermite polynomials hs[0..n].
+
+    Runs on integers: with a = p/r and b = s/r over one r, both sides are
+    multiplied by r^n, so a term a^i b^(k-i) becomes p^i s^(k-i) r^(n-k),
+    and each polynomial is read as its numerators over its denominator.
+    Each side is one integer dictionary over one denominator, and Fractions
+    are built only for the two returned dictionaries.
+    """
     a = rat(a)
     b = rational_sqrt(1 - a * a)
     if b is None:
         raise ValueError(f"1 - a^2 must be a perfect rational square, got a = {a}")
-    lhs = _poly_in_mix(hs[n], a, b)
-    rhs: dict[tuple[int, int], Fraction] = {}
-    coeffs = [h.coeffs for h in hs[: n + 1]]
-    for mdx in range(n + 1):
-        w = comb(n, mdx) * a**mdx * b ** (n - mdx)
-        for i, cx in enumerate(coeffs[mdx]):
-            if cx == 0:
-                continue
-            for j, cy in enumerate(coeffs[n - mdx]):
-                if cy == 0:
-                    continue
-                key = (i, j)
-                rhs[key] = rhs.get(key, Fraction(0)) + w * cx * cy
-    return lhs, {k: v for k, v in rhs.items() if v != 0}
+    (p, s), r = over_lcm([a.as_integer_ratio(), b.as_integer_ratio()])
+    # r^n He_n(a x + b y) = sum_k N_k r^(n-k) (p x + s y)^k / D, He_n = sum_k N_k x^k / D
+    lhs: dict[tuple[int, int], int] = {}
+    for k, c in enumerate(hs[n]._num):
+        if c:
+            w = c * r ** (n - k)
+            for i in range(k + 1):
+                key = (i, k - i)
+                lhs[key] = lhs.get(key, 0) + w * comb(k, i) * p**i * s ** (k - i)
+    # r^n sum_m C(n,m) a^m b^(n-m) He_m(x) He_(n-m)(y), over the lcm of the products' denominators
+    den = lcm(*(hs[m]._den * hs[n - m]._den for m in range(n + 1)))
+    rhs: dict[tuple[int, int], int] = {}
+    for m in range(n + 1):
+        hx, hy = hs[m], hs[n - m]
+        w = comb(n, m) * p**m * s ** (n - m) * (den // (hx._den * hy._den))
+        for i, cx in enumerate(hx._num):
+            if cx:
+                for j, cy in enumerate(hy._num):
+                    if cy:
+                        rhs[(i, j)] = rhs.get((i, j), 0) + w * cx * cy
+    return (
+        {key: Fraction(v, hs[n]._den * r**n) for key, v in lhs.items() if v},
+        {key: Fraction(v, den * r**n) for key, v in rhs.items() if v},
+    )
 
 
 def hermite_addition_sides(n: int, a) -> tuple[dict, dict]:

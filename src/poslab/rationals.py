@@ -129,13 +129,19 @@ def _unwritable() -> ReportLimitError:
     )
 
 
-def wire_row(num, den: int) -> list[str]:
-    """The values num[i] / den, den > 0, as lowest-terms ``"p/q"`` wire strings."""
+def wire_row(num, den: int, ratio: int = 1) -> list[str]:
+    """The values num[i] / (den ratio^i), den, ratio > 0, as lowest-terms ``"p/q"`` wire strings.
+
+    One gcd per entry.  A Hankel report writes d_k = num[k] / D^(k+1) with
+    ``den = ratio = D``.
+    """
     out = []
     try:
         for v in num:
             g = gcd(v, den)
             out.append(f"{v // g}/{den // g}")
+            if ratio != 1:
+                den *= ratio
     except ValueError:
         raise _unwritable() from None
     return out

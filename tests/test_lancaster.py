@@ -351,7 +351,7 @@ class TestIntegerGridPath:
         assert all(v.report.first_zero_order == 1 for v in flat)
         assert lancaster_report(GRID_PROBLEMS["perturbed-hermite"]).verdict == "refuted"
         assert any(p.is_zero for p in moment_polynomials(GRID_PROBLEMS["product-measure"]).ma)
-        with mock.patch.object(moments, "hankel_det", wraps=moments.hankel_det) as det:
+        with mock.patch.object(moments, "_hankel_window", wraps=moments._hankel_window) as det:
             lancaster_report(GRID_PROBLEMS["bareiss-fallback"])
         assert det.called
 
@@ -362,7 +362,7 @@ class TestIntegerGridPath:
         def fail(*args, **kwargs):
             raise AssertionError("the fallback ran on a flat battery")
 
-        with mock.patch.multiple(moments, hankel_det=fail, shifted_hankel_det=fail), \
+        with mock.patch.object(moments, "_hankel_window", fail), \
                 mock.patch.object(moments.MomentSequence, "values", property(fail)):
             assert lancaster_report(prob, 4).grid_verdicts == expected
 

@@ -12,6 +12,7 @@ from poslab import moments
 from poslab.errors import InsufficientMomentsError, ReportLimitError
 from poslab.moments import (
     MomentSequence,
+    PmReport,
     builtin,
     carleman_partial,
     hankel_det,
@@ -27,6 +28,7 @@ from poslab.moments import (
     shifted_hankel_det,
 )
 from poslab.moments import _recurrence
+from poslab.rationals import rat_str
 from tests_support import catalog_instances, chebyshev_battery, chebyshev_recurrence
 
 
@@ -182,12 +184,28 @@ class TestBatteryEngine:
         assert wide.values == seq.values
         assert is_pm(wide, order) == is_pm(seq, order)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_battery_inputs(), _atomic_inputs()), st.integers(2, 9))
+    @example((ms((1, 0, 0, 0, -1)), 2), 3)
+    @example((ms((1, 1, 1, 1, 2)), 2), 3)
+    def test_integer_reports_equal_the_fraction_route(self, case, divisor):
+        # divided through, so the numerators sit over D^(k+1) with D > 1
+        seq, order = MomentSequence(v / divisor for v in case[0].values), case[1]
+        dets = [hankel_det(seq, k) for k in range(order + 1)]
+        shifted = [shifted_hankel_det(seq, k) for k in range(min(order, (len(seq) - 2) // 2) + 1)]
+        rep = is_pm(seq, order)
+        doc = rep.to_json_dict()
+        assert doc["hankel_dets"] == [rat_str(d) for d in dets]
+        assert doc["shifted_dets"] == [rat_str(d) for d in shifted]
+        from_fractions = PmReport(dets, shifted)
+        assert from_fractions == rep and hash(from_fractions) == hash(rep)
+        assert from_fractions.to_json_dict() == doc
+
     def test_flat_sequences_skip_the_per_order_fallback(self, monkeypatch):
-        def no_fallback(m, k):
+        def no_fallback(m, k, shift):
             raise AssertionError(f"per-order determinant at order {k}")
 
-        monkeypatch.setattr(moments, "hankel_det", no_fallback)
-        monkeypatch.setattr(moments, "shifted_hankel_det", no_fallback)
+        monkeypatch.setattr(moments, "_hankel_window", no_fallback)
         for seq in (builtin("geometric", 42, 2), builtin("fib_shift", 42), ms([0] * 42)):
             rep = is_pm(seq, 20)
             assert rep.hankel_dets[-1] == rep.shifted_dets[-1] == 0

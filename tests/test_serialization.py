@@ -326,6 +326,19 @@ class TestProblemJson:
         with pytest.raises(SchemaError, match=r"\$\.support_flags\.mu_unbounded"):
             parse_problem_json(doc)
 
+    def test_a_beta_equal_to_alpha_is_read_once(self):
+        doc = json.loads(json.dumps(preset_problem("mehler", 4, F(1, 3)).to_json_dict()))
+        prob = parse_problem_json(doc)
+        assert prob.beta is prob.alpha
+        # the same family in other terms is a different object, read on its own
+        doc["beta"]["norms"] = [f"{2 * int(p)}/{2 * int(q)}" for p, q in
+                                (v.split("/") for v in doc["beta"]["norms"])]
+        prob = parse_problem_json(doc)
+        assert prob.beta is not prob.alpha and prob.beta.polys == prob.alpha.polys
+        doc["beta"]["norms"][2] = "0/1"
+        with pytest.raises(SchemaError, match=r"^\$\.beta: squared norm at order 2"):
+            parse_problem_json(doc)
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(rationals, min_size=1, max_size=4), st.lists(rationals, min_size=1, max_size=4))
     def test_problem_equals_its_file(self, grid_a, grid_b):
