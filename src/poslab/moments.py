@@ -29,12 +29,14 @@ order.
 
 A :class:`MomentSequence` holds those numerators over D in lowest terms,
 as a polynomial holds its coefficients, and the pass reads them as they
-are.  Callers that hold integers, such as the grid of
-:func:`poslab.lancaster.lancaster_report`, build one with ``_from_ints``.
-A :class:`PmReport` holds the battery's determinants the same way, as the
-integer numerators Delta_k over D^(k+1): its verdicts are read from their
-signs, its report strings are written from them, and its ``hankel_dets``
-and ``shifted_dets`` Fractions are built on read.
+are.  Its constructor takes rationals and callers that hold integers, such
+as the grid of :func:`poslab.lancaster.lancaster_report`, use
+``_from_ints``; both store through the one method ``_store``, as
+:class:`poslab.orthopoly.Polynomial` does.  A :class:`PmReport` holds the
+battery's determinants the same way, as the integer numerators Delta_k over
+D^(k+1), and has one constructor, over those integers: its verdicts are
+read from their signs, its report strings are written from them, and its
+``hankel_dets`` and ``shifted_dets`` Fractions are built on read.
 
 All values are immutable and every function is pure, so everything here is
 safe for unrestricted concurrent use.
@@ -46,7 +48,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb, exp, factorial, inf, lcm, log
+from math import comb, exp, factorial, inf, log
 from operator import mul
 
 from .errors import InsufficientMomentsError, SchemaError
@@ -68,7 +70,10 @@ class MomentSequence:
     label: str = ""
 
     def __init__(self, values, label: str = ""):
-        num, den = over_lcm([rat(v).as_integer_ratio() for v in values])
+        # lowest-terms fractions over the lcm of their denominators are in lowest terms
+        self._store(*over_lcm([rat(v).as_integer_ratio() for v in values]), label)
+
+    def _store(self, num, den: int, label: str) -> None:
         if not num:
             raise ValueError("a moment sequence needs at least the order-0 moment")
         vars(self).update(_num=tuple(num), _den=den, label=label)  # past the frozen __setattr__
@@ -76,11 +81,8 @@ class MomentSequence:
     @classmethod
     def _from_ints(cls, num, den: int, label: str = "") -> "MomentSequence":
         """The sequence num[i] / den, for den > 0."""
-        if not num:
-            raise ValueError("a moment sequence needs at least the order-0 moment")
-        num, den = lowest_terms(num, den)
         out = object.__new__(cls)
-        vars(out).update(_num=tuple(num), _den=den, label=label)
+        out._store(*lowest_terms(num, den), label)
         return out
 
     @property
@@ -99,6 +101,8 @@ class MomentSequence:
         return Fraction(self._num[index], self._den)
 
     def prefix(self, length: int) -> "MomentSequence":
+        if length < 1:
+            raise ValueError(f"a prefix needs at least the order-0 moment, got length {length}")
         if length > len(self._num):
             raise InsufficientMomentsError(
                 f"{self.label or 'sequence'}: asked for {length} moments, only {len(self._num)} available"
@@ -170,21 +174,20 @@ def shifted_hankel_det(m: MomentSequence, n: int) -> Fraction:
 class PmReport:
     """Finite-order positivity report for one moment sequence.
 
-    Built from the Hankel determinants d_0..d_K and the shifted ones alone,
-    held as integer numerators over one positive denominator D, as a
-    :class:`MomentSequence` holds its values: d_k = ``_dets[k]`` / D^(k+1)
-    and d'_k = ``_shifted[k]`` / D^(k+1).  :func:`is_pm` builds one with
-    ``_from_ints`` over the denominator of its sequence; ``PmReport(dets,
-    shifted)`` takes rationals and brings them over the lcm of their
-    denominators.  ``hankel_dets`` and ``shifted_dets`` build the Fractions
+    ``PmReport(dets, shifted, den)``, the one constructor, takes the Hankel
+    determinants d_0..d_K and the shifted ones as integer numerators over one
+    positive denominator D = ``den``, as a :class:`MomentSequence` holds its
+    values: d_k = ``dets[k]`` / D^(k+1) and d'_k = ``shifted[k]`` / D^(k+1).
+    :func:`is_pm` passes the integers of its battery over the denominator of
+    its sequence.  ``hankel_dets`` and ``shifted_dets`` build the Fractions
     on each read, and two reports are equal iff those values are.
 
-    :meth:`_read` is the one place the sign pattern is read, once, at
-    construction, on the numerators.  ``first_zero_order`` is the first
-    zero before any negative determinant (pm-compatible: finite support
-    possible), and ``is_pm_to_order`` the largest K with d_0..d_K
-    nonnegative (-1 if d_0 < 0 already).  Shifted determinants are tested
-    as far as the data allows and feed ``nonneg_support``.
+    The constructor is the one place the sign pattern is read, once, on the
+    numerators.  ``first_zero_order`` is the first zero before any negative
+    determinant (pm-compatible: finite support possible), and
+    ``is_pm_to_order`` the largest K with d_0..d_K nonnegative (-1 if
+    d_0 < 0 already).  Shifted determinants are tested as far as the data
+    allows and feed ``nonneg_support``.
     """
 
     _dets: tuple[int, ...]
@@ -195,25 +198,8 @@ class PmReport:
     strictly_positive: bool
     nonneg_support: bool
 
-    def __init__(self, hankel_dets, shifted_dets):
-        dets = [rat(d) for d in hankel_dets]
-        shifted = [rat(d) for d in shifted_dets]
-        den = lcm(*(d.denominator for d in dets + shifted))
-        powers = list(accumulate(repeat(den, max(len(dets), len(shifted))), mul))
-
-        def over_powers(values):
-            return tuple(d.numerator * (p // d.denominator) for d, p in zip(values, powers))
-
-        self._read(over_powers(dets), over_powers(shifted), den)
-
-    @classmethod
-    def _from_ints(cls, dets, shifted, den: int) -> "PmReport":
-        """The report with d_k = dets[k] / den^(k+1) and d'_k = shifted[k] / den^(k+1), den > 0."""
-        out = object.__new__(cls)
-        out._read(tuple(dets), tuple(shifted), den)
-        return out
-
-    def _read(self, dets: tuple[int, ...], shifted: tuple[int, ...], den: int) -> None:
+    def __init__(self, dets, shifted, den: int):
+        dets, shifted = tuple(dets), tuple(shifted)
         negative = zero = None
         for k, d in enumerate(dets):
             if d < 0:
@@ -431,7 +417,7 @@ def is_pm(m: MomentSequence, max_order: int) -> PmReport:
         0 if k + r + 1 < flat else _hankel_window(m, k, 1)
         for k in range(len(shifted), shifted_max + 1)
     ]
-    return PmReport._from_ints(dets, shifted, m._den)
+    return PmReport(dets, shifted, m._den)
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,8 @@ class Polynomial:
 
     @staticmethod
     def monomial(power: int, coeff=1) -> "Polynomial":
+        if power < 0:
+            raise ValueError(f"a monomial needs a nonnegative power, got {power}")
         c = rat(coeff)
         return Polynomial._from_ints([0] * power + [c.numerator], c.denominator)
 

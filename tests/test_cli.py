@@ -648,6 +648,18 @@ TEXT_REPORTS = {
         "note: zero Hankel determinant at order 1: finite support possible\n"
         "verdict: pm\n",
     ),
+    "check-pm-denominator": (
+        ("check-pm", "--seq", "log_kernel(1)", "--order", "2"),
+        0,
+        "sequence: log_kernel(1)\n"
+        "tested order: 2\n"
+        "hankel determinants: 1/1, 7/144, 647/4665600\n"
+        "shifted determinants: 1/4, 17/5184, 4679/1866240000\n"
+        "pm to order: 2\n"
+        "strictly positive: yes\n"
+        "nonnegative-support compatible: yes\n"
+        "verdict: pm\n",
+    ),
     "check-pm-refuted": (
         ("check-pm", "--in", "{odd}", "--order", "1"),
         1,

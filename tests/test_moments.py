@@ -197,9 +197,15 @@ class TestBatteryEngine:
         doc = rep.to_json_dict()
         assert doc["hankel_dets"] == [rat_str(d) for d in dets]
         assert doc["shifted_dets"] == [rat_str(d) for d in shifted]
-        from_fractions = PmReport(dets, shifted)
-        assert from_fractions == rep and hash(from_fractions) == hash(rep)
-        assert from_fractions.to_json_dict() == doc
+        # the constructor over the Bareiss determinants times D^(k+1)
+        den = seq._den
+        from_bareiss = PmReport(
+            [int(d * den ** (k + 1)) for k, d in enumerate(dets)],
+            [int(d * den ** (k + 1)) for k, d in enumerate(shifted)],
+            den,
+        )
+        assert from_bareiss == rep and hash(from_bareiss) == hash(rep)
+        assert from_bareiss.to_json_dict() == doc
 
     def test_flat_sequences_skip_the_per_order_fallback(self, monkeypatch):
         def no_fallback(m, k, shift):
@@ -544,6 +550,11 @@ class TestMomentSequence:
             MomentSequence(())
         with pytest.raises(ValueError):
             builtin("catalan", 3).prefix(0)
+
+    def test_prefix_rejects_a_negative_length(self):
+        assert builtin("catalan", 5).prefix(1).values == (F(1),)
+        with pytest.raises(ValueError, match="order-0 moment"):
+            builtin("catalan", 5).prefix(-1)
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):

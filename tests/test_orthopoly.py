@@ -66,6 +66,11 @@ class TestPolynomial:
         z = Polynomial((F(0),))
         assert z.is_zero and z.degree == -1
 
+    def test_monomial_rejects_a_negative_power(self):
+        assert Polynomial.monomial(0, F(2, 3)).coeffs == (F(2, 3),)
+        with pytest.raises(ValueError, match="nonnegative power"):
+            Polynomial.monomial(-1)
+
     def test_arithmetic_evaluates_consistently(self):
         p = Polynomial((F(1), F(-2), F(3)))
         q = Polynomial((F(0), F(1)))

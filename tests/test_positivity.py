@@ -167,8 +167,8 @@ VERDICT_TABLE = [
 def test_verdicts_are_read_off_the_determinants(row):
     dets, negative, zero, pm_order, notes, verdict, verdict_order, cert_note = row
     dets = tuple(F(d) for d in dets)
-    shifted = (F(3), F(-1, 2))
-    report = PmReport(dets, shifted)
+    # integer numerators over den = 2: d_k times 2^(k+1), and the shifted 3 and -1/2
+    report = PmReport([int(d * 2 ** (k + 1)) for k, d in enumerate(dets)], (6, -2), 2)
     assert report.first_negative_order == negative
     assert report.first_zero_order == zero
     assert report.strictly_positive == (negative is None and zero is None)
