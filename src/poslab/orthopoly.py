@@ -13,13 +13,16 @@ A :class:`Polynomial` keeps integer numerators over one common denominator
 (the representation FLINT uses for ``fmpq_poly``): sums, products, scaling
 and evaluation run on integers and reduce once per result, and the Fraction
 coefficients are only built when read.  The basis path stays in that form
-from read to write: ``pi`` rows are read from their ``"p/q"`` strings
-straight into numerators (:func:`poslab.rationals.rational_row`), each
-recurrence step of :func:`_family`, each back-substitution step of
-:func:`_expand_in_basis` and each row check of :class:`ConnectionMatrix` is
-one pass over integer numerators, and the ``"p/q"`` wire strings of a
-family are written straight from them.  Moment sequences share the form,
-so the bilinear form :func:`_inner` is one integer dot product.
+from read to write: a basis file's family is built from ``pi[0]`` and the
+recurrence triples, each ``pi`` row is compared as strings with the
+canonical ``"p/q"`` strings of the built p_n, and only a row that differs is
+parsed straight into numerators (:func:`poslab.rationals.rational_row`) and
+compared exactly; each recurrence step of :func:`_family`, each
+back-substitution step of :func:`_expand_in_basis` and each row check of
+:class:`ConnectionMatrix` is one pass over integer numerators, and the
+``"p/q"`` wire strings of a family are written straight from them.  Moment
+sequences share the form, so the bilinear form :func:`_inner` is one
+integer dot product.
 
 Connection coefficients between two families come from an exact triangular
 solve; the constant column of that triangle is what links series
@@ -44,6 +47,7 @@ from .errors import (
     DegenerateMeasureError,
     InsufficientMomentsError,
     RecurrenceError,
+    ReportLimitError,
     SchemaError,
 )
 from .moments import MomentSequence, _recurrence, builtin
@@ -244,11 +248,18 @@ def _family(p0: Polynomial, triples) -> list[Polynomial]:
     return polys
 
 
-def _check_full_degree(polys) -> None:
-    """Raise ValueError unless every p_n has degree exactly n."""
-    for n, p in enumerate(polys):
-        if p.degree != n:
-            raise ValueError(f"basis polynomial {n} has degree {p.degree}, not full order")
+def _check_degree(n: int, p: Polynomial) -> None:
+    """Raise ValueError unless p, the basis polynomial p_n, has degree exactly n."""
+    if p.degree != n:
+        raise ValueError(f"basis polynomial {n} has degree {p.degree}, not full order")
+
+
+def _is_wire_row(row, p: Polynomial) -> bool:
+    """Whether ``row`` is p's canonical ``"p/q"`` strings; False too when p cannot be written."""
+    try:
+        return row == wire_row(p._num, p._den)
+    except ReportLimitError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -261,7 +272,8 @@ class OrthoBasis:
     by :func:`_family`, and required to have full degrees (so p_0 and every
     A_n are nonzero).  The norms h_n must be positive with
     h_n A_n = C_n A_{n-1} h_{n-1} for 1 <= n < N (<p_{n+1}, p_{n-1}> = 0),
-    which forces C_n A_n A_{n-1} > 0; h_N is free.
+    which forces C_n A_n A_{n-1} > 0; h_N is free.  The rule is checked on
+    integers, cross-multiplied over the positive denominators.
     """
 
     norms: tuple[Fraction, ...]
@@ -279,18 +291,22 @@ class OrthoBasis:
         object.__setattr__(self, "norms", tuple(rat(v) for v in self.norms))
         object.__setattr__(self, "recurrence", triples)
         object.__setattr__(self, "polys", polys)
-        _check_full_degree(polys)
+        for n, p in enumerate(polys):
+            _check_degree(n, p)
         if len(self.norms) != len(polys):
             raise ValueError("one squared norm per polynomial required")
         for n, h in enumerate(self.norms):
             if h <= 0:
                 raise ValueError(f"squared norm at order {n} must be positive, got {h}")
-        for n, (a, _, c) in enumerate(triples):
-            if n and self.norms[n] * a != c * triples[n - 1][0] * self.norms[n - 1]:
+        # h_n A_n as an integer pair (num, den), den > 0; the rule is cross-multiplied
+        for n, (h, (a, _, c)) in enumerate(zip(self.norms, triples)):
+            num, den = h.numerator * a.numerator, h.denominator * a.denominator
+            if n and num * c.denominator * prev_den != c.numerator * prev_num * den:
                 raise RecurrenceError(
                     f"squared norm at order {n} does not follow from the recurrence: "
                     "h_n A_n must equal C_n A_(n-1) h_(n-1)"
                 )
+            prev_num, prev_den = num, den
 
     @property
     def order(self) -> int:
@@ -307,21 +323,24 @@ class OrthoBasis:
 
     @classmethod
     def from_json_dict(cls, data: dict, where: str = "$") -> "OrthoBasis":
-        """Read a basis file; each ``pi`` row must be the p_n that p_0 and the triples build."""
+        """Read a basis file; each ``pi`` row must be the p_n that p_0 and the triples build.
+
+        The family is built first, from ``pi[0]`` and the triples.  A ``pi`` row
+        spelled as the built p_n's canonical ``"p/q"`` strings (the ones
+        :meth:`to_json_dict` writes) is equal to it; only a row whose strings
+        differ is parsed, checked for degree n and compared exactly.
+        """
         if not isinstance(data, dict):
             raise SchemaError(f"{where}: expected an object with 'moments', 'pi', 'norms', 'recurrence'")
         moments = MomentSequence.from_json_dict(data.get("moments"), f"{where}.moments")
         rows = data.get("pi")
         if not isinstance(rows, list) or not rows:
             raise SchemaError(f"{where}.pi: expected a non-empty list of coefficient rows")
-        polys = tuple(
-            Polynomial._from_ints(*rational_row(row, f"{where}.pi[{n}]", n + 1))
-            for n, row in enumerate(rows)
-        )
-        norms = rational_list(data.get("norms"), f"{where}.norms", len(polys))
+        (p0,) = rational_list(rows[0], f"{where}.pi[0]", 1)
+        norms = rational_list(data.get("norms"), f"{where}.norms", len(rows))
         rec_raw = data.get("recurrence")
-        if not isinstance(rec_raw, list) or len(rec_raw) != len(polys) - 1:
-            raise SchemaError(f"{where}.recurrence: expected {len(polys) - 1} [A, B, C] triples")
+        if not isinstance(rec_raw, list) or len(rec_raw) != len(rows) - 1:
+            raise SchemaError(f"{where}.recurrence: expected {len(rows) - 1} [A, B, C] triples")
         triples = tuple(
             rational_list(triple, f"{where}.recurrence[{n}]", 3) for n, triple in enumerate(rec_raw)
         )
@@ -329,13 +348,17 @@ class OrthoBasis:
         if not isinstance(status, str):
             raise SchemaError(f"{where}.status: expected a string")
         try:
-            _check_full_degree(polys)
-            basis = cls(norms, triples, moments, status, polys[0].coefficient(0))
+            basis = cls(norms, triples, moments, status, p0)
+            for n, (row, built) in enumerate(zip(rows, basis.polys)):
+                if not _is_wire_row(row, built):
+                    poly = Polynomial._from_ints(*rational_row(row, f"{where}.pi[{n}]", n + 1))
+                    _check_degree(n, poly)
+                    if poly != built:
+                        raise SchemaError(
+                            f"{where}: recurrence triple at n={n - 1} does not rebuild p_{n}"
+                        )
         except (ValueError, RecurrenceError) as exc:
             raise SchemaError(f"{where}: {exc}") from exc
-        for n, (row, built) in enumerate(zip(polys, basis.polys)):
-            if row != built:
-                raise SchemaError(f"{where}: recurrence triple at n={n - 1} does not rebuild p_{n}")
         return basis
 
 

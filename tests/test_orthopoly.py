@@ -542,6 +542,46 @@ class TestNormRule:
         with pytest.raises(RecurrenceError, match=f"^squared norm at order {n} does not follow"):
             OrthoBasis(base.norms, triples, base.source_moments, p0=base.p0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_the_rule_is_the_fraction_identity(self, data):
+        # A_n and C_n may be zero or negative; a norm follows the rule or is drawn at random
+        wide = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+        entry = st.one_of(small, wide)
+        norm = st.one_of(entry.map(abs), entry.map(abs), entry)
+        size = data.draw(st.integers(1, 6), label="N")
+        triples = [tuple(data.draw(entry) for _ in range(3)) for _ in range(size)]
+        norms = [data.draw(norm, label="h_0")]
+        for n in range(1, size + 1):
+            a, _, c = triples[n] if n < size else (0, 0, 0)  # h_N is free
+            ruled = c * triples[n - 1][0] * norms[-1] / a if a else F(0)
+            if ruled > 0 and data.draw(st.booleans(), label=f"h_{n} from the rule"):
+                norms.append(ruled)
+            else:
+                norms.append(data.draw(norm, label=f"h_{n}"))
+        p0 = data.draw(nonzero, label="p_0")
+        zero_a = next((n for n, (a, _, _) in enumerate(triples) if a == 0), None)
+        nonpositive = next((n for n, h in enumerate(norms) if h <= 0), None)
+        broken = next(
+            (
+                n for n in range(1, size)
+                if norms[n] * triples[n][0] != triples[n][2] * triples[n - 1][0] * norms[n - 1]
+            ),
+            None,
+        )
+        if zero_a is not None:
+            error, message = ValueError, f"^basis polynomial {zero_a + 1} has degree"
+        elif nonpositive is not None:
+            error, message = ValueError, f"^squared norm at order {nonpositive} must be positive"
+        elif broken is not None:
+            error, message = RecurrenceError, f"^squared norm at order {broken} does not follow"
+        else:
+            basis = OrthoBasis(norms, triples, builtin("gaussian", 1), p0=p0)
+            assert basis.norms == tuple(norms) and basis.order == size
+            return
+        with pytest.raises(error, match=message):
+            OrthoBasis(norms, triples, builtin("gaussian", 1), p0=p0)
+
 
 class TestDeterminantFormulaOracle:
     """Independent route to the same polynomials: the classical determinant

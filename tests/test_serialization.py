@@ -231,6 +231,41 @@ class TestMomentSequenceJson:
         assert again.to_json_dict()["values"] == [f"{q.numerator}/{q.denominator}" for q in values]
 
 
+def _decimal(p, q):
+    """p/q (q > 0) as an exact decimal string, or None when it does not terminate."""
+    # q divides 10^k for some k <= log2(q) exactly when it is 2^a 5^b
+    places = next((k for k in range(q.bit_length()) if 10**k % q == 0), None)
+    if places is None:
+        return None
+    digits = str(abs(p) * 10**places // q).rjust(places + 1, "0")
+    whole, frac = digits[: len(digits) - places], digits[len(digits) - places:] or "0"
+    return f"{'-' if p < 0 else ''}{whole}.{frac}"
+
+
+def spellings(text):
+    """Every other spelling of the canonical wire string ``text`` that the reader accepts."""
+    p, q = map(int, text.split("/"))
+    out = [f"{k * p}/{k * q}" for k in (2, 3, 7)] + [f" {text} ", f"\t{text}\n"]
+    if p >= 0:
+        out.append(f"+{text}")
+    if q == 1:
+        out += [str(p), f"{p:+d}"]
+    decimal = _decimal(p, q)
+    if decimal is not None:
+        out.append(decimal)
+    return out
+
+
+def spelled_bases():
+    """Bases to order 8 at most: Hermite, and from the Catalan and uniform (log_kernel(0)) moments."""
+    orders = st.integers(0, 8)
+    moments = st.sampled_from([("catalan", None), ("log_kernel", 0)])
+    return st.one_of(
+        orders.map(hermite),
+        st.builds(lambda n, kp: basis_from_moments(builtin(kp[0], 2 * n + 1, kp[1]), n), orders, moments),
+    )
+
+
 class TestBasisJson:
     def test_round_trip_exact(self):
         for basis in (hermite(6), basis_from_moments(builtin("catalan", 13), 6)):
@@ -250,6 +285,63 @@ class TestBasisJson:
         again = OrthoBasis.from_json_dict(wide)
         assert again == OrthoBasis.from_json_dict(doc)
         assert again.to_json_dict() == doc
+
+    def test_decimal_spellings(self):
+        assert [_decimal(*pq) for pq in ((1, 2), (-3, 20), (7, 1), (0, 1), (1, 3))] == [
+            "0.5", "-0.15", "7.0", "0.0", None,
+        ]
+        assert all(rat(v) == F(-3, 2) for v in spellings("-3/2"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(spelled_bases(), st.data())
+    def test_any_accepted_spelling_of_pi_reads_the_same_basis(self, basis, data):
+        # rows whose strings differ from the canonical ones take the exact path
+        doc = basis.to_json_dict()
+        spelled = copy.deepcopy(doc)
+        for n, row in enumerate(spelled["pi"]):
+            for j, text in enumerate(row):
+                if data.draw(st.booleans(), label=f"respell pi[{n}][{j}]"):
+                    row[j] = data.draw(st.sampled_from(spellings(text)))
+        again = OrthoBasis.from_json_dict(spelled)
+        assert again == OrthoBasis.from_json_dict(doc) == basis
+        assert again.polys == basis.polys
+        assert again.to_json_dict() == doc
+
+    @settings(max_examples=80, deadline=None)
+    @given(spelled_bases().filter(lambda b: b.order >= 1), st.data())
+    def test_one_changed_pi_entry_is_refused(self, basis, data):
+        doc = basis.to_json_dict()
+        n = data.draw(st.integers(1, basis.order), label="row")
+        j = data.draw(st.integers(0, n), label="column")
+        value = rat(doc["pi"][n][j]) + data.draw(rationals.filter(bool), label="change")
+        text = rat_str(value)
+        doc["pi"][n][j] = data.draw(st.sampled_from([text, *spellings(text)]), label="spelling")
+        message = (
+            rf"^\$: (recurrence triple at n={n - 1} does not rebuild p_{n}"
+            rf"|basis polynomial {n} has degree -?\d+, not full order)$"
+        )
+        with pytest.raises(SchemaError, match=message):
+            OrthoBasis.from_json_dict(doc)
+
+    def test_a_file_with_two_faults_names_the_first_in_read_order(self):
+        # the family and its norm rule are checked before the pi rows past pi[0] are read
+        doc = hermite(4).to_json_dict()
+        doc["pi"][3][0], doc["norms"][2] = "abc", "100/1"
+        with pytest.raises(SchemaError, match=r"^\$: squared norm at order 2 does not follow"):
+            OrthoBasis.from_json_dict(doc)
+        doc = hermite(4).to_json_dict()
+        doc["pi"][2][2], doc["pi"][3][0] = "0/1", "abc"
+        with pytest.raises(SchemaError, match=r"^\$: basis polynomial 2 has degree 0, not full order$"):
+            OrthoBasis.from_json_dict(doc)
+
+    def test_a_built_row_past_the_int_string_limit_is_compared_exactly(self):
+        # p_2 = 10^4400 x^2 - ... cannot be written as strings, so its row is parsed and refused
+        doc = hermite(2).to_json_dict()
+        big = "1" + "0" * 2200 + "/1"
+        doc["recurrence"][0][0] = doc["recurrence"][1][0] = big
+        doc["pi"][1] = ["0/1", big]
+        with pytest.raises(SchemaError, match=r"^\$: recurrence triple at n=1 does not rebuild p_2$"):
+            OrthoBasis.from_json_dict(doc)
 
     def test_wire_keys_are_stable(self):
         doc = hermite(3).to_json_dict()
