@@ -6,10 +6,12 @@ triangular recursion form pm sequences for (almost) every y.  At finite
 order we sample y on a rational grid: a single negative Hankel determinant
 at any grid point refutes positivity outright, while all-nonnegative
 determinants certify it to the tested order.  The grid path runs on
-integers: each conditional moment is evaluated at a grid point p/q as an
-integer pair, the pairs are brought over one common denominator, and the
-numerators go straight into a :class:`~poslab.moments.MomentSequence`,
-whose Hankel battery reads them as they are.
+integers: each side's conditional moments are brought over one denominator
+E once, each grid point p/q is then one integer dot product per moment over
+E q^d, and the numerators go straight into a
+:class:`~poslab.moments.MomentSequence`, whose Hankel battery reads them as
+they are.  When the two sides share their moment polynomials and their
+grid, side b takes side a's sequences, and only the batteries run twice.
 
 Orthonormal families carry 1/sqrt(norm) scale factors, but the recursion
 only ever consumes *ratios* of coefficients.  Whenever every norm ratio
@@ -38,6 +40,7 @@ from .orthopoly import (
     _expand_in_basis,
     _hermite_addition_sides,
     _solve_lower,
+    _values_at,
     basis_from_moments,
     hermite,
 )
@@ -270,34 +273,47 @@ class NecessaryConditions:
 
 
 def necessary_conditions(prob: LancasterProblem) -> NecessaryConditions:
-    """Evaluate the declared necessary conditions on all of c_0..c_N, exactly."""
-    cs = prob.coeffs
+    """Evaluate the declared necessary conditions on all of c_0..c_N, exactly.
+
+    The coefficients are held as integer numerators over one denominator C:
+    the square sums are integer prefix sums over C^2, one Fraction each, and
+    the origin sum and the ``ratio_pm`` sequence are integer pairs brought
+    over one lcm, with no Fraction arithmetic.
+    """
+    cs, cden = over_lcm([c.as_integer_ratio() for c in prob.coeffs])
     pa = prob.alpha.polys
     pb = prob.beta.polys
 
     partials = []
-    acc = Fraction(0)
-    for c in cs:
-        acc += c * c
-        partials.append(acc)
+    acc = 0
+    for v in cs:
+        acc += v * v
+        partials.append(Fraction(acc, cden * cden))
 
     origin = None
     if prob.support.zero_in_supp_mu:
         # a_{n,0} b_{n,0} = pa_{n,0} pb_{n,0} / sqrt(norm_a norm_b), and
-        # sqrt(norm_a norm_b) = norm_scale * beta_norm exactly.
-        origin = Fraction(0)
-        for n, c in enumerate(cs):
-            root = prob.norm_scale(n) * prob.beta.norms[n]
-            origin += c * pa[n].coefficient(0) * pb[n].coefficient(0) / root
+        # sqrt(norm_a norm_b) = norm_scale * beta_norm > 0 exactly.
+        terms = []
+        for n, v in enumerate(cs):
+            a, b = pa[n].coefficient(0), pb[n].coefficient(0)
+            s, h = prob.norm_scale(n), prob.beta.norms[n]
+            terms.append((v * a.numerator * b.numerator * s.denominator * h.denominator,
+                          a.denominator * b.denominator * s.numerator * h.numerator))
+        nums, den = over_lcm(terms)
+        origin = Fraction(sum(nums), den * cden)
 
     ratio_report = None
     if prob.support.mu_unbounded:
-        ratio_seq = MomentSequence(
-            tuple(
-                c * pa[n].leading / (pb[n].leading * prob.norm_scale(n)) for n, c in enumerate(cs)
-            )
-        )
-        ratio_report = is_pm(ratio_seq, prob.order // 2)
+        # c_n a_nn / (b_nn s_n), with the sign of b_nn moved to the numerator
+        terms = []
+        for n, v in enumerate(cs):
+            a, b, s = pa[n].leading, pb[n].leading, prob.norm_scale(n)
+            num = v * a.numerator * b.denominator * s.denominator
+            den = a.denominator * b.numerator * s.numerator
+            terms.append((-num, -den) if den < 0 else (num, den))
+        nums, den = over_lcm(terms)
+        ratio_report = is_pm(MomentSequence._from_ints(nums, den * cden), prob.order // 2)
 
     coeff_report = None
     if (
@@ -305,7 +321,7 @@ def necessary_conditions(prob: LancasterProblem) -> NecessaryConditions:
         and prob.support.mu_unbounded
         and prob.support.nu_unbounded
     ):
-        coeff_report = is_pm(MomentSequence(cs), prob.order // 2)
+        coeff_report = is_pm(MomentSequence._from_ints(cs, cden), prob.order // 2)
 
     return NecessaryConditions(tuple(partials), origin, ratio_report, coeff_report)
 
@@ -369,14 +385,18 @@ def lancaster_report(prob: LancasterProblem, order: int | None = None) -> Lancas
     moments to index 2*order, so it may be at most half the problem order.
     Any negative determinant anywhere refutes the expansion; otherwise the
     report is positive to the tested order.  This is the integer grid entry
-    of the Hankel battery: at each point p/q the conditional moments
-    E[X^k | Y = p/q], k <= 2*order, are evaluated as integer pairs
-    (:meth:`Polynomial._at`) and brought over one common denominator, and
-    the numerators become a :class:`MomentSequence` (``_from_ints``), with
-    no Fraction per moment; the reports equal those of :func:`is_pm` on the
-    Fraction values of the same moments.  Grid evaluations are
-    independent and the aggregation does not depend on their order.  The
-    grids come from ``prob``, which holds at least one point.
+    of the Hankel battery: each side's conditional moments E[X^k | Y = y],
+    k <= 2*order, are brought over one denominator E once, and at each point
+    p/q they are integer dot products with the powers p^i q^(d-i), over
+    E q^d (:func:`~poslab.orthopoly._values_at`); the numerators become a
+    :class:`MomentSequence` (``_from_ints``), with no Fraction per moment,
+    and the reports equal those of :func:`is_pm` on the Fraction values of
+    the same moments.  When both sides have the same moment polynomials
+    (``mb is ma``) and the same grid, side b takes side a's sequences, so
+    each point is evaluated once; :func:`is_pm` still runs once per side
+    and point.  Grid evaluations are independent and the aggregation does
+    not depend on their order.  The grids come from ``prob``, which holds
+    at least one point.
     ``pc_flags[n]`` is ``c_n != 0``: :func:`full_order_check` would expand
     h_n = c_n beta_n in the beta family, which gives c_n times the n-th unit
     vector, so the O(N^3) expansion is not run.
@@ -390,13 +410,21 @@ def lancaster_report(prob: LancasterProblem, order: int | None = None) -> Lancas
             f"but the problem stops at {n}"
         )
     polys = moment_polynomials(prob)
-    verdicts = []
-    for side, grid, family in (("a", prob.grid_a, polys.ma), ("b", prob.grid_b, polys.mb)):
-        family = family[: 2 * order + 1]
-        for point in grid:
-            pairs = [poly._at(point.numerator, point.denominator) for poly in family]
-            seq = MomentSequence._from_ints(*over_lcm(pairs))
-            verdicts.append(GridVerdict(side, point, is_pm(seq, order)))
+    top = 2 * order + 1
+
+    def sequences(family, grid):
+        return [MomentSequence._from_ints(*pair) for pair in _values_at(family[:top], grid)]
+
+    seqs_a = sequences(polys.ma, prob.grid_a)
+    if polys.mb is polys.ma and prob.grid_b == prob.grid_a:
+        seqs_b = seqs_a
+    else:
+        seqs_b = sequences(polys.mb, prob.grid_b)
+    verdicts = [
+        GridVerdict(side, point, is_pm(seq, order))
+        for side, grid, seqs in (("a", prob.grid_a, seqs_a), ("b", prob.grid_b, seqs_b))
+        for point, seq in zip(grid, seqs)
+    ]
     return LancasterReport(
         moment_polys=polys,
         grid_verdicts=tuple(verdicts),

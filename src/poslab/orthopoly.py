@@ -64,9 +64,11 @@ class Polynomial:
     numerator) with trailing zeros stripped, so equal polynomials have equal
     storage.  Arithmetic runs on the integers and reduces once per result;
     evaluation at p/q is homogeneous Horner, sum_i n_i p^i q^(d-i) over
-    den q^d (:meth:`_at`), which ends in a single Fraction, or in none on
-    the integer grid path of :func:`poslab.lancaster.lancaster_report`.  ``coeffs`` builds the Fraction coefficients
-    on each read; the zero polynomial has no coefficients and degree -1.
+    den q^d, which ends in a single Fraction.  A whole family at many points
+    is evaluated by :func:`_values_at` instead, as dot products with shared
+    powers of p and q, which for one polynomial at one point cost more than
+    Horner.  ``coeffs`` builds the Fraction coefficients on each read; the
+    zero polynomial has no coefficients and degree -1.
     """
 
     __slots__ = ("_num", "_den")
@@ -121,25 +123,19 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial(coeffs={self.coeffs!r})"
 
-    def _at(self, p: int, q: int) -> tuple[int, int]:
-        """The value at p/q, for q > 0, as the integer pair (sum_i n_i p^i q^(d-i), den q^d).
-
-        Homogeneous Horner in p and q over the numerators n_i of degree d;
-        the pair is not reduced (the zero polynomial gives (0, 1)).
-        """
+    def __call__(self, x) -> Fraction:
+        """The value at x, by homogeneous Horner in p and q over the numerators, x = p/q."""
+        x = rat(x)
+        p, q = x.numerator, x.denominator
         num = self._num
         if not num:
-            return 0, self._den
+            return Fraction(0)
         acc = num[-1]
         qpow = 1
         for v in num[-2::-1]:
             qpow *= q
             acc = acc * p + v * qpow
-        return acc, self._den * qpow
-
-    def __call__(self, x) -> Fraction:
-        x = rat(x)
-        return Fraction(*self._at(x.numerator, x.denominator))
+        return Fraction(acc, self._den * qpow)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -205,6 +201,29 @@ class Polynomial:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
+
+
+def _values_at(polys, points):
+    """Yield, for each p/q in ``points``, the values of ``polys`` there as (numerators, den).
+
+    The polynomials are brought over the lcm E of their denominators once, as
+    integer rows; at each point every value is then one integer dot product
+    of a row with the power vector (p^i q^(d-i))_{i <= d}, d the largest
+    degree, over the one denominator E q^d.  The pairs are not reduced.
+    """
+    den = lcm(*(poly._den for poly in polys))
+    rows = [[v * (den // poly._den) for v in poly._num] for poly in polys]
+    d = max(max(map(len, rows)) - 1, 0)
+    for point in points:
+        p, q = point.numerator, point.denominator
+        qpows = [1]
+        for _ in range(d):
+            qpows.append(qpows[-1] * q)
+        powers, ppow = [], 1
+        for qpow in reversed(qpows):
+            powers.append(ppow * qpow)
+            ppow *= p
+        yield [sum(map(mul, row, powers)) for row in rows], den * qpows[-1]
 
 
 def _inner(p: Polynomial, q: Polynomial, m: MomentSequence) -> Fraction:

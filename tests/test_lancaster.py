@@ -25,11 +25,12 @@ from poslab.lancaster import (
     preset_names,
     preset_problem,
 )
-from poslab.moments import MomentSequence, builtin
+from poslab.moments import MomentSequence, builtin, is_pm
 from poslab.orthopoly import OrthoBasis, Polynomial, basis_from_moments, hermite
 from tests_support import (
     grid_verdicts_by_fractions,
     halved_hermite,
+    necessary_conditions_by_fractions,
     rescaled,
     solve_lower_by_fractions,
 )
@@ -336,6 +337,13 @@ GRID_PROBLEMS = {
 }
 
 
+def battery_inputs(prob):
+    """lancaster_report(prob), and the sequence handed to each is_pm call, in call order."""
+    with mock.patch.object(lancaster, "is_pm", wraps=is_pm) as spy:
+        report = lancaster_report(prob)
+    return report, [call.args[0] for call in spy.call_args_list]
+
+
 class TestIntegerGridPath:
     """The integer grid batteries against the Fraction route they replaced."""
 
@@ -377,8 +385,81 @@ class TestIntegerGridPath:
         prob = LancasterProblem(hermite(6), hermite(6), coeffs, grid_a=grid, grid_b=grid[::-1])
         assert lancaster_report(prob).grid_verdicts == grid_verdicts_by_fractions(prob, 3)
 
+    # A symmetric problem evaluates each grid point once and hands both sides
+    # the same sequence; every other problem evaluates side b itself.  The
+    # batteries run once per side and point either way.
+
+    def test_a_symmetric_problem_shares_each_sequence(self):
+        prob = mehler_problem(F(1, 2), 8)
+        points = len(prob.grid_a)
+        report, seqs = battery_inputs(prob)
+        # both sides of the grid, plus the coeff_pm and ratio_pm batteries
+        assert len(seqs) == 2 * points + 2
+        assert all(a is b for a, b in zip(seqs[:points], seqs[points : 2 * points]))
+        assert report.grid_verdicts == grid_verdicts_by_fractions(prob, report.order)
+
+    @pytest.mark.parametrize("name", ["other-grid", "distinct-families"])
+    def test_side_b_gets_its_own_sequences(self, name):
+        cs = tuple(F(1, 2) ** n for n in range(9))
+        prob = {
+            "other-grid": grid_problem(hermite(8), hermite(8), cs),
+            "distinct-families": LancasterProblem(
+                hermite(8), halved_hermite(8), cs, ALL_FLAGS, grid_a=ODD_GRID, grid_b=ODD_GRID
+            ),
+        }[name]
+        points_a, points_b = len(prob.grid_a), len(prob.grid_b)
+        report, seqs = battery_inputs(prob)
+        assert len(seqs) == points_a + points_b + 2
+        side_a, side_b = seqs[:points_a], seqs[points_a : points_a + points_b]
+        assert not {id(s) for s in side_a} & {id(s) for s in side_b}
+        assert report.grid_verdicts == grid_verdicts_by_fractions(prob, report.order)
+
+
+def norm_pairs():
+    """(alpha, beta) pairs whose norm ratios are rational squares, one of each shape."""
+    h = hermite(6)
+    wide = OrthoBasis([v * 4 for v in h.norms], h.recurrence, h.source_moments)
+    nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(bool)
+    return st.one_of(
+        st.just((h, h)),
+        st.sampled_from([(h, halved_hermite(6)), (halved_hermite(6), h)]),
+        # every s_n = 1/2 or 2: the norm scale has a denominator
+        st.sampled_from([(h, wide), (wide, h)]),
+        # negative scales give negative leading coefficients
+        st.lists(st.lists(nonzero, min_size=7, max_size=7), min_size=2, max_size=2).map(
+            lambda scales: (rescaled(h, scales[0]), rescaled(h, scales[1]))),
+    )
+
 
 class TestNecessaryConditions:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        norm_pairs(),
+        st.builds(SupportFlags, st.booleans(), st.booleans(), st.booleans(), st.booleans()),
+        st.lists(
+            st.one_of(
+                st.just(F(0)),
+                st.fractions(min_value=-2, max_value=2, max_denominator=9),
+                st.fractions(min_value=-5, max_value=5, max_denominator=10**12),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_integer_conditions_equal_the_fraction_route(self, pair, flags, tail):
+        alpha, beta = pair
+        prob = LancasterProblem(alpha, beta, (F(1), *tail), flags)
+        got, expected = necessary_conditions(prob), necessary_conditions_by_fractions(prob)
+        assert got == expected
+        assert got.to_json_dict() == expected.to_json_dict()
+        assert all(type(v) is F for v in got.square_sum_partials)
+
+    def test_the_fixtures_reach_negative_leads_and_scale_denominators(self):
+        h = hermite(6)
+        flipped = rescaled(h, [(-1) ** n * F(n + 1, 2) for n in range(7)])
+        assert flipped.polys[1].leading < 0 and flipped.polys[3].leading < 0
+        wide = OrthoBasis([v * 4 for v in h.norms], h.recurrence, h.source_moments)
+        assert LancasterProblem(h, wide, (1,)).norm_scale(0) == F(1, 2)
+
     def test_square_sums_bounded_by_geometric_limit(self):
         prob = mehler_problem(F(1, 2), 12)
         nec = necessary_conditions(prob)

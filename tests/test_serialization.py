@@ -20,7 +20,7 @@ from poslab.lancaster import (
 from poslab.moments import MomentSequence, builtin, is_pm
 from poslab.orthopoly import OrthoBasis, Polynomial, basis_from_moments, connection, hermite
 from poslab.rationals import (
-    float_str, lowest_terms, rat, rat_str, rational_list, rational_row, report_float,
+    float_str, lowest_terms, rat, rat_str, rational_list, rational_row, report_float, wire_row,
 )
 
 rationals = st.fractions(
@@ -103,6 +103,33 @@ class TestLowestTerms:
     def test_a_reduced_row_comes_back_unchanged(self):
         row = [3, -4]
         assert lowest_terms(row, 5) == (row, 5) and lowest_terms(row, 5)[0] is row
+
+
+class TestWireRow:
+    """``wire_row`` writes num[i] / (den ratio^i) as ``rat_str`` does, over any
+    denominator and ratio, 1 included, and refuses a value it cannot write."""
+
+    @given(
+        st.lists(st.integers(-10**30, 10**30), max_size=6),
+        st.sampled_from([1, 1, 2, 6, 10**12 + 39]),
+        st.sampled_from([1, 1, 3, 10]),
+    )
+    def test_entries_are_the_canonical_strings(self, num, den, ratio):
+        expected = [rat_str(F(v, den * ratio**i)) for i, v in enumerate(num)]
+        assert wire_row(num, den, ratio) == expected
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit before 3.10.7"
+    )
+    @pytest.mark.parametrize("den, ratio", [(1, 1), (3, 1), (1, 2)])
+    def test_a_value_past_the_int_string_limit_is_refused(self, den, ratio):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(ReportLimitError, match="4300-digit limit"):
+                wire_row([1, 10**4301], den, ratio)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestRatParity:

@@ -8,8 +8,10 @@ pass it checks.  The recurrence, expansion and combination oracles run on
 :class:`Polynomial` arithmetic (one multiply and one add or subtract per
 step), a separate route from the fused integer steps of the library.
 :func:`solve_lower_by_fractions` is the Fraction forward substitution that the
-integer solve of the library replaced, and :func:`grid_verdicts_by_fractions`
-the Fraction route of the grid batteries that the integer grid path replaced.  :func:`catalog_instances`,
+integer solve of the library replaced, :func:`grid_verdicts_by_fractions`
+the Fraction route of the grid batteries that the integer grid path
+replaced, and :func:`necessary_conditions_by_fractions` the Fraction route of
+the necessary conditions that their integer pass replaced.  :func:`catalog_instances`,
 :func:`rescaled` and :func:`halved_hermite` are fixtures, not oracles: they
 read the catalog and the library's families themselves.
 """
@@ -17,7 +19,7 @@ read the catalog and the library's families themselves.
 from fractions import Fraction as F
 from math import comb, factorial
 
-from poslab.lancaster import GridVerdict, moment_polynomials
+from poslab.lancaster import GridVerdict, NecessaryConditions, moment_polynomials
 from poslab.moments import (
     MomentSequence,
     builtin,
@@ -206,10 +208,9 @@ def grid_verdicts_by_fractions(prob, order):
 
     Each conditional moment polynomial is evaluated to a Fraction at each
     grid point, and :func:`is_pm` runs on the resulting
-    :class:`MomentSequence`: the route the integer grid path replaced.  The
-    evaluation sums the Fraction coefficients times powers of the point,
-    apart from the homogeneous Horner loop that both ``Polynomial.__call__``
-    and the integer path use.
+    :class:`MomentSequence`, one per side and point: the route the integer
+    grid path replaced.  The evaluation sums the Fraction coefficients times
+    powers of the point, apart from the integer dot products of the library.
     """
     polys = moment_polynomials(prob)
     verdicts = []
@@ -221,3 +222,44 @@ def grid_verdicts_by_fractions(prob, order):
             ))
             verdicts.append(GridVerdict(side, point, is_pm(seq, order)))
     return tuple(verdicts)
+
+
+def necessary_conditions_by_fractions(prob):
+    """``necessary_conditions(prob)`` by Fraction arithmetic, one Fraction operation per step.
+
+    The route the integer pass replaced: square sums accumulated as
+    Fractions, the origin sum as a Fraction sum of c_n a_{n,0} b_{n,0} over
+    sqrt(norm_a norm_b) = norm_scale * beta_norm, and the ``ratio_pm``
+    sequence built from Fraction values.
+    """
+    cs = prob.coeffs
+    pa = prob.alpha.polys
+    pb = prob.beta.polys
+
+    partials = []
+    acc = F(0)
+    for c in cs:
+        acc += c * c
+        partials.append(acc)
+
+    origin = None
+    if prob.support.zero_in_supp_mu:
+        origin = F(0)
+        for n, c in enumerate(cs):
+            root = prob.norm_scale(n) * prob.beta.norms[n]
+            origin += c * pa[n].coefficient(0) * pb[n].coefficient(0) / root
+
+    ratio_report = None
+    if prob.support.mu_unbounded:
+        ratio_seq = MomentSequence(
+            tuple(
+                c * pa[n].leading / (pb[n].leading * prob.norm_scale(n)) for n, c in enumerate(cs)
+            )
+        )
+        ratio_report = is_pm(ratio_seq, prob.order // 2)
+
+    coeff_report = None
+    if prob.support.same_marginals and prob.support.mu_unbounded and prob.support.nu_unbounded:
+        coeff_report = is_pm(MomentSequence(cs), prob.order // 2)
+
+    return NecessaryConditions(tuple(partials), origin, ratio_report, coeff_report)
