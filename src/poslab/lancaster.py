@@ -13,11 +13,11 @@ E q^d, and the numerators go straight into a
 they are.  When the two sides share their moment polynomials and their
 grid, side b takes side a's sequences, and only the batteries run twice.
 
-Orthonormal families carry 1/sqrt(norm) scale factors, but the recursion
-only ever consumes *ratios* of coefficients.  Whenever every norm ratio
-alpha_norm_n / beta_norm_n is a perfect rational square (always true for
-equal marginals), the whole computation stays in exact rational arithmetic;
-other shapes are rejected rather than approximated.
+Orthonormal families carry 1/sqrt(norm) scale factors, but the pipeline
+reads only the monic-frame coefficients e_n = c_n sqrt(h_n / k_n), h_n and
+k_n the squared norms of alpha_n and beta_n.  :class:`LancasterProblem`
+takes that one square root; it must be rational (always true for equal
+norms), or the problem is rejected rather than approximated.
 
 The correlated-Gaussian pair (Hermite families, c_n = rho^n) is wired in as
 the fully worked reference instance, with its closed-form conditional
@@ -27,7 +27,7 @@ moments, conditional density, and truncated kernel for cross-checking.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from math import comb
 
@@ -97,12 +97,14 @@ class SupportFlags:
 class LancasterProblem:
     """One candidate expansion: two families, coefficients, and the grids it is tested on.
 
-    The families are interpreted in their orthonormal frames.  ``grid_a``
+    The coefficients are those of the orthonormal frames.  ``grid_a``
     holds the y tested for X given Y = y, ``grid_b`` the x for Y given X = x;
     each defaults to -2..2 in steps of 1/2, and one may be empty, not both.
-    Construction also verifies c_0 = 1 (the conditional measures must be
-    probability measures) and that every norm ratio has an exact rational
-    square root, which is what keeps the moment recursion rational.
+    Construction derives ``monic_coeffs``, e_n = c_n sqrt(h_n / k_n) (every
+    root rational), and requires the order-0 conditional moments
+    E[X^0 | Y=y] = e_0 q_0 / p_0 and E[Y^0 | X=x] = e_0 k_0 p_0 / (h_0 q_0),
+    p_0 = alpha_0 and q_0 = beta_0, to be 1: equal masses
+    h_0 / p_0^2 = k_0 / q_0^2, and c_0 = sign(p_0 q_0).
     """
 
     alpha: OrthoBasis
@@ -111,6 +113,7 @@ class LancasterProblem:
     support: SupportFlags = SupportFlags()
     grid_a: tuple[Fraction, ...] = DEFAULT_GRID
     grid_b: tuple[Fraction, ...] = DEFAULT_GRID
+    monic_coeffs: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(rat(c) for c in self.coeffs))
@@ -121,30 +124,37 @@ class LancasterProblem:
         n = len(self.coeffs) - 1
         if n < 0:
             raise ValueError("at least the order-0 coefficient is required")
-        if self.coeffs[0] != 1:
-            raise ValueError(f"c_0 must be 1 for probability conditionals, got {self.coeffs[0]}")
+        p0, q0 = self.alpha.p0, self.beta.p0
+        mass_a, mass_b = self.alpha.norms[0] / (p0 * p0), self.beta.norms[0] / (q0 * q0)
+        if mass_a != mass_b:
+            raise ValueError(
+                f"the marginal masses h_0/p_0^2 = {mass_a} and k_0/q_0^2 = {mass_b} differ; "
+                "probability conditionals need equal masses"
+            )
+        sign = 1 if p0 * q0 > 0 else -1
+        if self.coeffs[0] != sign:
+            raise ValueError(
+                f"c_0 must be sign(p_0 q_0) = {sign} for probability conditionals, "
+                f"got {self.coeffs[0]}"
+            )
         if self.alpha.order < n or self.beta.order < n:
             raise ValueError(
                 f"both families must reach order {n}; got {self.alpha.order} and {self.beta.order}"
             )
-        scales = []
-        for k in range(n + 1):
+        monic = []
+        for k, c in enumerate(self.coeffs):
             s = rational_sqrt(self.alpha.norms[k] / self.beta.norms[k])
             if s is None:
                 raise ValueError(
                     f"norm ratio at order {k} is not a perfect rational square; "
                     "the exact orthonormal engine needs equal norms or square ratios"
                 )
-            scales.append(s)
-        object.__setattr__(self, "_scales", tuple(scales))
+            monic.append(c * s)
+        object.__setattr__(self, "monic_coeffs", tuple(monic))
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def norm_scale(self, n: int) -> Fraction:
-        """sqrt(alpha_norm_n / beta_norm_n), exactly."""
-        return self._scales[n]
 
     def to_json_dict(self) -> dict:
         return {
@@ -203,27 +213,27 @@ def moment_polynomials(prob: LancasterProblem) -> MomentPolynomials:
     """Solve the two triangular systems for the conditional moments.
 
     Orthonormality gives E[alpha~_n(X) | Y=y] = c_n beta~_n(y), with
-    alpha~_n = alpha_n / sqrt(alpha_norm_n) and likewise for beta.  Over the
-    monic triangles, with s_n = sqrt(alpha_norm_n / beta_norm_n) rational
-    (checked at problem construction), that is Pi_alpha m(y) = (c_n s_n
-    beta_n(y)), and symmetrically Pi_beta m(x) = (c_n / s_n alpha_n(x));
-    each side is one exact forward substitution.  When the two triangles
-    are equal and every s_n is 1 the two systems are the same, and one
-    solve serves both sides.
+    alpha~_n = alpha_n / sqrt(h_n) and beta~_n = beta_n / sqrt(k_n).  Over
+    the triangles, with e_n the problem's ``monic_coeffs``, that is
+    Pi_alpha m(y) = (e_n beta_n(y)), and symmetrically
+    Pi_beta m(x) = (e_n k_n / h_n alpha_n(x)); each side is one exact
+    forward substitution.  When the triangles and their norms are equal the
+    two systems are the same, and one solve serves both sides.
     """
     top = prob.order + 1
-    cs = prob.coeffs
-    scales = [prob.norm_scale(n) for n in range(top)]
+    es = prob.monic_coeffs
     alpha, beta = prob.alpha.polys[:top], prob.beta.polys[:top]
+    hs, ks = prob.alpha.norms[:top], prob.beta.norms[:top]
 
     def solve(polys, rhs):
         xs, den = _solve_lower(polys, rhs)
         return tuple(Polynomial._from_ints(x, den) for x in xs)
 
-    ma = solve(alpha, [(c * s, p) for c, s, p in zip(cs, scales, beta)])
-    if alpha == beta and all(s == 1 for s in scales):
+    ma = solve(alpha, list(zip(es, beta)))
+    if alpha == beta and hs == ks:
         return MomentPolynomials(ma, ma)
-    return MomentPolynomials(ma, solve(beta, [(c / s, p) for c, s, p in zip(cs, scales, alpha)]))
+    rhs = [(e * k / h, p) for e, h, k, p in zip(es, hs, ks, alpha)]
+    return MomentPolynomials(ma, solve(beta, rhs))
 
 
 @dataclass(frozen=True)
@@ -275,14 +285,15 @@ class NecessaryConditions:
 def necessary_conditions(prob: LancasterProblem) -> NecessaryConditions:
     """Evaluate the declared necessary conditions on all of c_0..c_N, exactly.
 
-    The coefficients are held as integer numerators over one denominator C:
-    the square sums are integer prefix sums over C^2, one Fraction each, and
-    the origin sum and the ``ratio_pm`` sequence are integer pairs brought
-    over one lcm, with no Fraction arithmetic.
+    c_n and the monic-frame e_n are each held as integer numerators over one
+    denominator: the square sums of c_n are integer prefix sums, one Fraction
+    each, and the origin sum and the ``ratio_pm`` sequence, which read e_n,
+    are integer pairs brought over one lcm, with no Fraction arithmetic.
     """
     cs, cden = over_lcm([c.as_integer_ratio() for c in prob.coeffs])
-    pa = prob.alpha.polys
-    pb = prob.beta.polys
+    es, eden = over_lcm([e.as_integer_ratio() for e in prob.monic_coeffs])
+    pa, pb = prob.alpha.polys, prob.beta.polys
+    hs, ks = prob.alpha.norms, prob.beta.norms
 
     partials = []
     acc = 0
@@ -292,28 +303,26 @@ def necessary_conditions(prob: LancasterProblem) -> NecessaryConditions:
 
     origin = None
     if prob.support.zero_in_supp_mu:
-        # a_{n,0} b_{n,0} = pa_{n,0} pb_{n,0} / sqrt(norm_a norm_b), and
-        # sqrt(norm_a norm_b) = norm_scale * beta_norm > 0 exactly.
+        # c_n a_{n,0} b_{n,0} = e_n p_n(0) q_n(0) / h_n, with h_n > 0
         terms = []
-        for n, v in enumerate(cs):
-            a, b = pa[n].coefficient(0), pb[n].coefficient(0)
-            s, h = prob.norm_scale(n), prob.beta.norms[n]
-            terms.append((v * a.numerator * b.numerator * s.denominator * h.denominator,
-                          a.denominator * b.denominator * s.numerator * h.numerator))
+        for n, v in enumerate(es):
+            a, b, h = pa[n].coefficient(0), pb[n].coefficient(0), hs[n]
+            terms.append((v * a.numerator * b.numerator * h.denominator,
+                          a.denominator * b.denominator * h.numerator))
         nums, den = over_lcm(terms)
-        origin = Fraction(sum(nums), den * cden)
+        origin = Fraction(sum(nums), den * eden)
 
     ratio_report = None
     if prob.support.mu_unbounded:
-        # c_n a_nn / (b_nn s_n), with the sign of b_nn moved to the numerator
+        # c_n a_nn / b_nn = e_n k_n a_nn / (h_n b_nn), with the sign of b_nn moved to the numerator
         terms = []
-        for n, v in enumerate(cs):
-            a, b, s = pa[n].leading, pb[n].leading, prob.norm_scale(n)
-            num = v * a.numerator * b.denominator * s.denominator
-            den = a.denominator * b.numerator * s.numerator
+        for n, v in enumerate(es):
+            a, b, h, k = pa[n].leading, pb[n].leading, hs[n], ks[n]
+            num = v * k.numerator * a.numerator * h.denominator * b.denominator
+            den = k.denominator * h.numerator * a.denominator * b.numerator
             terms.append((-num, -den) if den < 0 else (num, den))
         nums, den = over_lcm(terms)
-        ratio_report = is_pm(MomentSequence._from_ints(nums, den * cden), prob.order // 2)
+        ratio_report = is_pm(MomentSequence._from_ints(nums, den * eden), prob.order // 2)
 
     coeff_report = None
     if (
@@ -669,8 +678,7 @@ def mehler_demo_battery(rho, order: int = 10) -> list[CheckResult]:
     record(
         "leading-coefficient-law",
         all(
-            recursion.ma[n].coefficient(n) == prob.coeffs[n] * prob.norm_scale(n)
-            for n in range(order + 1)
+            recursion.ma[n].coefficient(n) == prob.monic_coeffs[n] for n in range(order + 1)
         ),
         "lead(m_n) = c_n b_nn/a_nn",
     )
@@ -733,8 +741,8 @@ def mehler_demo_battery(rho, order: int = 10) -> list[CheckResult]:
     )
     ys = [Fraction(k) for k in range(-2, 3)]
     certs_ok = True
-    for y in ys:
-        cs = tuple(rho**n * hb.polys[n](y) / hb.norms[n] for n in range(hb.order + 1))
+    for values, den in _values_at(hb.polys, ys):
+        cs = tuple(rho**n * Fraction(v, den) / h for n, (v, h) in enumerate(zip(values, hb.norms)))
         cert = certify_positive(OrthogonalSeries(hb, cs), 4)
         certs_ok &= cert.verdict == CERTIFIED and cert.pm_report.strictly_positive
     record(

@@ -62,13 +62,10 @@ class Polynomial:
     Stored as a tuple of integer numerators over one positive common
     denominator, in lowest terms (no prime divides the denominator and every
     numerator) with trailing zeros stripped, so equal polynomials have equal
-    storage.  Arithmetic runs on the integers and reduces once per result;
-    evaluation at p/q is homogeneous Horner, sum_i n_i p^i q^(d-i) over
-    den q^d, which ends in a single Fraction.  A whole family at many points
-    is evaluated by :func:`_values_at` instead, as dot products with shared
-    powers of p and q, which for one polynomial at one point cost more than
-    Horner.  ``coeffs`` builds the Fraction coefficients on each read; the
-    zero polynomial has no coefficients and degree -1.
+    storage.  Arithmetic runs on the integers and reduces once per result,
+    and :func:`_values_at` is the one evaluator: call it on a whole family.
+    ``coeffs`` builds the Fraction coefficients on each read; the zero
+    polynomial has no coefficients and degree -1.
     """
 
     __slots__ = ("_num", "_den")
@@ -124,18 +121,9 @@ class Polynomial:
         return f"Polynomial(coeffs={self.coeffs!r})"
 
     def __call__(self, x) -> Fraction:
-        """The value at x, by homogeneous Horner in p and q over the numerators, x = p/q."""
-        x = rat(x)
-        p, q = x.numerator, x.denominator
-        num = self._num
-        if not num:
-            return Fraction(0)
-        acc = num[-1]
-        qpow = 1
-        for v in num[-2::-1]:
-            qpow *= q
-            acc = acc * p + v * qpow
-        return Fraction(acc, self._den * qpow)
+        """The value at x, read from :func:`_values_at`."""
+        (value,), den = next(_values_at((self,), (rat(x),)))
+        return Fraction(value, den)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):

@@ -388,6 +388,34 @@ class TestLancaster:
         code, out, _ = run(capsys, "lancaster", "--in", str(path))
         assert code == 0 and "grid points tested: 18" in out
 
+    @pytest.mark.parametrize(
+        "norms, message",
+        [
+            # h_N is free: the Hermite polynomials with k_4 = 4 * 4! are a second family
+            (["1/1", "1/1", "2/1", "6/1", "96/1"], None),
+            (["1/1", "1/1", "2/1", "6/1", "48/1"],
+             "norm ratio at order 4 is not a perfect rational square"),
+            (["4/1", "4/1", "8/1", "24/1", "96/1"],
+             "the marginal masses h_0/p_0^2 = 1 and k_0/q_0^2 = 4 differ"),
+        ],
+        ids=["last-norm-times-4", "last-norm-times-2", "every-norm-times-4"],
+    )
+    def test_a_beta_family_with_other_norms(self, capsys, tmp_path, norms, message):
+        doc = preset_problem("mehler", 4, F(1, 2)).to_json_dict()
+        doc["beta"]["norms"] = norms
+        path, report = tmp_path / "problem.json", tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "lancaster", "--in", str(path), "--json", "--out", str(report))
+        if message is not None:
+            assert (code, out) == (2, "") and err.startswith(f"error: {path}: $: {message}")
+            assert not report.exists()
+            return
+        assert (code, out, err) == (0, "", "")
+        written = report.read_text()
+        result = json.loads(written)
+        assert result["conditional_moments_b"] != result["conditional_moments_a"]
+        assert written == json.dumps(result, indent=2, sort_keys=True) + "\n"
+
 
 class TestNegativeRationalArguments:
     def test_negative_rho_as_separate_argument(self, capsys):

@@ -27,6 +27,7 @@ from poslab.lancaster import (
 )
 from poslab.moments import MomentSequence, builtin, is_pm
 from poslab.orthopoly import OrthoBasis, Polynomial, basis_from_moments, hermite
+from poslab.rationals import rational_sqrt
 from tests_support import (
     grid_verdicts_by_fractions,
     halved_hermite,
@@ -80,10 +81,15 @@ class TestMomentPolynomials:
             assert mp.ma[n].coefficient(0) == gauss[n]
 
     def test_leading_coefficient_law(self):
-        prob = mehler_problem(F(2, 3), 8)
-        mp = moment_polynomials(prob)
-        for n in range(9):
-            assert mp.ma[n].coefficient(n) == prob.coeffs[n] * prob.norm_scale(n)
+        # lead(m_n) = e_n b_nn / a_nn, with e_n = c_n sqrt(h_n / k_n)
+        h, halved = hermite(8), halved_hermite(8)
+        cs = tuple(F(2, 3) ** n for n in range(9))
+        for alpha, beta in ((h, h), (h, halved), (halved, h)):
+            mp = moment_polynomials(LancasterProblem(alpha, beta, cs))
+            for n in range(9):
+                e = cs[n] * rational_sqrt(alpha.norms[n] / beta.norms[n])
+                lead = e * beta.polys[n].leading / alpha.polys[n].leading
+                assert mp.ma[n].coefficient(n) == lead
 
     def test_swapping_families_transposes_the_roles(self):
         # alpha = Hermite, beta = Catalan-family: swapping exchanges ma and mb
@@ -121,10 +127,14 @@ class TestMomentPolynomials:
 
 
 def two_solve_oracle(prob):
-    """Both conditional-moment systems, each by the Fraction forward substitution."""
+    """Both conditional-moment systems, each by the Fraction forward substitution.
+
+    The orthonormal route: s_n = sqrt(h_n / k_n) is taken here, and side a
+    solves for (c_n s_n beta_n), side b for (c_n / s_n alpha_n).
+    """
     size = prob.order + 1
     alpha, beta = prob.alpha.polys[:size], prob.beta.polys[:size]
-    scales = [prob.norm_scale(n) for n in range(size)]
+    scales = [rational_sqrt(h / k) for h, k in zip(prob.alpha.norms[:size], prob.beta.norms)]
     rhs_a = [c * s * p for c, s, p in zip(prob.coeffs, scales, beta)]
     rhs_b = [c / s * p for c, s, p in zip(prob.coeffs, scales, alpha)]
     return (
@@ -149,7 +159,7 @@ SYMMETRIC_BASES = [
 
 
 class TestSymmetricSolve:
-    """A problem with equal triangles and every norm scale 1 solves once;
+    """A problem with equal triangles and equal norms solves once;
     every other problem solves both systems."""
 
     @settings(max_examples=60, deadline=None)
@@ -160,7 +170,7 @@ class TestSymmetricSolve:
     )
     def test_symmetric_problems_match_the_two_solve_oracle(self, basis, tail, signs):
         # the same triangle in both roles, also as two equal but distinct
-        # bases; flipping signs keeps the norms and so every scale at 1
+        # bases; flipping signs keeps the norms equal
         flipped = rescaled(basis, signs)
         for alpha, beta in ((basis, basis), (flipped, rescaled(basis, signs))):
             prob = LancasterProblem(alpha, beta, (F(1), *tail))
@@ -176,10 +186,10 @@ class TestSymmetricSolve:
             assert solves == 2
             assert got == two_solve_oracle(prob)
 
-    def test_equal_triangles_with_norm_scales_take_the_second_solve(self):
+    def test_equal_triangles_with_other_norms_take_the_second_solve(self):
         h = hermite(5)
-        # the same polynomials with norms 4 n!: every s_n = 1/2
-        wide = OrthoBasis([v * 4 for v in h.norms], h.recurrence, h.source_moments)
+        # the same polynomials with the last norm 4 N! (h_N is free): s_N = 1/2
+        wide = OrthoBasis(h.norms[:-1] + (4 * h.norms[-1],), h.recurrence, h.source_moments)
         prob = LancasterProblem(h, wide, tuple(F(1, 3) ** n for n in range(6)))
         solves, (ma, mb) = solves_and_result(prob)
         assert solves == 2
@@ -208,7 +218,38 @@ class TestProblemValidation:
         h = hermite(3)
         scaled = halved_hermite(3)
         prob = LancasterProblem(h, scaled, (F(1), F(1, 2), F(1, 4), F(1, 8)))
-        assert prob.norm_scale(2) == 4
+        # e_n = c_n sqrt(n! / (n! / 4^n)) = 2^-n 2^n
+        assert prob.monic_coeffs == (1, 1, 1, 1)
+
+    def test_marginal_masses_must_be_equal(self):
+        # every beta norm times 4: E[X^0 | Y=y] would be 1/2 and E[Y^0 | X=x] 2
+        h = hermite(4)
+        heavy = OrthoBasis([v * 4 for v in h.norms], h.recurrence, h.source_moments)
+        for alpha, beta, (a, b) in ((h, heavy, (1, 4)), (heavy, h, (4, 1))):
+            with pytest.raises(ValueError) as err:
+                LancasterProblem(alpha, beta, (1, 0, 0, 0, 0))
+            assert str(err.value) == (
+                f"the marginal masses h_0/p_0^2 = {a} and k_0/q_0^2 = {b} differ; "
+                "probability conditionals need equal masses"
+            )
+
+    def test_c0_is_the_sign_of_p0_q0(self):
+        # alpha_0 = -1: the Mehler kernel has c_0 = -1 over this pair
+        h, flipped = hermite(4), rescaled(hermite(4), [-1, 1, 1, 1, 1])
+        rho = F(1, 2)
+        for alpha, beta in ((flipped, h), (h, flipped)):
+            with pytest.raises(ValueError) as err:
+                LancasterProblem(alpha, beta, tuple(rho**n for n in range(5)))
+            assert str(err.value) == (
+                "c_0 must be sign(p_0 q_0) = -1 for probability conditionals, got 1"
+            )
+            prob = LancasterProblem(alpha, beta, (-1,) + tuple(rho**n for n in range(1, 5)))
+            mp = moment_polynomials(prob)
+            assert mp.ma[0] == mp.mb[0] == Polynomial.one()
+            assert mp.ma == mp.mb == mehler_moments(rho, 4)
+            report = lancaster_report(prob)
+            assert report.verdict == "positive"
+            assert all(v.report.hankel_dets[0] == 1 for v in report.grid_verdicts)
 
 
 class TestProblemGrids:
@@ -418,12 +459,12 @@ class TestIntegerGridPath:
 def norm_pairs():
     """(alpha, beta) pairs whose norm ratios are rational squares, one of each shape."""
     h = hermite(6)
-    wide = OrthoBasis([v * 4 for v in h.norms], h.recurrence, h.source_moments)
+    wide = OrthoBasis(h.norms[:-1] + (4 * h.norms[-1],), h.recurrence, h.source_moments)
     nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(bool)
     return st.one_of(
         st.just((h, h)),
         st.sampled_from([(h, halved_hermite(6)), (halved_hermite(6), h)]),
-        # every s_n = 1/2 or 2: the norm scale has a denominator
+        # only s_N differs from 1: it is 1/2 or 2
         st.sampled_from([(h, wide), (wide, h)]),
         # negative scales give negative leading coefficients
         st.lists(st.lists(nonzero, min_size=7, max_size=7), min_size=2, max_size=2).map(
@@ -447,7 +488,9 @@ class TestNecessaryConditions:
     )
     def test_integer_conditions_equal_the_fraction_route(self, pair, flags, tail):
         alpha, beta = pair
-        prob = LancasterProblem(alpha, beta, (F(1), *tail), flags)
+        # the probability rule: c_0 = sign(p_0 q_0)
+        c0 = 1 if alpha.p0 * beta.p0 > 0 else -1
+        prob = LancasterProblem(alpha, beta, (c0, *tail), flags)
         got, expected = necessary_conditions(prob), necessary_conditions_by_fractions(prob)
         assert got == expected
         assert got.to_json_dict() == expected.to_json_dict()
@@ -457,8 +500,8 @@ class TestNecessaryConditions:
         h = hermite(6)
         flipped = rescaled(h, [(-1) ** n * F(n + 1, 2) for n in range(7)])
         assert flipped.polys[1].leading < 0 and flipped.polys[3].leading < 0
-        wide = OrthoBasis([v * 4 for v in h.norms], h.recurrence, h.source_moments)
-        assert LancasterProblem(h, wide, (1,)).norm_scale(0) == F(1, 2)
+        wide = OrthoBasis(h.norms[:-1] + (4 * h.norms[-1],), h.recurrence, h.source_moments)
+        assert LancasterProblem(h, wide, (1,) * 7).monic_coeffs[6] == F(1, 2)
 
     def test_square_sums_bounded_by_geometric_limit(self):
         prob = mehler_problem(F(1, 2), 12)

@@ -29,6 +29,7 @@ from poslab.moments import (
     shifted_hankel_det,
 )
 from poslab.orthopoly import OrthoBasis, Polynomial, hermite
+from poslab.rationals import rational_sqrt
 
 
 def catalog_instances(length):
@@ -229,12 +230,14 @@ def necessary_conditions_by_fractions(prob):
 
     The route the integer pass replaced: square sums accumulated as
     Fractions, the origin sum as a Fraction sum of c_n a_{n,0} b_{n,0} over
-    sqrt(norm_a norm_b) = norm_scale * beta_norm, and the ``ratio_pm``
-    sequence built from Fraction values.
+    sqrt(h_n k_n) = s_n k_n, and the ``ratio_pm`` sequence built from Fraction
+    values c_n a_nn / (b_nn s_n), with s_n = sqrt(h_n / k_n) taken here: the
+    orthonormal route, apart from the monic-frame coefficients of the library.
     """
     cs = prob.coeffs
     pa = prob.alpha.polys
     pb = prob.beta.polys
+    scales = [rational_sqrt(h / k) for h, k in zip(prob.alpha.norms[: len(cs)], prob.beta.norms)]
 
     partials = []
     acc = F(0)
@@ -246,14 +249,14 @@ def necessary_conditions_by_fractions(prob):
     if prob.support.zero_in_supp_mu:
         origin = F(0)
         for n, c in enumerate(cs):
-            root = prob.norm_scale(n) * prob.beta.norms[n]
+            root = scales[n] * prob.beta.norms[n]
             origin += c * pa[n].coefficient(0) * pb[n].coefficient(0) / root
 
     ratio_report = None
     if prob.support.mu_unbounded:
         ratio_seq = MomentSequence(
             tuple(
-                c * pa[n].leading / (pb[n].leading * prob.norm_scale(n)) for n, c in enumerate(cs)
+                c * pa[n].leading / (pb[n].leading * scales[n]) for n, c in enumerate(cs)
             )
         )
         ratio_report = is_pm(ratio_seq, prob.order // 2)
