@@ -14,8 +14,10 @@ written at 17 significant digits by :func:`poslab.rationals.float_str`.
 Rationals are accepted only as strings, "p/q", "p" or an exact decimal
 like "0.3": JSON numbers, booleans, floats and exponent notation are
 rejected.  A schema error in an input file reads ``FILE: $.field[i]:
-reason``.  An empty grid, in a file or in ``--grid``, is an error; leave
-it out for the default grid.
+reason``; each file is read by the reader beside its type, where every
+object passes :func:`poslab.rationals.json_object` (an object, with no
+unknown key).  An empty grid, in a file or in ``--grid``, is an error;
+leave it out for the default grid.
 
 ``main`` builds one argument parser per process, on its first call, and
 reuses it for every later request: nothing in the parser depends on the
@@ -61,7 +63,7 @@ from .moments import (
     is_pm,
     parse_catalog_key,
 )
-from .orthopoly import OrthoBasis, basis_from_moments, connection, hermite
+from .orthopoly import OrthoBasis, basis_from_moments, connection
 from .positivity import REFUTED, OrthogonalSeries, certify_positive
 from .rationals import rat, rat_str, rational_list
 
@@ -137,19 +139,16 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         out.append(json.dumps(value))
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: cannot read input file ({exc})")
     try:
-        data = json.loads(raw)
+        return json.loads(raw)
     except (ValueError, RecursionError) as exc:
         # bad syntax, a number past the int-string limit, or nesting past the recursion limit
         raise SchemaError(f"{path}: not valid JSON ({exc})")
-    if not isinstance(data, dict):
-        raise SchemaError(f"{path}: expected a JSON object at the top level")
-    return data
 
 
 def _load(path: str, loader):
@@ -244,26 +243,8 @@ def _cmd_connect(args) -> int:
     return EXIT_OK
 
 
-def _series_from_json(data: dict, where: str) -> OrthogonalSeries:
-    basis_field = data.get("basis")
-    if basis_field == "hermite":
-        order = data.get("order")
-        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-            raise SchemaError(f"{where}.order: expected a nonnegative integer with basis 'hermite'")
-        basis = hermite(order)
-    elif isinstance(basis_field, dict):
-        basis = OrthoBasis.from_json_dict(basis_field, f"{where}.basis")
-    else:
-        raise SchemaError(f"{where}.basis: expected a basis object or the string 'hermite'")
-    coeffs = rational_list(data.get("coeffs"), f"{where}.coeffs")
-    try:
-        return OrthogonalSeries(basis, coeffs)
-    except ValueError as exc:
-        raise SchemaError(f"{where}.coeffs: {exc}") from exc
-
-
 def _load_series(path: str) -> OrthogonalSeries:
-    return _load(path, _series_from_json)
+    return _load(path, OrthogonalSeries.from_json_dict)
 
 
 def _cmd_certify(args) -> int:
@@ -452,9 +433,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (InsufficientMomentsError, ReportLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT

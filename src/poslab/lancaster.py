@@ -27,7 +27,7 @@ moments, conditional density, and truncated kernel for cross-checking.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from math import comb
 
@@ -46,16 +46,11 @@ from .orthopoly import (
 )
 from .positivity import CERTIFIED, REFUTED, OrthogonalSeries, certify_positive
 from .rationals import (
-    double_factorial, float_str, over_lcm, rat, rat_str, rational_list, rational_sqrt, wire_row,
+    double_factorial, float_str, json_object, over_lcm, rat, rat_str, rational_list, rational_sqrt,
+    wire_row,
 )
 
 DEFAULT_GRID = tuple(Fraction(k, 2) for k in range(-4, 5))
-
-
-def _reject_unknown_keys(data: dict, known, where: str) -> None:
-    unknown = next((key for key in data if key not in known), None)
-    if unknown is not None:
-        raise SchemaError(f"{where}: unknown key {unknown!r}")
 
 
 @dataclass(frozen=True)
@@ -81,16 +76,11 @@ class SupportFlags:
         A misspelled flag would otherwise read as undeclared and silently
         switch its necessary-condition check off.
         """
-        if not isinstance(data, dict):
-            raise SchemaError(f"{where}: expected an object of boolean flags")
-        _reject_unknown_keys(data, {field.name for field in fields(cls)}, where)
-        kwargs = {}
-        for field in fields(cls):
-            val = data.get(field.name, field.default)
+        data = json_object(data, where, [field.name for field in fields(cls)])
+        for key, val in data.items():
             if not isinstance(val, bool):
-                raise SchemaError(f"{where}.{field.name}: expected a boolean")
-            kwargs[field.name] = val
-        return cls(**kwargs)
+                raise SchemaError(f"{where}.{key}: expected a boolean")
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -175,13 +165,11 @@ def parse_problem_json(data: dict, where: str = "$") -> LancasterProblem:
 
     The keys are those of :meth:`LancasterProblem.to_json_dict`; any other
     key is an error.  A missing or null grid key keeps the default grid; a
-    present one must be a non-empty list.  The grids are read last, so a bad
-    problem is reported before a bad grid.  A ``beta`` object equal to the
-    ``alpha`` object is that same family and is not read twice.
+    present one must be a non-empty list, read before the problem is built,
+    so a bad grid is named before a broken probability rule.  A ``beta``
+    object equal to the ``alpha`` object is that same family, read once.
     """
-    if not isinstance(data, dict):
-        raise SchemaError(f"{where}: expected a problem object")
-    _reject_unknown_keys(data, _PROBLEM_KEYS, where)
+    data = json_object(data, where, _PROBLEM_KEYS)
     alpha = OrthoBasis.from_json_dict(data.get("alpha"), f"{where}.alpha")
     if data.get("beta") == data.get("alpha"):
         beta = alpha
@@ -189,16 +177,15 @@ def parse_problem_json(data: dict, where: str = "$") -> LancasterProblem:
         beta = OrthoBasis.from_json_dict(data.get("beta"), f"{where}.beta")
     coeffs = rational_list(data.get("coeffs"), f"{where}.coeffs")
     flags = SupportFlags.from_json_dict(data.get("support_flags", {}), f"{where}.support_flags")
-    try:
-        problem = LancasterProblem(alpha, beta, coeffs, flags)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
     grids = {
         key: rational_list(data[key], f"{where}.{key}")
         for key in ("grid_a", "grid_b")
         if data.get(key) is not None
     }
-    return replace(problem, **grids) if grids else problem
+    try:
+        return LancasterProblem(alpha, beta, coeffs, flags, **grids)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -261,8 +248,9 @@ class NecessaryConditions:
       limit when 0 lies in the support of mu); None unless declared;
     * ratio_pm: Hankel report of {c_n a_nn/b_nn} (a moment sequence when mu
       has unbounded support); None unless declared;
-    * coeff_pm: Hankel report of {c_n} itself (equal marginals with unbounded
-      support); None unless declared.
+    * coeff_pm: Hankel report of {c_n sign(a_nn b_nn)}, which is {c_n} when
+      both leads share a sign (equal marginals with unbounded support); None
+      unless declared.
     """
 
     square_sum_partials: tuple[Fraction, ...]
@@ -325,12 +313,11 @@ def necessary_conditions(prob: LancasterProblem) -> NecessaryConditions:
         ratio_report = is_pm(MomentSequence._from_ints(nums, den * eden), prob.order // 2)
 
     coeff_report = None
-    if (
-        prob.support.same_marginals
-        and prob.support.mu_unbounded
-        and prob.support.nu_unbounded
-    ):
-        coeff_report = is_pm(MomentSequence._from_ints(cs, cden), prob.order // 2)
+    flags = prob.support
+    if flags.same_marginals and flags.mu_unbounded and flags.nu_unbounded:
+        # equal marginals: alpha~_n = sign(a_nn b_nn) beta~_n, so c_n sign(a_nn b_nn) must be pm
+        signed = [v if pa[n].leading * pb[n].leading > 0 else -v for n, v in enumerate(cs)]
+        coeff_report = is_pm(MomentSequence._from_ints(signed, cden), prob.order // 2)
 
     return NecessaryConditions(tuple(partials), origin, ratio_report, coeff_report)
 

@@ -53,7 +53,7 @@ from operator import mul
 
 from .errors import InsufficientMomentsError, SchemaError
 from .rationals import (
-    fibonacci, lowest_terms, over_lcm, rat, rational_row, report_float, wire_row,
+    fibonacci, json_object, lowest_terms, over_lcm, rat, rational_row, report_float, wire_row,
 )
 
 
@@ -114,8 +114,7 @@ class MomentSequence:
 
     @classmethod
     def from_json_dict(cls, data: dict, where: str = "$") -> "MomentSequence":
-        if not isinstance(data, dict):
-            raise SchemaError(f"{where}: expected an object with 'label' and 'values'")
+        data = json_object(data, where, ("label", "values"))
         label = data.get("label", "")
         if not isinstance(label, str):
             raise SchemaError(f"{where}.label: expected a string")

@@ -52,7 +52,8 @@ from .errors import (
 )
 from .moments import MomentSequence, _recurrence, builtin
 from .rationals import (
-    lowest_terms, over_lcm, rat, rat_str, rational_list, rational_row, rational_sqrt, wire_row,
+    json_object, lowest_terms, over_lcm, rat, rat_str, rational_list, rational_row, rational_sqrt,
+    wire_row,
 )
 
 
@@ -337,8 +338,7 @@ class OrthoBasis:
         :meth:`to_json_dict` writes) is equal to it; only a row whose strings
         differ is parsed, checked for degree n and compared exactly.
         """
-        if not isinstance(data, dict):
-            raise SchemaError(f"{where}: expected an object with 'moments', 'pi', 'norms', 'recurrence'")
+        data = json_object(data, where, ("moments", "pi", "norms", "recurrence", "status"))
         moments = MomentSequence.from_json_dict(data.get("moments"), f"{where}.moments")
         rows = data.get("pi")
         if not isinstance(rows, list) or not rows:

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import log
 
-from .errors import InsufficientMomentsError
+from .errors import InsufficientMomentsError, SchemaError
 from .moments import MomentSequence, PmReport, is_pm
-from .orthopoly import OrthoBasis, Polynomial, _combination, _inner, _solve_lower
-from .rationals import float_str, rat, rat_str, report_float
+from .orthopoly import OrthoBasis, Polynomial, _combination, _inner, _solve_lower, hermite
+from .rationals import float_str, json_object, rat, rat_str, rational_list, report_float
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,26 @@ class OrthogonalSeries:
             raise ValueError(
                 f"{len(self.coeffs)} coefficients exceed basis order {self.basis.order}"
             )
+
+    @classmethod
+    def from_json_dict(cls, data: dict, where: str = "$") -> "OrthogonalSeries":
+        """Read a series file: a basis object, or ``"hermite"`` with its ``order``, and ``coeffs``."""
+        data = json_object(data, where, ("basis", "order", "coeffs"))
+        basis_field = data.get("basis")
+        if basis_field == "hermite":
+            order = data.get("order")
+            if not isinstance(order, int) or isinstance(order, bool) or order < 0:
+                raise SchemaError(f"{where}.order: expected a nonnegative integer with basis 'hermite'")
+            basis = hermite(order)
+        elif isinstance(basis_field, dict):
+            basis = OrthoBasis.from_json_dict(basis_field, f"{where}.basis")
+        else:
+            raise SchemaError(f"{where}.basis: expected a basis object or the string 'hermite'")
+        coeffs = rational_list(data.get("coeffs"), f"{where}.coeffs")
+        try:
+            return cls(basis, coeffs)
+        except ValueError as exc:
+            raise SchemaError(f"{where}.coeffs: {exc}") from exc
 
     def padded_coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients extended by zeros to the basis order (the series is finite)."""

@@ -5,6 +5,8 @@ Scalar quantities that carry mathematical meaning in this package are
 integer numerators over one denominator, reduced by :func:`lowest_terms`.
 Floats are rejected by the parsers: a float argument is almost always a
 silent loss of exactness.
+:func:`json_object` is the one check of a JSON input object: an object,
+with no key outside the reader's list.
 :func:`_rat_pair` is the one parser of rational strings, straight to an
 integer pair; :func:`rat` and :func:`rational_list`, the one reader of
 rational lists in JSON input, build Fractions from it, and
@@ -76,6 +78,16 @@ def rat(value) -> Fraction:
             f"floats are not exact; pass a rational string like '3/10' instead of {value!r}"
         )
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def json_object(data, where: str, keys) -> dict:
+    """The one object check of JSON input: ``data``, an object with no key outside ``keys``."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"{where}: expected an object with keys {', '.join(map(repr, keys))}")
+    unknown = next((key for key in data if key not in keys), None)
+    if unknown is not None:
+        raise SchemaError(f"{where}: unknown key {unknown!r}")
+    return data
 
 
 def _pairs(raw, where: str, length: int | None) -> list[tuple[int, int]]:

@@ -6,8 +6,12 @@ lines; every tolerance is pinned here, nothing is deferred.
 
 import math
 import random
+import runpy
 import time
 from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
 
 from tests_support import catalog_instances, hermite_sum_formula, normal_moments
 
@@ -222,3 +226,12 @@ def test_criterion_14_full_order_check():
     flags = full_order_check(deficient, h)
     assert flags[2] is False and all(flags[:2]) and all(flags[3:])
     report(14, "full-order flags pass on the damped Hermite family and catch a degree-deficient h_2")
+
+
+@pytest.mark.parametrize(
+    "demo", sorted((Path(__file__).parents[1] / "demos").glob("0*.py")), ids=lambda p: p.name
+)
+def test_demo_runs_to_the_end(demo, capsys):
+    # each narrative script under demos/ runs in-process, as `python demos/NN_name.py` would
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from poslab import cli
 from poslab.cli import build_parser, main
-from poslab.lancaster import preset_problem
+from poslab.lancaster import LancasterProblem, preset_problem
 from poslab.moments import builtin
 
 
@@ -62,6 +62,17 @@ class TestCheckPm:
         path.write_text(json.dumps({"label": "short", "values": ["1/1", "0/1", "1/1"]}))
         code, _, err = run(capsys, "check-pm", "--in", str(path), "--order", "5")
         assert code == 3 and "needs 11 moments" in err
+
+    def test_moments_in_any_terms_check_as_the_canonical_file(self, capsys, tmp_path):
+        doc = builtin("catalan", 10).to_json_dict()
+        path = tmp_path / "moments.json"
+        path.write_text(json.dumps(doc))
+        want = run(capsys, "check-pm", "--in", str(path), "--order", "4", "--json")
+        doc["values"] = [_wide(v) for v in doc["values"]]
+        assert "2/2" in doc["values"]
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "check-pm", "--in", str(path), "--order", "4", "--json") == want
+        assert want[0] == 0 and want[2] == ""
 
     def test_schema_error_names_path_and_field(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -144,6 +155,26 @@ class TestBuildBasisAndConnect:
         assert len(doc["gamma"]) == 5
         assert doc["gamma"][0] == ["1/1"]
 
+    @pytest.mark.parametrize("seq, order, marker", [("gaussian", 2, "+1"), ("log_kernel(0)", 4, "-0.5")])
+    def test_pi_rows_in_other_spellings_connect_to_the_same_bytes(
+        self, capsys, tmp_path, seq, order, marker
+    ):
+        # a row that misses the string match with the canonical rows is parsed and reads the same
+        def plain(value):
+            p, q = value.split("/")
+            return f"{int(p):+d}" if q == "1" else str(int(p) / 2) if q == "2" else value
+
+        basis, spelled = tmp_path / "basis.json", tmp_path / "spelled.json"
+        run(capsys, "build-basis", "--seq", seq, "--order", str(order), "--out", str(basis))
+        want = run(capsys, "connect", "--in", str(basis), "--to", str(basis))
+        assert want[0] == 0 and want[2] == ""
+        for respell, mark in ((_wide, "2/2"), (plain, marker)):
+            doc = json.loads(basis.read_text())
+            doc["pi"] = [[respell(v) for v in row] for row in doc["pi"]]
+            assert any(mark in row for row in doc["pi"])
+            spelled.write_text(json.dumps(doc))
+            assert run(capsys, "connect", "--in", str(spelled), "--to", str(basis)) == want
+
     def test_a_shorter_target_exits_three(self, capsys, tmp_path):
         gauss = tmp_path / "gauss.json"
         cat = tmp_path / "catalan.json"
@@ -163,6 +194,12 @@ class TestBuildBasisAndConnect:
         doc = json.loads(out_path.read_text())
         assert doc["pi"][3] == ["0/1", "-3/1", "0/1", "1/1"]
         assert doc["norms"] == ["1/1", "1/1", "2/1", "6/1"]
+
+
+def _wide(value):
+    """A ``"p/q"`` string as ``"2p/2q"``: the same rational in other terms."""
+    p, q = value.split("/")
+    return f"{2 * int(p)}/{2 * int(q)}"
 
 
 def _set(doc, path, value):
@@ -196,6 +233,9 @@ BASIS_FAULTS = {
     "negative-norm": (("norms", 1), "-1/1", "$: squared norm at order 1 must be positive, got -1"),
     "last-norm": (("norms", 4), "100/1", None),
     "status": (("status",), 3, "$.status: expected a string"),
+    # a zero denominator, and an entry past Python's 4300-digit int-string limit
+    "pi-zero-q": (("pi", 1, 0), "1/0", "$.pi[1][0]: not a rational string: '1/0'"),
+    "pi-long": (("pi", 1, 0), "1" * 4301, f"$.pi[1][0]: not a rational string: '{'1' * 4301}'"),
 }
 
 
@@ -376,6 +416,29 @@ class TestLancaster:
             assert (code, out) == (2, "")
             assert err == "error: --grid: expected a non-empty list of rational strings\n"
 
+    def test_a_beta_family_in_other_terms_gives_the_same_report(self, capsys, tmp_path):
+        # beta no longer equals alpha as an object, so it is read as its own family
+        doc = preset_problem("mehler", 4, F(1, 2)).to_json_dict()
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        want = run(capsys, "lancaster", "--in", str(path), "--json")
+        doc["beta"]["pi"] = [[_wide(v) for v in row] for row in doc["beta"]["pi"]]
+        assert ["2/2"] in doc["beta"]["pi"]
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "lancaster", "--in", str(path), "--json") == want
+        assert want[0] == 0 and want[2] == ""
+
+    def test_a_problem_file_with_grids_builds_its_problem_once(self, capsys, tmp_path, monkeypatch):
+        doc = preset_problem("mehler", 4, F(1, 2)).to_json_dict()
+        assert doc["grid_a"] and doc["grid_b"]
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        built = []
+        post_init = LancasterProblem.__post_init__
+        monkeypatch.setattr(LancasterProblem, "__post_init__", lambda p: built.append(post_init(p)))
+        code, _, err = run(capsys, "lancaster", "--in", str(path), "--order", "1")
+        assert (code, err) == (0, "") and len(built) == 1
+
     def test_empty_grids_in_a_problem_file_are_rejected(self, capsys, tmp_path):
         doc = preset_problem("mehler", 4, F(1, 2)).to_json_dict()
         path = tmp_path / "problem.json"
@@ -488,6 +551,33 @@ class TestMehlerDemo:
         code, out, err = run(capsys, "lancaster", "--in", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: {path}: $: unknown key 'grid_A'\n"
+        # every input object follows the one rule, nested ones and the other file kinds too
+        del doc["grid_A"]
+        basis = tmp_path / "basis.json"
+        basis.write_text(json.dumps(doc["alpha"]))
+        commands = {
+            "moments": ("check-pm", "--order", "1", "--in"),
+            "basis": ("connect", "--to", str(basis), "--in"),
+            "series": ("certify", "--in"),
+            "problem": ("lancaster", "--in"),
+        }
+        cases = [
+            ("moments", {**builtin("catalan", 4).to_json_dict(), "lable": "x"}, "$: unknown key 'lable'"),
+            ("basis", {**doc["alpha"], "statuss": "ok"}, "$: unknown key 'statuss'"),
+            ("series", {"basis": "hermite", "order": 2, "coefs": ["1/1"]}, "$: unknown key 'coefs'"),
+            ("problem", {**doc, "alpha": {**doc["alpha"], "statuss": "ok"}},
+             "$.alpha: unknown key 'statuss'"),
+            ("problem", {**doc, "beta": {**doc["beta"], "statuss": "ok"}},
+             "$.beta: unknown key 'statuss'"),
+            ("series", {"basis": {**doc["alpha"], "statuss": "ok"}, "coeffs": ["1/1"]},
+             "$.basis: unknown key 'statuss'"),
+        ]
+        for kind in commands:
+            cases.append((kind, [doc], "$: expected an object with keys "))
+        for kind, bad, message in cases:
+            path.write_text(json.dumps(bad))
+            code, out, err = run(capsys, *commands[kind], str(path))
+            assert (code, out) == (2, "") and err.startswith(f"error: {path}: {message}"), (kind, err)
 
 
 class TestDeterminism:
@@ -549,6 +639,32 @@ class TestJsonWriter:
     @example({"b": (True, False, None), "a": {"c": [{}], "B": ()}})
     def test_matches_the_json_module(self, value):
         assert cli._dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    def test_real_reports_match_the_json_module(self, capsys, tmp_path):
+        # the bytes `python -m json.tool --indent 2 --sort-keys` writes back for each report
+        basis, series = tmp_path / "basis.json", tmp_path / "series.json"
+        problem, two_families = tmp_path / "problem.json", tmp_path / "two-families.json"
+        run(capsys, "build-basis", "--seq", "gaussian", "--order", "2", "--out", str(basis))
+        series.write_text(json.dumps({"basis": "hermite", "order": 6, "coeffs": ["1/1", "1/3"]}))
+        doc = preset_problem("mehler", 4, F(1, 2)).to_json_dict()
+        problem.write_text(json.dumps(doc))
+        doc["beta"]["norms"][-1] = "96/1"  # h_N is free: a second family
+        two_families.write_text(json.dumps(doc))
+        requests = [
+            ("lancaster", "--preset", "mehler", "--rho", "1/2", "--problem-order", "8", "--json"),
+            ("mehler-demo", "--rho=1/3", "--json"),
+            ("build-basis", "--seq", "catalan", "--order", "12"),
+            # Hankel determinants written from integer numerators over D^(k+1), D > 1 here
+            ("check-pm", "--seq", "log_kernel(1)", "--order", "12", "--json"),
+            ("certify", "--in", str(series), "--order", "3", "--json"),
+            ("connect", "--in", str(basis), "--to", str(basis)),
+            ("lancaster", "--in", str(problem), "--json"),
+            ("lancaster", "--in", str(two_families), "--json"),
+        ]
+        for argv in requests:
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
 
 
 class TestUsageErrors:

@@ -521,6 +521,15 @@ class TestNecessaryConditions:
         assert all(d == 0 for d in nec.coeff_pm.hankel_dets[1:])
         assert nec.ratio_pm is not None and nec.ratio_pm.is_pm
 
+    def test_coeff_pm_reads_the_law_not_the_sign_of_a_family(self):
+        # p_0 = -1 flips every alpha_n, so c_n = -(1/2)^n is the Mehler law at rho = 1/2
+        h = hermite(6)
+        flipped = OrthoBasis(h.norms, h.recurrence, h.source_moments, p0=-1)
+        plain = LancasterProblem(h, h, [F(1, 2**n) for n in range(7)], ALL_FLAGS)
+        signed = LancasterProblem(flipped, h, [F(-1, 2**n) for n in range(7)], ALL_FLAGS)
+        got, expected = necessary_conditions(signed).coeff_pm, necessary_conditions(plain).coeff_pm
+        assert expected.is_pm and got == expected
+
     def test_trivial_coefficients(self):
         basis = hermite(4)
         prob = LancasterProblem(basis, basis, (F(1), F(0), F(0), F(0), F(0)), ALL_FLAGS)

@@ -19,6 +19,7 @@ from poslab.lancaster import (
 )
 from poslab.moments import MomentSequence, builtin, is_pm
 from poslab.orthopoly import OrthoBasis, Polynomial, basis_from_moments, connection, hermite
+from poslab.positivity import OrthogonalSeries
 from poslab.rationals import (
     float_str, lowest_terms, rat, rat_str, rational_list, rational_row, report_float, wire_row,
 )
@@ -510,6 +511,26 @@ class TestProblemJson:
         with pytest.raises(SchemaError) as err:
             parse_problem_json(doc)
         assert str(err.value) == "$: unknown key 'grid_A'"
+        # one rule for every reader and every nested object
+        doc["grid_a"] = doc.pop("grid_A")
+        alpha = doc["alpha"]
+        cases = [
+            (MomentSequence.from_json_dict, {**alpha["moments"], "lable": "x"}, "$: unknown key 'lable'"),
+            (OrthoBasis.from_json_dict, {**alpha, "statuss": "ok"}, "$: unknown key 'statuss'"),
+            (OrthoBasis.from_json_dict, {**alpha, "moments": {**alpha["moments"], "lable": "x"}},
+             "$.moments: unknown key 'lable'"),
+            (OrthogonalSeries.from_json_dict, {"basis": "hermite", "order": 2, "coefs": ["1/1"]},
+             "$: unknown key 'coefs'"),
+            (parse_problem_json, {**doc, "alpha": {**alpha, "statuss": "ok"}},
+             "$.alpha: unknown key 'statuss'"),
+        ]
+        readers = (MomentSequence.from_json_dict, OrthoBasis.from_json_dict,
+                   OrthogonalSeries.from_json_dict, SupportFlags.from_json_dict, parse_problem_json)
+        cases += [(reader, [doc], "$: expected an object with keys ") for reader in readers]
+        for reader, bad, message in cases:
+            with pytest.raises(SchemaError) as err:
+                reader(bad)
+            assert str(err.value).startswith(message)
 
 
 class TestConnectionJson:

@@ -263,6 +263,7 @@ def necessary_conditions_by_fractions(prob):
 
     coeff_report = None
     if prob.support.same_marginals and prob.support.mu_unbounded and prob.support.nu_unbounded:
-        coeff_report = is_pm(MomentSequence(cs), prob.order // 2)
+        signs = [1 if pa[n].leading * pb[n].leading > 0 else -1 for n in range(len(cs))]
+        coeff_report = is_pm(MomentSequence(tuple(c * s for c, s in zip(cs, signs))), prob.order // 2)
 
     return NecessaryConditions(tuple(partials), origin, ratio_report, coeff_report)
