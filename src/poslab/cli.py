@@ -32,7 +32,6 @@ its own small recursive writer.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import re
@@ -270,19 +269,17 @@ def _cmd_certify(args) -> int:
 def _cmd_lancaster(args) -> int:
     if args.infile and args.preset:
         raise SchemaError("give either --in or --preset, not both")
+    grid = _parse_grid(args.grid) if args.grid is not None else None
     if args.infile:
         if args.rho is not None or args.problem_order is not None:
             raise SchemaError("--rho and --problem-order apply only to --preset")
-        problem = _load(args.infile, parse_problem_json)
+        problem = _load(args.infile, functools.partial(parse_problem_json, grid=grid))
     elif args.preset:
         rho = rat(args.rho) if args.rho is not None else None
         order = args.problem_order if args.problem_order is not None else 10
-        problem = preset_problem(args.preset, order, rho)
+        problem = preset_problem(args.preset, order, rho, grid)
     else:
         raise SchemaError("a problem is required: pass --in FILE or --preset NAME")
-    if args.grid is not None:
-        grid = _parse_grid(args.grid)
-        problem = dataclasses.replace(problem, grid_a=grid, grid_b=grid)
     report = lancaster_report(problem, args.order)
     if args.json:
         _emit(_dump_json(report.to_json_dict()), args.out)

@@ -160,14 +160,16 @@ class LancasterProblem:
 _PROBLEM_KEYS = ("alpha", "beta", "coeffs", "grid_a", "grid_b", "support_flags")
 
 
-def parse_problem_json(data: dict, where: str = "$") -> LancasterProblem:
+def parse_problem_json(data: dict, where: str = "$", grid=None) -> LancasterProblem:
     """Load a problem file.
 
     The keys are those of :meth:`LancasterProblem.to_json_dict`; any other
     key is an error.  A missing or null grid key keeps the default grid; a
     present one must be a non-empty list, read before the problem is built,
-    so a bad grid is named before a broken probability rule.  A ``beta``
-    object equal to the ``alpha`` object is that same family, read once.
+    so a bad grid is named before a broken probability rule.  A given
+    ``grid`` replaces both grids, and the file's grid keys are still read.
+    A ``beta`` object equal to the ``alpha`` object is that same family,
+    read once.
     """
     data = json_object(data, where, _PROBLEM_KEYS)
     alpha = OrthoBasis.from_json_dict(data.get("alpha"), f"{where}.alpha")
@@ -182,6 +184,8 @@ def parse_problem_json(data: dict, where: str = "$") -> LancasterProblem:
         for key in ("grid_a", "grid_b")
         if data.get(key) is not None
     }
+    if grid is not None:
+        grids = {"grid_a": grid, "grid_b": grid}
     try:
         return LancasterProblem(alpha, beta, coeffs, flags, **grids)
     except ValueError as exc:
@@ -333,8 +337,8 @@ def full_order_check(h_polys, basis: OrthoBasis) -> tuple[bool, ...]:
     """
     flags = []
     for n, h in enumerate(h_polys):
-        coeffs = _expand_in_basis(h, basis.polys)
-        flags.append(coeffs[n] != 0 and all(c == 0 for c in coeffs[n + 1 :]))
+        num, _ = _expand_in_basis(h, basis.polys)
+        flags.append(num[n] != 0 and not any(num[n + 1 :]))
     return tuple(flags)
 
 
@@ -503,8 +507,8 @@ def preset_names() -> tuple[str, ...]:
     return tuple(_PRESETS)
 
 
-def preset_problem(name: str, order: int, rho=None) -> LancasterProblem:
-    """Hermite/Hermite problem with every support flag declared and the default grids.
+def preset_problem(name: str, order: int, rho=None, grid=None) -> LancasterProblem:
+    """Hermite/Hermite problem with every support flag declared, on ``grid`` or the default grids.
 
     c_n = rho^n for ``mehler``, the only preset that takes ``rho``; 1/(n+1)
     for ``harmonic``; C(2n,n) / ((n+1) 4^n) for ``catalan-ratio``; and
@@ -520,7 +524,8 @@ def preset_problem(name: str, order: int, rho=None) -> LancasterProblem:
     coeffs = build(order, _check_rho(rho) if takes_rho else None)
     basis = hermite(order)
     flags = SupportFlags(**{field.name: True for field in fields(SupportFlags)})
-    return LancasterProblem(basis, basis, coeffs, flags)
+    grids = {} if grid is None else {"grid_a": grid, "grid_b": grid}
+    return LancasterProblem(basis, basis, coeffs, flags, **grids)
 
 
 # ---------------------------------------------------------------------------

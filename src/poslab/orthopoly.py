@@ -17,23 +17,24 @@ from read to write: a basis file's family is built from ``pi[0]`` and the
 recurrence triples, each ``pi`` row is compared as strings with the
 canonical ``"p/q"`` strings of the built p_n, and only a row that differs is
 parsed straight into numerators (:func:`poslab.rationals.rational_row`) and
-compared exactly; each recurrence step of :func:`_family`, each
-back-substitution step of :func:`_expand_in_basis` and each row check of
-:class:`ConnectionMatrix` is one pass over integer numerators, and the
-``"p/q"`` wire strings of a family are written straight from them.  Moment
-sequences share the form, so the bilinear form :func:`_inner` is one
-integer dot product.
+compared exactly; each recurrence step of :func:`_family` is one pass over
+integer numerators, and the ``"p/q"`` wire strings of a family are written
+straight from them.  Moment sequences share the form, so the bilinear form
+:func:`_inner` is one integer dot product.
 
 Connection coefficients between two families come from an exact triangular
 solve; the constant column of that triangle is what links series
 coefficients to recovered measure moments in :mod:`poslab.positivity`.
+They share the form too: :func:`_expand_in_basis` back-substitutes on
+integers and returns each row as numerators over one denominator,
+:class:`ConnectionMatrix` stores those rows, checks each with one integer
+combination and writes its ``gamma`` rows straight from them.
 Systems Pi x = r through the monomial triangle Pi of a family, for recovered
 moments and for conditional moments, share one forward substitution,
 :func:`_solve_lower`, which runs on integer vectors over one shared
 denominator; the recovered moments it hands back stay integer numerators.
 Fractions are still built for scalars: squared norms, recurrence triples,
-connection coefficients (the output of :func:`_expand_in_basis`), and the
-``coeffs``, ``coefficient`` and ``leading`` reads of a polynomial.
+and the ``coeffs``, ``coefficient`` and ``leading`` reads of a polynomial.
 """
 
 from __future__ import annotations
@@ -476,18 +477,20 @@ def _solve_lower(polys, rhs) -> tuple[list[list[int]], int]:
     return xs, den
 
 
-def _expand_in_basis(p: Polynomial, polys: tuple[Polynomial, ...]) -> list[Fraction]:
-    """Coefficients of p in a full-order triangular family, by back substitution.
+def _expand_in_basis(p: Polynomial, polys: tuple[Polynomial, ...]) -> tuple[list[int], int]:
+    """Coefficients of p in a full-order triangular family, as (numerators, den) in lowest terms.
 
-    The residual stays one integer vector R over a denominator e.  Step n
-    reads c_n = R_n d_n / (e P_n[n]) for p_n = P_n / d_n, then replaces R by
-    P_n[n] R - R_n P_n (which clears entry n) over e P_n[n], reduced by one gcd.
+    Back substitution: the residual stays one integer vector R over a
+    denominator e.  Step n reads c_n = R_n d_n / (e P_n[n]) for p_n = P_n / d_n,
+    then replaces R by P_n[n] R - R_n P_n (which clears entry n) over e P_n[n],
+    reduced by one gcd.  The c_n are brought over the lcm of their
+    denominators and reduced once, so den > 0.
     """
     if p.degree >= len(polys):
         raise ValueError(
             f"cannot expand a degree-{p.degree} polynomial in a basis of order {len(polys) - 1}"
         )
-    out = [Fraction(0)] * len(polys)
+    out = [(0, 1)] * len(polys)
     res, den = list(p._num), p._den
     for n in range(len(res) - 1, -1, -1):
         r = res[n]
@@ -495,10 +498,11 @@ def _expand_in_basis(p: Polynomial, polys: tuple[Polynomial, ...]) -> list[Fract
             continue
         basis = polys[n]
         lead = basis._num[n]
-        out[n] = Fraction(r * basis._den, den * lead)
+        q = den * lead
+        out[n] = (r * basis._den, q) if q > 0 else (-r * basis._den, -q)
         res = [lead * v - r * w for v, w in zip(res[:n], basis._num)]
-        res, den = lowest_terms(res, den * lead)
-    return out
+        res, den = lowest_terms(res, q)
+    return lowest_terms(*over_lcm(out))
 
 
 def three_term(basis: OrthoBasis) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
@@ -513,8 +517,8 @@ def three_term(basis: OrthoBasis) -> tuple[tuple[Fraction, Fraction, Fraction], 
     for n in range(basis.order):
         pn, pn1 = basis.polys[n], basis.polys[n + 1]
         a = pn1.leading / pn.leading
-        coeffs = _expand_in_basis(pn1 - a * (x * pn), basis.polys[: n + 1])
-        triples.append((a, coeffs[n], -coeffs[n - 1] if n else Fraction(0)))
+        num, den = _expand_in_basis(pn1 - a * (x * pn), basis.polys[: n + 1])
+        triples.append((a, Fraction(num[n], den), Fraction(-num[n - 1] if n else 0, den)))
     return tuple(triples)
 
 
@@ -530,34 +534,57 @@ def _combination(weights, polys) -> Polynomial:
     return Polynomial._from_ints(out, common)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConnectionMatrix:
     """Lower-triangular coefficients expressing one family in another.
 
-    Row n satisfies from_basis.polys[n] = sum_j rows[n][j] * to_basis.polys[j]
-    exactly; the reconstruction is re-verified on construction.  The constant
-    column rows[n][0] equals the integral of p_n against the measure that the
-    target family is orthogonal with respect to.
+    ``ConnectionMatrix(rows, from_basis, to_basis)``, the one constructor,
+    takes row n as a pair (numerators, den) of integers with den > 0, in
+    lowest terms as :func:`_expand_in_basis` returns them: gamma_{n,j} =
+    numerators[j] / den, and from_basis.polys[n] = sum_j gamma_{n,j}
+    to_basis.polys[j] exactly.  The reconstruction is re-verified on
+    construction, one integer combination per row.  ``rows`` builds the
+    Fractions on each read.  The constant column gamma_{n,0} equals the
+    integral of p_n against the measure that the target family is
+    orthogonal with respect to.
     """
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    _rows: tuple[tuple[tuple[int, ...], int], ...]
     from_basis: OrthoBasis
     to_basis: OrthoBasis
 
-    def __post_init__(self):
-        for n, row in enumerate(self.rows):
-            if len(row) != n + 1 or row[n] == 0:
+    def __init__(self, rows, from_basis: OrthoBasis, to_basis: OrthoBasis):
+        rows = tuple((tuple(num), den) for num, den in rows)
+        # past the frozen __setattr__
+        vars(self).update(_rows=rows, from_basis=from_basis, to_basis=to_basis)
+        # the target rows over one denominator E: sum_j num[j] P_j / d_j = (sum_j num[j] T_j) / E
+        target = to_basis.polys[: len(rows)]
+        common = lcm(*(q._den for q in target))
+        scaled = [[v * (common // q._den) for v in q._num] for q in target]
+        for n, (num, den) in enumerate(rows):
+            if len(num) != n + 1 or not num[n]:
                 raise ValueError(f"connection row {n} is not triangular with nonzero diagonal")
-            if _combination(row, self.to_basis.polys) != self.from_basis.polys[n]:
+            out = [0] * (n + 1)
+            for c, row in zip(num, scaled):
+                if c:
+                    for i, v in enumerate(row):
+                        out[i] += c * v
+            # out / (den E) must equal p_n = P / d: cross-multiplied, entry by entry
+            p, scale = from_basis.polys[n], den * common
+            if len(p._num) != n + 1 or any(u * p._den != v * scale for u, v in zip(out, p._num)):
                 raise ValueError(f"connection row {n} does not reconstruct the source polynomial")
 
     @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(v, den) for v in num) for num, den in self._rows)
+
+    @property
     def constant_column(self) -> tuple[Fraction, ...]:
-        return tuple(row[0] for row in self.rows)
+        return tuple(Fraction(num[0], den) for num, den in self._rows)
 
     def to_json_dict(self) -> dict:
         return {
-            "gamma": [[rat_str(c) for c in row] for row in self.rows],
+            "gamma": [wire_row(num, den) for num, den in self._rows],
             "from_basis": self.from_basis.to_json_dict(),
             "to_basis": self.to_basis.to_json_dict(),
         }
@@ -569,10 +596,7 @@ def connection(from_basis: OrthoBasis, to_basis: OrthoBasis) -> ConnectionMatrix
         raise InsufficientMomentsError(
             f"target basis order {to_basis.order} < source order {from_basis.order}"
         )
-    rows = tuple(
-        tuple(_expand_in_basis(p, to_basis.polys[: n + 1]))
-        for n, p in enumerate(from_basis.polys)
-    )
+    rows = [_expand_in_basis(p, to_basis.polys[: n + 1]) for n, p in enumerate(from_basis.polys)]
     return ConnectionMatrix(rows, from_basis, to_basis)
 
 

@@ -144,11 +144,13 @@ def _unwritable() -> ReportLimitError:
 def wire_row(num, den: int, ratio: int = 1) -> list[str]:
     """The values num[i] / (den ratio^i), den, ratio > 0, as lowest-terms ``"p/q"`` wire strings.
 
-    One gcd per entry.  A Hankel report writes d_k = num[k] / D^(k+1) with
-    ``den = ratio = D``.
+    One gcd per entry, and none over a denominator of 1.  A Hankel report
+    writes d_k = num[k] / D^(k+1) with ``den = ratio = D``.
     """
     out = []
     try:
+        if den == 1 and ratio == 1:
+            return [f"{v}/1" for v in num]
         for v in num:
             g = gcd(v, den)
             out.append(f"{v // g}/{den // g}")

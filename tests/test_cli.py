@@ -439,6 +439,25 @@ class TestLancaster:
         code, _, err = run(capsys, "lancaster", "--in", str(path), "--order", "1")
         assert (code, err) == (0, "") and len(built) == 1
 
+    def test_a_grid_option_builds_the_problem_once(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(preset_problem("mehler", 4, F(1, 2)).to_json_dict()))
+        built = []
+        post_init = LancasterProblem.__post_init__
+
+        def counted(problem):
+            post_init(problem)
+            built.append((problem.grid_a, problem.grid_b))
+
+        monkeypatch.setattr(LancasterProblem, "__post_init__", counted)
+        grid = (F(0), F(1))
+        for source in (["--preset", "mehler", "--rho", "1/2", "--problem-order", "6"],
+                       ["--in", str(path)]):
+            built.clear()
+            code, out, err = run(capsys, "lancaster", *source, "--grid", "0,1", "--order", "1")
+            assert (code, err) == (0, "") and "grid points tested: 4" in out
+            assert built == [(grid, grid)]
+
     def test_empty_grids_in_a_problem_file_are_rejected(self, capsys, tmp_path):
         doc = preset_problem("mehler", 4, F(1, 2)).to_json_dict()
         path = tmp_path / "problem.json"

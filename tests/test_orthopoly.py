@@ -29,7 +29,7 @@ from poslab.orthopoly import (
     squared_norms,
     three_term,
 )
-from poslab.rationals import double_factorial, rat_str
+from poslab.rationals import double_factorial, lowest_terms, over_lcm, rat_str
 from tests_support import (
     catalog_instances,
     combination_by_polynomial_ops,
@@ -420,7 +420,9 @@ class TestFusedStepsAgainstPolynomialOps:
     def test_expansion(self, family, coeffs):
         polys = tuple(_family(*family))
         p = Polynomial(coeffs[: len(polys)])
-        got = _expand_in_basis(p, polys)
+        num, den = _expand_in_basis(p, polys)
+        assert den > 0 and gcd(den, *num) == 1
+        got = [F(v, den) for v in num]
         assert got == expand_by_polynomial_ops(p, polys)
         assert combination_by_polynomial_ops(got, polys) == p
 
@@ -431,15 +433,20 @@ class TestFusedStepsAgainstPolynomialOps:
         if dst.order < src.order:
             src, dst = dst, src
         cm = connection(src, dst)
-        for n, row in enumerate(cm.rows):
-            assert list(row) == expand_by_polynomial_ops(src.polys[n], dst.polys[: n + 1])
+        for n, (num, den) in enumerate(cm._rows):
+            assert den > 0 and gcd(den, *num) == 1
+            want = expand_by_polynomial_ops(src.polys[n], dst.polys[: n + 1])
+            assert [F(v, den) for v in num] == want
         n = data.draw(st.integers(0, src.order))
         j = data.draw(st.integers(0, n))
-        rows = [list(row) for row in cm.rows]
+        rows = list(cm._rows)
+        entries = [F(v, rows[n][1]) for v in rows[n][0]]
         shift = data.draw(nonzero)
-        rows[n][j] += shift if rows[n][j] + shift else 2 * shift  # keep the diagonal nonzero
-        with pytest.raises(ValueError, match=f"row {n} does not reconstruct"):
-            ConnectionMatrix(tuple(map(tuple, rows)), src, dst)
+        entries[j] += shift if entries[j] + shift else 2 * shift  # keep the diagonal nonzero
+        rows[n] = lowest_terms(*over_lcm([e.as_integer_ratio() for e in entries]))
+        message = f"^connection row {n} does not reconstruct the source polynomial$"
+        with pytest.raises(ValueError, match=message):
+            ConnectionMatrix(rows, src, dst)
 
 
 # every catalog family to order 8 (the finite-support ones stop early; a monic
@@ -634,6 +641,38 @@ class TestConnection:
         cm = connection(hermite(6), cat)
         for n, row in enumerate(cm.rows):
             assert combination_by_polynomial_ops(row, cat.polys) == hermite(6).polys[n]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SOLVE_BASES), st.sampled_from(SOLVE_BASES), st.data())
+    def test_catalog_rows_are_the_polynomial_expansion(self, source, target, data):
+        # monic catalog families and He_n / 2^n: row denominators other than 1
+        if target.order < source.order:
+            source, target = target, source
+        if data.draw(st.booleans(), label="rescale the source"):
+            scales = data.draw(st.lists(small.filter(bool), min_size=source.order + 1,
+                                        max_size=source.order + 1))
+            source = rescaled(source, scales)
+        cm = connection(source, target)
+        for n, row in enumerate(cm.rows):
+            assert list(row) == expand_by_polynomial_ops(source.polys[n], target.polys[: n + 1])
+        assert cm.constant_column == tuple(row[0] for row in cm.rows)
+
+    def test_the_constructor_rejects_a_changed_row(self):
+        # He_n / 2^n in the Catalan family: row 3 is (2, 6, 5, 1) / 8
+        src, dst = halved_hermite(4), basis_from_moments(builtin("catalan", 9), 4)
+        rows = list(connection(src, dst)._rows)
+        assert rows[3] == ((2, 6, 5, 1), 8)
+        triangular = "is not triangular with nonzero diagonal"
+        for n, num, message in [
+            (3, (3, 6, 5, 1), "does not reconstruct the source polynomial"),
+            (3, (2, 6, 5, 0), triangular),
+            (3, (2, 6, 5), triangular),
+            (3, (2, 6, 5, 1, 0), triangular),
+        ]:
+            changed = rows[:n] + [(num, rows[n][1])] + rows[n + 1 :]
+            with pytest.raises(ValueError, match=f"^connection row {n} {message}$"):
+                ConnectionMatrix(changed, src, dst)
+        assert ConnectionMatrix(rows, src, dst) == connection(src, dst)
 
     def test_cube_decomposes_in_hermite(self):
         # x^3 = He_3 + 3 He_1

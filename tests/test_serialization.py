@@ -119,6 +119,25 @@ class TestWireRow:
         expected = [rat_str(F(v, den * ratio**i)) for i, v in enumerate(num)]
         assert wire_row(num, den, ratio) == expected
 
+    def test_entries_over_one_are_the_canonical_strings(self):
+        # den = ratio = 1 writes each entry with no gcd
+        num = [0, -1, 7, -(10**299), 10**299 + 1, -(3**628)]
+        assert wire_row(num, 1) == wire_row(num, 1, 1) == [rat_str(F(v)) for v in num]
+        assert wire_row([], 1) == []
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit before 3.10.7"
+    )
+    def test_a_value_over_one_past_the_int_string_limit_is_refused(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for v in (10**4300, -(10**4300)):  # 4301 digits
+                with pytest.raises(ReportLimitError, match="4300-digit limit"):
+                    wire_row([0, v], 1)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit before 3.10.7"
     )
