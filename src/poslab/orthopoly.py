@@ -22,13 +22,17 @@ integer numerators, and the ``"p/q"`` wire strings of a family are written
 straight from them.  Moment sequences share the form, so the bilinear form
 :func:`_inner` is one integer dot product.
 
-Connection coefficients between two families come from an exact triangular
-solve; the constant column of that triangle is what links series
-coefficients to recovered measure moments in :mod:`poslab.positivity`.
-They share the form too: :func:`_expand_in_basis` back-substitutes on
-integers and returns each row as numerators over one denominator,
-:class:`ConnectionMatrix` stores those rows, checks each with one integer
-combination and writes its ``gamma`` rows straight from them.
+Connection coefficients between two families come from the source's
+three-term recurrence: row n+1 is rows n and n-1 through the source triple
+and the target's tridiagonal multiplication by x, O(n) integer work per row
+and O(N^2) per matrix (:func:`connection`).  The constant column of that
+triangle is what links series coefficients to recovered measure moments in
+:mod:`poslab.positivity`.  The rows share the form too: numerators over one
+denominator in lowest terms, which :class:`ConnectionMatrix` stores, checks
+with one integer combination each (the independent O(N^3) route) and writes
+as its ``gamma`` rows straight from them.  :func:`_expand_in_basis`, back
+substitution on integers, expands one polynomial in a family for
+:func:`three_term` and :func:`poslab.lancaster.full_order_check`.
 Systems Pi x = r through the monomial triangle Pi of a family, for recovered
 moments and for conditional moments, share one forward substitution,
 :func:`_solve_lower`, which runs on integer vectors over one shared
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from operator import mul
 
 from .errors import (
@@ -540,13 +544,15 @@ class ConnectionMatrix:
 
     ``ConnectionMatrix(rows, from_basis, to_basis)``, the one constructor,
     takes row n as a pair (numerators, den) of integers with den > 0, in
-    lowest terms as :func:`_expand_in_basis` returns them: gamma_{n,j} =
-    numerators[j] / den, and from_basis.polys[n] = sum_j gamma_{n,j}
-    to_basis.polys[j] exactly.  The reconstruction is re-verified on
-    construction, one integer combination per row.  ``rows`` builds the
-    Fractions on each read.  The constant column gamma_{n,0} equals the
-    integral of p_n against the measure that the target family is
-    orthogonal with respect to.
+    lowest terms (one gcd per row checks it), as :func:`connection` builds
+    them by the source's recurrence: gamma_{n,j} = numerators[j] / den, and
+    from_basis.polys[n] = sum_j gamma_{n,j} to_basis.polys[j] exactly.  The
+    reconstruction is re-verified on construction, one integer combination
+    per row and O(N^3) per matrix, independent of the recurrence that built
+    the rows.  Lowest terms over a positive denominator is unique, so equal
+    rows write equal ``gamma`` strings.  ``rows`` builds the Fractions on each
+    read.  The constant column gamma_{n,0} equals the integral of p_n
+    against the measure that the target family is orthogonal with respect to.
     """
 
     _rows: tuple[tuple[tuple[int, ...], int], ...]
@@ -564,6 +570,10 @@ class ConnectionMatrix:
         for n, (num, den) in enumerate(rows):
             if len(num) != n + 1 or not num[n]:
                 raise ValueError(f"connection row {n} is not triangular with nonzero diagonal")
+            if den <= 0 or gcd(den, *num) != 1:
+                raise ValueError(
+                    f"connection row {n} is not in lowest terms over a positive denominator"
+                )
             out = [0] * (n + 1)
             for c, row in zip(num, scaled):
                 if c:
@@ -591,12 +601,53 @@ class ConnectionMatrix:
 
 
 def connection(from_basis: OrthoBasis, to_basis: OrthoBasis) -> ConnectionMatrix:
-    """Exact connection coefficients between two full-order families."""
-    if to_basis.order < from_basis.order:
+    """Exact connection coefficients between two full-order families, by the source's recurrence.
+
+    With p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1} the source recurrence and
+    X, multiplication by x in the target family q_j, tridiagonal from
+    x q_j = (q_{j+1} - B'_j q_j + C'_j q_{j-1}) / A'_j, row 0 is p_0 / q_0 and
+    gamma_{n+1} = A_n X gamma_n + B_n gamma_n - C_n gamma_{n-1}: O(n) integer
+    work per row and O(N^2) per matrix, where back substitution of each p_n
+    would be O(N^3).  The target's (1/A'_j, -B'_j/A'_j, C'_j/A'_j), j < N,
+    are put over one denominator D once per call.  With row n = g_n / e_n,
+    row n+1 is one integer pass over lcm(A_n.den D e_n, B_n.den e_n,
+    C_n.den e_{n-1}), like a step of :func:`_family`, reduced once, so den > 0.
+    C_0 multiplies gamma_{-1} = 0 and C'_0 multiplies q_{-1} = 0.
+    """
+    order = from_basis.order
+    if to_basis.order < order:
         raise InsufficientMomentsError(
-            f"target basis order {to_basis.order} < source order {from_basis.order}"
+            f"target basis order {to_basis.order} < source order {order}"
         )
-    rows = [_expand_in_basis(p, to_basis.polys[: n + 1]) for n, p in enumerate(from_basis.polys)]
+    # x q_j = (up[j] q_{j+1} + mid[j] q_j + down[j] q_{j-1}) / xden
+    steps = (v for a, b, c in to_basis.recurrence[:order] for v in (1 / a, -b / a, c / a))
+    scaled, xden = over_lcm([v.as_integer_ratio() for v in steps])
+    up, mid, down = scaled[0::3], scaled[1::3], scaled[2::3]
+    g0 = from_basis.p0 / to_basis.p0
+    rows = [([g0.numerator], g0.denominator)]
+    prev_num, prev_den = (), 1
+    for n, (a, b, c) in enumerate(from_basis.recurrence):
+        num, den = rows[-1]
+        common = lcm(a.denominator * xden * den, b.denominator * den, c.denominator * prev_den)
+        sa = a.numerator * (common // (a.denominator * xden * den))
+        sb = b.numerator * (common // (b.denominator * den))
+        sc = c.numerator * (common // (c.denominator * prev_den))
+        out = [0] * (n + 2)
+        for j, v in enumerate(num):
+            if v:
+                out[j + 1] += up[j] * v
+                out[j] += mid[j] * v
+                if j:
+                    out[j - 1] += down[j] * v
+        out = [v * sa for v in out]
+        if sb:
+            for j, v in enumerate(num):
+                out[j] += v * sb
+        if sc:
+            for j, v in enumerate(prev_num):
+                out[j] -= v * sc
+        rows.append(lowest_terms(out, common))
+        prev_num, prev_den = num, den
     return ConnectionMatrix(rows, from_basis, to_basis)
 
 

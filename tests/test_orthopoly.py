@@ -12,7 +12,7 @@ from poslab.errors import (
     RecurrenceError,
     SchemaError,
 )
-from poslab.moments import MomentSequence, builtin
+from poslab.moments import MomentSequence, builtin, parse_catalog_key
 from poslab.orthopoly import (
     ConnectionMatrix,
     OrthoBasis,
@@ -663,13 +663,18 @@ class TestConnection:
         rows = list(connection(src, dst)._rows)
         assert rows[3] == ((2, 6, 5, 1), 8)
         triangular = "is not triangular with nonzero diagonal"
-        for n, num, message in [
-            (3, (3, 6, 5, 1), "does not reconstruct the source polynomial"),
-            (3, (2, 6, 5, 0), triangular),
-            (3, (2, 6, 5), triangular),
-            (3, (2, 6, 5, 1, 0), triangular),
+        lowest = "is not in lowest terms over a positive denominator"
+        for n, row, message in [
+            (3, ((3, 6, 5, 1), 8), "does not reconstruct the source polynomial"),
+            (3, ((2, 6, 5, 0), 8), triangular),
+            (3, ((2, 6, 5), 8), triangular),
+            (3, ((2, 6, 5, 1, 0), 8), triangular),
+            # the same values, written with a negative or a common factor
+            (3, ((-2, -6, -5, -1), -8), lowest),
+            (3, ((4, 12, 10, 2), 16), lowest),
+            (0, ((-1,), -1), lowest),
         ]:
-            changed = rows[:n] + [(num, rows[n][1])] + rows[n + 1 :]
+            changed = rows[:n] + [row] + rows[n + 1 :]
             with pytest.raises(ValueError, match=f"^connection row {n} {message}$"):
                 ConnectionMatrix(changed, src, dst)
         assert ConnectionMatrix(rows, src, dst) == connection(src, dst)
@@ -678,6 +683,67 @@ class TestConnection:
         # x^3 = He_3 + 3 He_1
         h = hermite(3)
         assert Polynomial.monomial(3) == h.polys[3] + 3 * h.polys[1]
+
+
+def rows_by_back_substitution(src, dst):
+    """The connection rows as :func:`_expand_in_basis` gives them, one expansion per row."""
+    return tuple(
+        (tuple(num), den)
+        for num, den in (_expand_in_basis(p, dst.polys[: n + 1]) for n, p in enumerate(src.polys))
+    )
+
+
+class TestConnectionByRecurrence:
+    """The rows :func:`connection` builds by the source's recurrence are, pair for pair,
+    the (numerators, den) that back substitution of each p_n gives."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(families(), families(max_order=9))
+    def test_rows_equal_the_back_substitution(self, source, target):
+        src, dst = family_basis(*source), family_basis(*target)
+        if dst.order < src.order:
+            src, dst = dst, src
+        assert connection(src, dst)._rows == rows_by_back_substitution(src, dst)
+
+    def test_a_non_monic_family_with_a_nonzero_c0_into_a_longer_target(self):
+        # p_0 = -3/2, A_0 < 0 with C_0 != 0 (it multiplies p_(-1) = 0), then signs that
+        # keep C_n A_n A_(n-1) > 0; the target is He_n / 2^n, two orders longer
+        triples = (
+            (F(-2), F(1, 3), F(5)),
+            (F(3, 4), F(-1), F(-2, 5)),
+            (F(-1), F(0), F(-7)),
+        )
+        src = family_basis(Polynomial((F(-3, 2),)), triples)
+        for dst in (halved_hermite(5), basis_from_moments(builtin("catalan", 11), 5), src):
+            rows = connection(src, dst)._rows
+            assert rows == rows_by_back_substitution(src, dst)
+            assert all(den > 0 and gcd(den, *num) == 1 for num, den in rows)
+        assert connection(src, src)._rows == tuple(((0,) * n + (1,), 1) for n in range(4))
+
+    def test_the_basis_roundtrip_keys_at_order_28(self):
+        keys = ("gaussian", "catalan", "factorial", "log_kernel(0)")
+        bases = [
+            basis_from_moments(builtin(name, 57, param), 28)
+            for name, param in map(parse_catalog_key, keys)
+        ]
+        for n, src in enumerate(bases):
+            dst = bases[(n + 1) % len(bases)]
+            assert connection(src, dst)._rows == rows_by_back_substitution(src, dst), keys[n]
+
+    def test_connection_runs_no_back_substitution(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _expand_in_basis(*args)
+
+        monkeypatch.setattr(orthopoly, "_expand_in_basis", counted)
+        src, dst = hermite(8), basis_from_moments(builtin("catalan", 19), 9)
+        connection(src, dst)
+        assert calls == []
+        # three_term stays the independent route: one expansion per order
+        three_term(dst)
+        assert len(calls) == dst.order
 
 
 class TestAdditionFormula:
