@@ -404,6 +404,8 @@ def lancaster_report(prob: LancasterProblem, order: int | None = None) -> Lancas
     n = prob.order
     if order is None:
         order = n // 2
+    if order < 0:
+        raise ValueError("max_order must be nonnegative")
     if 2 * order > n:
         raise InsufficientMomentsError(
             f"grid test at order {order} needs conditional moments to index {2 * order}, "

@@ -17,9 +17,11 @@ algorithm (Gautschi, SIAM J. Sci. Stat. Comput. 3, 1982) over the integer
 numerators M_i = D m_i of the moments, D their common denominator.  The
 pass returns the integer Hankel minors Delta_k of the numerators together
 with the values at 0 of the integral orthogonal polynomials, in the
-fraction-free form of Bareiss (Math. Comp. 22, 1968): d_k = Delta_k /
-D^(k+1), the shifted determinants, and the monic norms and recurrence
-(h_k, a_k, b_k) all follow from them by one division each.  At a
+fraction-free form of Bareiss (Math. Comp. 22, 1968), and each step's
+recurrence coefficient a_k as an integer pair, read off the step's own
+multipliers once their common factor is divided out: d_k = Delta_k /
+D^(k+1), the shifted determinants, the monic norms h_k and b_k = h_k /
+h_{k-1} all follow by one division each.  At a
 zero minor Delta_r the recurrence stops; the pass then reports how many
 leading moments follow the recurrence of pi_r, and every determinant of
 order k >= r that those moments cover is an exact zero (a flat, r-atomic
@@ -30,13 +32,14 @@ order.
 A :class:`MomentSequence` holds those numerators over D in lowest terms,
 as a polynomial holds its coefficients, and the pass reads them as they
 are.  Its constructor takes rationals and callers that hold integers, such
-as the grid of :func:`poslab.lancaster.lancaster_report`, use
-``_from_ints``; both store through the one method ``_store``, as
-:class:`poslab.orthopoly.Polynomial` does.  A :class:`PmReport` holds the
-battery's determinants the same way, as the integer numerators Delta_k over
-D^(k+1), and has one constructor, over those integers: its verdicts are
-read from their signs, its report strings are written from them, and its
-``hankel_dets`` and ``shifted_dets`` Fractions are built on read.
+as the grid of :func:`poslab.lancaster.lancaster_report` and every builder
+of the :func:`builtin` catalog, use ``_from_ints``; both store through the
+one method ``_store``, as :class:`poslab.orthopoly.Polynomial` does.  A
+:class:`PmReport` holds the battery's determinants the same way, as the
+integer numerators Delta_k over D^(k+1), and has one constructor, over
+those integers: its verdicts are read from their signs, its report strings
+are written from them, and its ``hankel_dets`` and ``shifted_dets``
+Fractions are built on read.
 
 All values are immutable and every function is pure, so everything here is
 safe for unrestricted concurrent use.
@@ -48,7 +51,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb, exp, factorial, inf, log
+from math import comb, exp, factorial, gcd, inf, log
 from operator import mul
 
 from .errors import InsufficientMomentsError, SchemaError
@@ -266,18 +269,19 @@ class PmReport:
         }
 
 
-def _chebyshev(ints) -> tuple[list[int], list[int], list[int], int]:
+def _chebyshev(ints) -> tuple[list[int], list[tuple[int, int]], list[int], int]:
     """Chebyshev's algorithm on integers: one exact pass from moments to Hankel minors.
 
     Takes integer moments M_0..M_{L-1} (M_i = D m_i, D the denominator of
     the sequence) and runs the modified Chebyshev recurrence (Gautschi,
     *Orthogonal Polynomials: Computation and Approximation* (2004), section
     2.1.7) for the monic orthogonal pi_k of the functional of M.  Returns
-    (dets, nexts, zeros, flat), with integer determinants in dets, nexts
-    and zeros:
+    (dets, steps, zeros, flat):
 
     * dets[k] = Delta_k = det[M_{i+j}]_{0 <= i,j <= k}, needing M_{2k};
-    * nexts[k] = s_k[k+1] and zeros[k] = P_{k+1}(0), needing M_{2k+1},
+    * steps[k] = (p, q), the recurrence coefficient a_k = p / q of
+      pi_{k+1} = (x - a_k) pi_k - b_k pi_{k-1}, and zeros[k] = P_{k+1}(0),
+      both needing M_{2k+1},
 
     where P_k = Delta_{k-1} pi_k (Delta_{-1} = 1) is integral and
     s_k[l] = <P_k, x^l> is the Hankel minor of order k with its last row
@@ -297,9 +301,16 @@ def _chebyshev(ints) -> tuple[list[int], list[int], list[int], int]:
     stays small.  Each row <pi_k, x^l> (k <= l < L - k), pi_k(0) is kept
     as integer numerators over one common denominator in lowest terms.  The
     step forms the numerator above from these rows, with their pivots in
-    place of the minors, and divides by the gcd of the row and its
-    denominator instead of by Delta_{k-1}^2.  Delta_k, s_k[k+1] and
-    P_{k+1}(0) come back from the rows by one exact division each.
+    place of the minors: the row of k + 1 is lead row_k[l+1] + mid row_k[l]
+    - back row_{k-1}[l] over den lead, with lead = piv_{k-1} piv_k,
+    back = piv_k^2 and mid = piv_k row_{k-1}[k] - piv_{k-1} row_k[k+1].
+    The three multipliers are first divided by their gcd (for n! and
+    (2k-1)!! all of lead, at every step), and the row is then reduced by
+    the gcd of the row and its denominator instead of divided by
+    Delta_{k-1}^2; a common factor of the three divides both the numerators
+    and den lead, so the reduced row is the same.  The multipliers give
+    a_k = -mid / lead, and Delta_k and P_{k+1}(0) come back from the rows
+    by one exact division each.
 
     The pass runs through negative minors (a signed functional still has a
     recurrence) and ends at the first zero Delta_r, which is then the last
@@ -317,23 +328,27 @@ def _chebyshev(ints) -> tuple[list[int], list[int], list[int], int]:
     prev = [0] * (size + 1)
     den = 1
     dets: list[int] = []
-    nexts: list[int] = []
+    steps: list[tuple[int, int]] = []
     zeros: list[int] = []
     det, piv_prev = 1, 1  # Delta_{k-1}, row_{k-1}[k-1]
     flat = 0
     for k in range((size + 1) // 2):
         piv = cur[k]
-        det_prev, det = det, det * piv // den
+        det = det * piv // den
         dets.append(det)
         if piv == 0:
             flat = next((k + l for l in range(k, size - k) if cur[l]), size)
             break
         if 2 * k + 2 > size:
             break
-        nexts.append(det_prev * cur[k + 1] // den)
-        # the numerator of Bareiss's step, with row pivots for the minors
+        # the numerator of Bareiss's step, with row pivots for the minors,
+        # over the gcd of its three multipliers
         lead, back = piv_prev * piv, piv * piv
         mid = piv * prev[k] - piv_prev * cur[k + 1]
+        g = gcd(lead, back, mid)
+        if g != 1:
+            lead, back, mid = lead // g, back // g, mid // g
+        steps.append((-mid, lead))
         nxt = [0] * (k + 1)
         nxt += [
             lead * cur[l + 1] + mid * cur[l] - back * prev[l]
@@ -343,7 +358,7 @@ def _chebyshev(ints) -> tuple[list[int], list[int], list[int], int]:
         nxt, den = lowest_terms(nxt, den * lead)
         zeros.append(det * nxt[-1] // den)
         prev, cur, piv_prev = cur, nxt, piv
-    return dets, nexts, zeros, flat
+    return dets, steps, zeros, flat
 
 
 def _recurrence(m: MomentSequence) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
@@ -353,24 +368,15 @@ def _recurrence(m: MomentSequence) -> tuple[list[Fraction], list[Fraction], list
     Returns (h, a, b) with h_k = <pi_k, pi_k> for the monic orthogonal
     polynomials pi_{k+1} = (x - a_k) pi_k - b_k pi_{k-1}, b_0 = 0:
 
-        h_k = Delta_k / (Delta_{k-1} D),
-        a_k = s_k[k+1] / Delta_k - s_{k-1}[k] / Delta_{k-1},
-        b_k = Delta_k Delta_{k-2} / Delta_{k-1}^2.
+        h_k = Delta_k / (Delta_{k-1} D),   a_k = p_k / q_k,   b_k = h_k / h_{k-1},
 
-    h ends at the first zero h_k, and a, b stop one entry before it.
+    with (p_k, q_k) the pass's step pairs.  h ends at the first zero h_k,
+    and a, b stop one entry before it.
     """
-    dets, nexts, _, _ = _chebyshev(m._num)
-    d_prev = [1] + dets  # Delta_{k-1}
-    n_prev = [0] + nexts  # s_{k-1}[k]
-    h = [Fraction(d, p * m._den) for p, d in zip(d_prev, dets)]
-    a = [
-        Fraction(n * d_prev[k] - n_prev[k] * dets[k], dets[k] * d_prev[k])
-        for k, n in enumerate(nexts)
-    ]
-    b = [
-        Fraction(dets[k] * d_prev[k - 1], d_prev[k] ** 2) if k else Fraction(0)
-        for k in range(len(nexts))
-    ]
+    dets, steps, _, _ = _chebyshev(m._num)
+    h = [Fraction(d, p * m._den) for p, d in zip([1] + dets, dets)]
+    a = [Fraction(p, q) for p, q in steps]
+    b = [h[k] / h[k - 1] if k else Fraction(0) for k in range(len(steps))]
     return h, a, b
 
 
@@ -514,69 +520,76 @@ def pm_sqrt_symmetrize(a: MomentSequence) -> MomentSequence:
 # Builtin catalog
 # ---------------------------------------------------------------------------
 
-def _geometric(length: int, a: Fraction) -> tuple[Fraction, ...]:
-    return tuple(a**n for n in range(length))
+def _geometric(length: int, a: Fraction) -> tuple[list[int], int]:
+    p, q = a.as_integer_ratio()
+    return [p**n * q ** (length - 1 - n) for n in range(length)], q ** (length - 1)
 
 
-def _gaussian(length: int) -> tuple[Fraction, ...]:
+def _gaussian(length: int) -> tuple[list[int], int]:
     # m_{2k} = (2k-1)!!, odd moments vanish
-    out = [Fraction(0)] * length
-    out[0] = Fraction(1)
+    out = [0] * length
+    out[0] = 1
     for k in range(2, length, 2):
         out[k] = out[k - 2] * (k - 1)
-    return tuple(out)
+    return out, 1
 
 
-def _catalan(length: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(comb(2 * n, n), n + 1) for n in range(length))
+def _catalan(length: int) -> tuple[list[int], int]:
+    return [comb(2 * n, n) // (n + 1) for n in range(length)], 1
 
 
-def _factorial(length: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(factorial(n)) for n in range(length))
+def _factorial(length: int) -> tuple[list[int], int]:
+    return list(accumulate(range(1, length), mul, initial=1)), 1
 
 
-def _log_kernel(length: int, k: Fraction) -> tuple[Fraction, ...]:
+def _over_n_plus_one(values, power: int = 1) -> tuple[list[int], int]:
+    """values[n] / (n+1)^power over the lcm of the denominators."""
+    return over_lcm([(v, (n + 1) ** power) for n, v in enumerate(values)])
+
+
+def _log_kernel(length: int, k: Fraction) -> tuple[list[int], int]:
     if k <= -1:
         raise ValueError(f"log_kernel parameter must exceed -1, got {k}")
     if k.denominator != 1:
         raise ValueError(
             f"log_kernel parameter must be an integer for the moments to stay rational, got {k}"
         )
-    e = int(k) + 1
-    return tuple(Fraction(1, (n + 1) ** e) for n in range(length))
+    return _over_n_plus_one([1] * length, int(k) + 1)
 
 
-def _fib_shift(length: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(f) for f in fibonacci(length))
+def _fib_shift(length: int) -> tuple[list[int], int]:
+    return fibonacci(length), 1
 
 
-def _fib_ratio(length: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(f, n + 1) for n, f in enumerate(fibonacci(length)))
+def _fib_ratio(length: int) -> tuple[list[int], int]:
+    return _over_n_plus_one(fibonacci(length))
 
 
-def _fib_even(length: int) -> tuple[Fraction, ...]:
-    fib = fibonacci(2 * length + 1)
+def _fib_even(length: int) -> tuple[list[int], int]:
     # fib[m] = F_{m+1}, so F_{2n+2} = fib[2n+1]
-    return tuple(Fraction(fib[2 * n + 1], n + 1) for n in range(length))
+    return _over_n_plus_one(fibonacci(2 * length)[1::2])
 
 
-def _fib_odd(length: int) -> tuple[Fraction, ...]:
-    fib = fibonacci(2 * length + 1)
+def _fib_odd(length: int) -> tuple[list[int], int]:
     # F_{2n+1} = fib[2n]
-    return tuple(Fraction(fib[2 * n], n + 1) for n in range(length))
+    return _over_n_plus_one(fibonacci(2 * length)[::2])
 
 
-def _fib_scaled(length: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(f, 3**n) for n, f in enumerate(fibonacci(length)))
+def _fib_scaled(length: int) -> tuple[list[int], int]:
+    return [f * 3 ** (length - 1 - n) for n, f in enumerate(fibonacci(length))], 3 ** (length - 1)
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A builtin sequence; ``builder(length)``, or ``builder(length, param)`` with a ``param_name``."""
+    """A builtin sequence; ``builder(length)``, or ``builder(length, param)`` with a ``param_name``.
+
+    The builder returns the first ``length`` moments as (numerators, den):
+    integers over one positive denominator, not necessarily in lowest terms.
+    """
 
     name: str
     description: str
-    builder: Callable[..., tuple[Fraction, ...]]
+    builder: Callable[..., tuple[list[int], int]]
     param_name: str = ""
 
     @property
@@ -625,7 +638,9 @@ def catalog_entries() -> tuple[CatalogEntry, ...]:
 def builtin(name: str, length: int, param=None) -> MomentSequence:
     """Construct a catalog sequence by name.
 
-    The builder of the ``_CATALOG`` entry under ``name`` makes the values.
+    The builder of the ``_CATALOG`` entry under ``name`` makes the integer
+    numerators over one denominator, which the sequence stores as they are
+    once reduced to lowest terms, with no Fraction per moment.
     ``geometric`` takes the atom location ``a``; ``log_kernel`` takes the
     integer exponent ``k``; every other entry takes no parameter.  Every
     catalog entry is a pm sequence, so it passes :func:`is_pm` at any order
@@ -641,10 +656,10 @@ def builtin(name: str, length: int, param=None) -> MomentSequence:
         if param is None:
             raise ValueError(f"catalog sequence {name!r} needs parameter {entry.param_name}")
         param = rat(param)
-        return MomentSequence(entry.builder(length, param), label=f"{name}({param})")
+        return MomentSequence._from_ints(*entry.builder(length, param), f"{name}({param})")
     if param is not None:
         raise ValueError(f"catalog sequence {name!r} takes no parameter")
-    return MomentSequence(entry.builder(length), label=name)
+    return MomentSequence._from_ints(*entry.builder(length), name)
 
 
 def parse_catalog_key(key: str) -> tuple[str, Fraction | None]:

@@ -381,15 +381,13 @@ def basis_from_moments(
 
     One integer Chebyshev pass over the numerators of m_0..m_{2 order} (over
     their denominator D; see :func:`poslab.moments._chebyshev`) gives the
-    Hankel minors Delta_k and s_k[k+1], the pairing of the integral
-    orthogonal polynomial Delta_{k-1} p_k with x^(k+1).  They give the squared
-    norms h_k = Delta_k / (Delta_{k-1} D) and the recurrence
-    p_{k+1} = (x - a_k) p_k - b_k p_{k-1} with
-    a_k = s_k[k+1] / Delta_k - s_{k-1}[k] / Delta_{k-1} and
-    b_k = Delta_k Delta_{k-2} / Delta_{k-1}^2; the basis of the triples
-    (1, -a_k, b_k) builds the polynomials.
-    Delta_k and s_k[k+1] are integer determinants, so the pass recovers each
-    by an exact integer division, as in Bareiss's elimination (Math. Comp.
+    Hankel minors Delta_k and, at each step, the recurrence coefficient a_k
+    as an integer pair read off the step's multipliers.  They give the
+    squared norms h_k = Delta_k / (Delta_{k-1} D) and the recurrence
+    p_{k+1} = (x - a_k) p_k - b_k p_{k-1} with b_k = h_k / h_{k-1}; the
+    basis of the triples (1, -a_k, b_k) builds the polynomials.
+    Delta_k is an integer determinant, so the pass recovers it by an exact
+    integer division, as in Bareiss's elimination (Math. Comp.
     22, 1968).  The family requires every Hankel determinant d_0..d_order to be
     strictly positive; since d_k = h_0 ... h_k, the first nonpositive h_k
     marks a zero or negative d_k, meaning the measure is degenerate (finite

@@ -171,6 +171,8 @@ def certify_positive(series: OrthogonalSeries, order: int) -> PositivityCertific
     ``order`` is the deepest Hankel order tested; the basis must reach order
     2*order so that M_0..M_{2 order} exist.
     """
+    if order < 0:
+        raise ValueError("max_order must be nonnegative")
     basis = series.basis
     if 2 * order > basis.order:
         raise InsufficientMomentsError(

@@ -268,6 +268,15 @@ class TestProblemGrids:
         assert prob.grid_a == (F(1, 2), F(3)) and prob.grid_b == (F(-1, 4),)
         assert all(type(v) is F for v in prob.grid_a + prob.grid_b)
 
+    def test_a_negative_order_is_refused_before_the_grid_is_evaluated(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("grid evaluated for a negative order")
+
+        monkeypatch.setattr(lancaster, "moment_polynomials", no_grid)
+        monkeypatch.setattr(lancaster, "_values_at", no_grid)
+        with pytest.raises(ValueError, match="^max_order must be nonnegative$"):
+            lancaster_report(mehler_problem(F(1, 2), 4), order=-1)
+
     def test_both_grids_empty_is_an_error(self):
         basis = hermite(2)
         with pytest.raises(ValueError, match="^both grids are empty: there is no grid point"):

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import accumulate
-from math import factorial, lcm
+from math import comb, factorial, gcd, lcm
 from operator import mul
 
 import pytest
@@ -14,6 +14,7 @@ from poslab.moments import (
     MomentSequence,
     PmReport,
     builtin,
+    catalog_entries,
     carleman_partial,
     hankel_det,
     is_pm,
@@ -244,19 +245,36 @@ def _catalog_prefix(key, param=None):
     return st.integers(1, 31).map(lambda n: builtin(key, n, param).values)
 
 
+@st.composite
+def _factorial_lowered(draw):
+    """A prefix of n! with m_{2j} lowered past h_j = (j!)^2, so that d_j < 0."""
+    j = draw(st.integers(0, 15))
+    values = list(builtin("factorial", draw(st.integers(2 * j + 1, 31))).values)
+    values[2 * j] -= factorial(j) ** 2 + draw(st.integers(1, 10**6))
+    return tuple(values)
+
+
 # early zero pivots (point masses, two-atom measures) and negative h_k
-# (1, 0, -1, ...) come up among the random lists, and explicitly here
+# (1, 0, -1, ...) come up among the random lists, and explicitly here; the
+# integer moments of n! and (2k-1)!!, and 1/(n+1)^2 over its lcm, give step
+# multipliers with a large common factor
 _engine_inputs = st.one_of(
     st.lists(_entries, min_size=1, max_size=31).map(tuple),
     _catalog_prefix("geometric", F(2)),
     _catalog_prefix("geometric", F(-1, 3)),
     _catalog_prefix("fib_shift"),
+    _catalog_prefix("factorial"),
+    _catalog_prefix("gaussian"),
+    _catalog_prefix("log_kernel", 1),
+    _factorial_lowered(),
 )
 
 
 def _assert_engine_matches_oracle(values):
     seq = MomentSequence(values)
-    assert _recurrence(seq) == chebyshev_recurrence(values)
+    h, a, b = chebyshev_recurrence(values)
+    assert [F(p, q) for p, q in moments._chebyshev(seq._num)[1]] == a
+    assert _recurrence(seq) == (h, a, b)
     for order in {(len(values) - 1) // 2, (len(values) - 2) // 2}:
         if order >= 0:
             rep = is_pm(seq, order)
@@ -272,6 +290,7 @@ class TestIntegerEngine:
     @example(builtin("fib_shift", 11).values)
     @example((F(1), F(0), F(-1), F(0), F(1), F(1, 2), F(-3, 7)))
     @example((F(2, 3),))
+    @example((F(1), F(1), F(0), F(6), F(24)))  # m_2 = 2! lowered past h_1 = 1
     def test_matches_rational_chebyshev(self, values):
         _assert_engine_matches_oracle(values)
 
@@ -396,7 +415,75 @@ class TestPmAlgebra:
             pm_sqrt_symmetrize(ms([1, -1, 3]))
 
 
+def _fib(n):
+    """F_n of the classical chain F_0 = 0, F_1 = 1."""
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+# (key, parameter, label, closed form of m_n)
+CATALOG_CLOSED_FORMS = (
+    ("geometric", F(0), "geometric(0)", lambda n: F(0) ** n),
+    ("geometric", F(2), "geometric(2)", lambda n: F(2) ** n),
+    ("geometric", F(-2, 7), "geometric(-2/7)", lambda n: F(-2, 7) ** n),
+    # (n-1)!! = n! / (2^(n/2) (n/2)!) for even n
+    (
+        "gaussian",
+        None,
+        "gaussian",
+        lambda n: F(0) if n % 2 else F(factorial(n), 2 ** (n // 2) * factorial(n // 2)),
+    ),
+    ("catalan", None, "catalan", lambda n: F(comb(2 * n, n), n + 1)),
+    ("factorial", None, "factorial", lambda n: F(factorial(n))),
+    ("log_kernel", 0, "log_kernel(0)", lambda n: F(1, n + 1)),
+    ("log_kernel", 1, "log_kernel(1)", lambda n: F(1, (n + 1) ** 2)),
+    ("log_kernel", 3, "log_kernel(3)", lambda n: F(1, (n + 1) ** 4)),
+    ("fib_shift", None, "fib_shift", lambda n: F(_fib(n + 1))),
+    ("fib_ratio", None, "fib_ratio", lambda n: F(_fib(n + 1), n + 1)),
+    ("fib_even", None, "fib_even", lambda n: F(_fib(2 * n + 2), n + 1)),
+    ("fib_odd", None, "fib_odd", lambda n: F(_fib(2 * n + 1), n + 1)),
+    ("fib_scaled", None, "fib_scaled", lambda n: F(_fib(n + 1), 3**n)),
+)
+
+
 class TestCatalog:
+    def test_closed_forms_cover_every_entry(self):
+        assert {key for key, *_ in CATALOG_CLOSED_FORMS} == {e.name for e in catalog_entries()}
+
+    @pytest.mark.parametrize("length", (1, 2, 31))
+    @pytest.mark.parametrize(
+        "key, param, label, closed", CATALOG_CLOSED_FORMS, ids=[c[2] for c in CATALOG_CLOSED_FORMS]
+    )
+    def test_entries_are_their_closed_forms_in_lowest_terms(
+        self, key, param, label, closed, length
+    ):
+        seq = builtin(key, length, param)
+        assert seq.values == tuple(closed(n) for n in range(length))
+        assert seq.label == label
+        assert seq._den > 0 and gcd(seq._den, *seq._num) == 1
+
+    @pytest.mark.parametrize(
+        "key, param, message",
+        (
+            ("log_kernel", -1, "log_kernel parameter must exceed -1, got -1"),
+            ("log_kernel", F(-3, 2), "log_kernel parameter must exceed -1, got -3/2"),
+            (
+                "log_kernel",
+                F(1, 2),
+                "log_kernel parameter must be an integer for the moments to stay rational, got 1/2",
+            ),
+            ("geometric", None, "catalog sequence 'geometric' needs parameter a"),
+            ("log_kernel", None, "catalog sequence 'log_kernel' needs parameter k"),
+            ("catalan", 1, "catalog sequence 'catalan' takes no parameter"),
+        ),
+    )
+    def test_bad_parameters_are_refused(self, key, param, message):
+        with pytest.raises(ValueError) as err:
+            builtin(key, 4, param)
+        assert str(err.value) == message
+
     def test_gaussian_prefix(self):
         assert builtin("gaussian", 7).values == (F(1), F(0), F(1), F(0), F(3), F(0), F(15))
 

@@ -143,6 +143,10 @@ class TestCertify:
         assert cert.verdict == "degenerate"
         assert cert.pm_report.is_pm
 
+    def test_a_negative_order_is_refused_in_the_batterys_words(self, hermite8):
+        with pytest.raises(ValueError, match="^max_order must be nonnegative$"):
+            certify_positive(OrthogonalSeries(hermite8, (F(1),)), -1)
+
     def test_certification_order_needs_basis_depth(self, hermite8):
         with pytest.raises(InsufficientMomentsError):
             certify_positive(OrthogonalSeries(hermite8, (F(1),)), 5)
