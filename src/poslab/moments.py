@@ -487,10 +487,7 @@ def pm_subsample(a: MomentSequence, k: int) -> MomentSequence:
     """Every k-th moment {a_{kn}}: the moments of X^k."""
     if k < 1:
         raise ValueError("subsample step must be a positive integer")
-    out = a.values[::k]
-    if not out:
-        raise InsufficientMomentsError(f"pm_subsample: no entries at step {k}")
-    return MomentSequence(out, label=f"subsample({a.label};k={k})")
+    return MomentSequence(a.values[::k], label=f"subsample({a.label};k={k})")
 
 
 def pm_reflect(a: MomentSequence) -> MomentSequence:

@@ -23,16 +23,17 @@ straight from them.  Moment sequences share the form, so the bilinear form
 :func:`_inner` is one integer dot product.
 
 Connection coefficients between two families come from the source's
-three-term recurrence: row n+1 is rows n and n-1 through the source triple
-and the target's tridiagonal multiplication by x, O(n) integer work per row
-and O(N^2) per matrix (:func:`connection`).  The constant column of that
-triangle is what links series coefficients to recovered measure moments in
-:mod:`poslab.positivity`.  The rows share the form too: numerators over one
-denominator in lowest terms, which :class:`ConnectionMatrix` stores, checks
-with one integer combination each (the independent O(N^3) route) and writes
-as its ``gamma`` rows straight from them.  :func:`_expand_in_basis`, back
-substitution on integers, expands one polynomial in a family for
-:func:`three_term` and :func:`poslab.lancaster.full_order_check`.
+three-term recurrence: :func:`connection` is a walk of :func:`_family` in
+the target's coordinates, where multiplication by x is the target's
+tridiagonal map, O(n) integer work per row and O(N^2) per matrix.  The
+constant column of that triangle is what links series coefficients to
+recovered measure moments in :mod:`poslab.positivity`.  The rows share the
+form too: numerators over one denominator in lowest terms, which
+:class:`ConnectionMatrix` stores, checks with one integer combination each
+(the independent O(N^3) route) and writes as its ``gamma`` rows straight
+from them.  :func:`_expand_in_basis`, back substitution on integers,
+expands one polynomial in a family for :func:`three_term` and
+:func:`poslab.lancaster.full_order_check`.
 Systems Pi x = r through the monomial triangle Pi of a family, for recovered
 moments and for conditional moments, share one forward substitution,
 :func:`_solve_lower`, which runs on integer vectors over one shared
@@ -230,25 +231,32 @@ def _inner(p: Polynomial, q: Polynomial, m: MomentSequence) -> Fraction:
     return Fraction(sum(map(mul, prod._num, m._num)), prod._den * m._den)
 
 
-def _family(p0: Polynomial, triples) -> list[Polynomial]:
+def _shift(num) -> list[int]:
+    """x times sum_i num[i] x^i, over 1: the default map of :func:`_family`."""
+    return [0, *num]
+
+
+def _family(p0: Polynomial, triples, times_x=_shift, xden: int = 1) -> list[Polynomial]:
     """p_0, p_1, ... from p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1}, with p_{-1} = 0.
 
-    The one loop that applies a three-term recurrence to polynomials, run
-    once per :class:`OrthoBasis`.  Each step
-    is one pass over integer numerators: with p_n = N_n / d_n and the
-    triple's entries over their own denominators, everything is brought to
-    lcm(A.den d_n, B.den d_n, C.den d_{n-1}) and reduced once.
+    The one loop that applies a three-term recurrence, run once per
+    :class:`OrthoBasis` and once per :func:`connection`.  p_n is a row of
+    numerators N_n over d_n, and ``times_x(N_n)`` is x p_n as numerators
+    over ``xden``, a row no shorter: the shift in powers of x by default,
+    the target's tridiagonal map in :func:`connection`.  Each step is one
+    integer pass over lcm(A.den xden d_n, B.den d_n, C.den d_{n-1}),
+    reduced once.
     """
     polys = [p0]
     prev_num, prev_den = (), 1
     for a, b, c in triples:
         cur = polys[-1]
         num, den = cur._num, cur._den
-        common = lcm(a.denominator * den, b.denominator * den, c.denominator * prev_den)
-        sa = a.numerator * (common // (a.denominator * den))
+        common = lcm(a.denominator * xden * den, b.denominator * den, c.denominator * prev_den)
+        sa = a.numerator * (common // (a.denominator * xden * den))
         sb = b.numerator * (common // (b.denominator * den))
         sc = c.numerator * (common // (c.denominator * prev_den))
-        out = [0] + [v * sa for v in num]
+        out = [v * sa for v in times_x(num)]
         out += [0] * (len(prev_num) - len(out))  # only when a triple lowers the degree
         if sb:
             for i, v in enumerate(num):
@@ -541,7 +549,8 @@ class ConnectionMatrix:
     """Lower-triangular coefficients expressing one family in another.
 
     ``ConnectionMatrix(rows, from_basis, to_basis)``, the one constructor,
-    takes row n as a pair (numerators, den) of integers with den > 0, in
+    takes one row per source polynomial, no more than the target has, and
+    row n as a pair (numerators, den) of integers with den > 0, in
     lowest terms (one gcd per row checks it), as :func:`connection` builds
     them by the source's recurrence: gamma_{n,j} = numerators[j] / den, and
     from_basis.polys[n] = sum_j gamma_{n,j} to_basis.polys[j] exactly.  The
@@ -559,6 +568,11 @@ class ConnectionMatrix:
 
     def __init__(self, rows, from_basis: OrthoBasis, to_basis: OrthoBasis):
         rows = tuple((tuple(num), den) for num, den in rows)
+        if not len(rows) == from_basis.order + 1 <= to_basis.order + 1:
+            raise ValueError(
+                f"a connection needs {from_basis.order + 1} rows, one per source polynomial "
+                f"and no more than the target's {to_basis.order + 1}; got {len(rows)}"
+            )
         # past the frozen __setattr__
         vars(self).update(_rows=rows, from_basis=from_basis, to_basis=to_basis)
         # the target rows over one denominator E: sum_j num[j] P_j / d_j = (sum_j num[j] T_j) / E
@@ -604,13 +618,11 @@ def connection(from_basis: OrthoBasis, to_basis: OrthoBasis) -> ConnectionMatrix
     With p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1} the source recurrence and
     X, multiplication by x in the target family q_j, tridiagonal from
     x q_j = (q_{j+1} - B'_j q_j + C'_j q_{j-1}) / A'_j, row 0 is p_0 / q_0 and
-    gamma_{n+1} = A_n X gamma_n + B_n gamma_n - C_n gamma_{n-1}: O(n) integer
-    work per row and O(N^2) per matrix, where back substitution of each p_n
-    would be O(N^3).  The target's (1/A'_j, -B'_j/A'_j, C'_j/A'_j), j < N,
-    are put over one denominator D once per call.  With row n = g_n / e_n,
-    row n+1 is one integer pass over lcm(A_n.den D e_n, B_n.den e_n,
-    C_n.den e_{n-1}), like a step of :func:`_family`, reduced once, so den > 0.
-    C_0 multiplies gamma_{-1} = 0 and C'_0 multiplies q_{-1} = 0.
+    gamma_{n+1} = A_n X gamma_n + B_n gamma_n - C_n gamma_{n-1}: a walk of
+    :func:`_family` in the target's coordinates, O(n) integer work per row
+    and O(N^2) per matrix, where back substitution of each p_n would be
+    O(N^3).  The target's (1/A'_j, -B'_j/A'_j, C'_j/A'_j), j < N, are put
+    over one denominator once per call; C'_0 multiplies q_{-1} = 0.
     """
     order = from_basis.order
     if to_basis.order < order:
@@ -621,32 +633,20 @@ def connection(from_basis: OrthoBasis, to_basis: OrthoBasis) -> ConnectionMatrix
     steps = (v for a, b, c in to_basis.recurrence[:order] for v in (1 / a, -b / a, c / a))
     scaled, xden = over_lcm([v.as_integer_ratio() for v in steps])
     up, mid, down = scaled[0::3], scaled[1::3], scaled[2::3]
-    g0 = from_basis.p0 / to_basis.p0
-    rows = [([g0.numerator], g0.denominator)]
-    prev_num, prev_den = (), 1
-    for n, (a, b, c) in enumerate(from_basis.recurrence):
-        num, den = rows[-1]
-        common = lcm(a.denominator * xden * den, b.denominator * den, c.denominator * prev_den)
-        sa = a.numerator * (common // (a.denominator * xden * den))
-        sb = b.numerator * (common // (b.denominator * den))
-        sc = c.numerator * (common // (c.denominator * prev_den))
-        out = [0] * (n + 2)
+
+    def times_x(num):
+        out = [0] * (len(num) + 1)
         for j, v in enumerate(num):
             if v:
                 out[j + 1] += up[j] * v
                 out[j] += mid[j] * v
                 if j:
                     out[j - 1] += down[j] * v
-        out = [v * sa for v in out]
-        if sb:
-            for j, v in enumerate(num):
-                out[j] += v * sb
-        if sc:
-            for j, v in enumerate(prev_num):
-                out[j] -= v * sc
-        rows.append(lowest_terms(out, common))
-        prev_num, prev_den = num, den
-    return ConnectionMatrix(rows, from_basis, to_basis)
+        return out
+
+    g0 = Polynomial((from_basis.p0 / to_basis.p0,))
+    rows = _family(g0, from_basis.recurrence, times_x, xden)
+    return ConnectionMatrix([(g._num, g._den) for g in rows], from_basis, to_basis)
 
 
 def hermite(order: int) -> OrthoBasis:

@@ -21,7 +21,7 @@ from math import log
 from .errors import InsufficientMomentsError, SchemaError
 from .moments import MomentSequence, PmReport, is_pm
 from .orthopoly import OrthoBasis, Polynomial, _combination, _inner, _solve_lower, hermite
-from .rationals import float_str, json_object, rat, rat_str, rational_list, report_float
+from .rationals import float_str, json_object, rat, rational_list, report_float
 
 
 @dataclass(frozen=True)

@@ -679,6 +679,24 @@ class TestConnection:
                 ConnectionMatrix(changed, src, dst)
         assert ConnectionMatrix(rows, src, dst) == connection(src, dst)
 
+    def test_the_constructor_checks_the_row_count(self):
+        # one row per source polynomial, and no more rows than the target has polynomials
+        src, cat4 = hermite(4), basis_from_moments(builtin("catalan", 9), 4)
+        cat3 = basis_from_moments(builtin("catalan", 7), 3)
+        rows = list(connection(src, cat4)._rows)
+        extra = ((0,) * 5 + (1,), 1)
+        for changed, target, got in [
+            (rows + [extra], cat4, 6),
+            (rows[:3], cat4, 3),
+            (rows, cat3, 5),
+        ]:
+            message = (
+                "^a connection needs 5 rows, one per source polynomial and no more than "
+                f"the target's {target.order + 1}; got {got}$"
+            )
+            with pytest.raises(ValueError, match=message):
+                ConnectionMatrix(changed, src, target)
+
     def test_cube_decomposes_in_hermite(self):
         # x^3 = He_3 + 3 He_1
         h = hermite(3)
@@ -744,6 +762,51 @@ class TestConnectionByRecurrence:
         # three_term stays the independent route: one expansion per order
         three_term(dst)
         assert len(calls) == dst.order
+
+
+def times_x_in(basis):
+    """(times_x, xden) for :func:`_family`: multiplication by x in the coordinates of ``basis``.
+
+    x q_j = (q_(j+1) - B_j q_j + C_j q_(j-1)) / A_j, its entries over one denominator.
+    """
+    entries = [v for a, b, c in basis.recurrence for v in (1 / a, -b / a, c / a)]
+    scaled, xden = over_lcm([v.as_integer_ratio() for v in entries])
+
+    def times_x(row):
+        out = [0] * (len(row) + 1)
+        for j, v in enumerate(row):
+            up, mid, down = scaled[3 * j : 3 * j + 3]
+            out[j + 1] += up * v
+            out[j] += mid * v
+            if j:
+                out[j - 1] += down * v
+        return out
+
+    return times_x, xden
+
+
+class TestFamilyWalk:
+    """:func:`_family` with a map other than the shift: the triples (1, 0, 0) in a family's
+    own coordinates walk x^0..x^N, and row j gives m_j = p_0 m_0 g_(j,0)."""
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            pytest.param(basis_from_moments(seq, 8, allow_truncation=True), id=seq.label)
+            for seq in catalog_instances(17)
+        ]
+        # p_0 = 3/2
+        + [pytest.param(rescaled(hermite(8), [F(3, n + 2) for n in range(9)]), id="rescaled He")],
+    )
+    def test_the_monomial_walk_regenerates_the_moments(self, basis):
+        order, m = basis.order, basis.source_moments.values
+        # row 0 is x^0 = q_0 / p_0
+        rows = _family(Polynomial((1 / basis.p0,)), [(F(1), F(0), F(0))] * order,
+                       *times_x_in(basis))
+        assert len(rows) == order + 1
+        for j, row in enumerate(rows):
+            assert combination_by_polynomial_ops(row.coeffs, basis.polys) == Polynomial.monomial(j)
+            assert basis.p0 * m[0] * row.coefficient(0) == m[j], j
 
 
 class TestAdditionFormula:
