@@ -37,7 +37,6 @@ from .orthopoly import (
     OrthoBasis,
     Polynomial,
     _combination,
-    _expand_in_basis,
     _hermite_addition_sides,
     _solve_lower,
     _values_at,
@@ -329,17 +328,19 @@ def necessary_conditions(prob: LancasterProblem) -> NecessaryConditions:
 def full_order_check(h_polys, basis: OrthoBasis) -> tuple[bool, ...]:
     """Flag, for each n, whether h_n expands in the family with full order n.
 
-    Expands each polynomial in the basis and requires a nonzero component at
-    index n and zero components above n.  This is the conditional-moment
-    polynomial criterion: an expansion over the two families can exist only
-    when every conditional expectation of basis polynomials has exactly full
-    order.
+    This is the conditional-moment polynomial criterion: an expansion over
+    the two families can exist only when every conditional expectation of
+    basis polynomials has exactly full order.  The family has one polynomial
+    of each degree, so "component n nonzero and none above it" is
+    deg h_n = n, and no expansion is run.  A polynomial of degree above the
+    basis order has no expansion and is refused with ValueError.
     """
-    flags = []
-    for n, h in enumerate(h_polys):
-        num, _ = _expand_in_basis(h, basis.polys)
-        flags.append(num[n] != 0 and not any(num[n + 1 :]))
-    return tuple(flags)
+    for h in h_polys:
+        if h.degree > basis.order:
+            raise ValueError(
+                f"cannot expand a degree-{h.degree} polynomial in a basis of order {basis.order}"
+            )
+    return tuple(h.degree == n for n, h in enumerate(h_polys))
 
 
 POSITIVE = "positive"
@@ -397,9 +398,8 @@ def lancaster_report(prob: LancasterProblem, order: int | None = None) -> Lancas
     and point.  Grid evaluations are independent and the aggregation does
     not depend on their order.  The grids come from ``prob``, which holds
     at least one point.
-    ``pc_flags[n]`` is ``c_n != 0``: :func:`full_order_check` would expand
-    h_n = c_n beta_n in the beta family, which gives c_n times the n-th unit
-    vector, so the O(N^3) expansion is not run.
+    ``pc_flags[n]`` is ``c_n != 0``, which is :func:`full_order_check` of
+    h_n = c_n beta_n: deg(c_n beta_n) = n exactly when c_n != 0.
     """
     n = prob.order
     if order is None:

@@ -31,9 +31,9 @@ recovered measure moments in :mod:`poslab.positivity`.  The rows share the
 form too: numerators over one denominator in lowest terms, which
 :class:`ConnectionMatrix` stores, checks with one integer combination each
 (the independent O(N^3) route) and writes as its ``gamma`` rows straight
-from them.  :func:`_expand_in_basis`, back substitution on integers,
-expands one polynomial in a family for :func:`three_term` and
-:func:`poslab.lancaster.full_order_check`.
+from them.  Nothing in the library runs back substitution: :func:`three_term`
+reads each triple off three coefficients of p_{n+1}, and
+:func:`poslab.lancaster.full_order_check` is a degree test.
 Systems Pi x = r through the monomial triangle Pi of a family, for recovered
 moments and for conditional moments, share one forward substitution,
 :func:`_solve_lower`, which runs on integer vectors over one shared
@@ -487,48 +487,25 @@ def _solve_lower(polys, rhs) -> tuple[list[list[int]], int]:
     return xs, den
 
 
-def _expand_in_basis(p: Polynomial, polys: tuple[Polynomial, ...]) -> tuple[list[int], int]:
-    """Coefficients of p in a full-order triangular family, as (numerators, den) in lowest terms.
-
-    Back substitution: the residual stays one integer vector R over a
-    denominator e.  Step n reads c_n = R_n d_n / (e P_n[n]) for p_n = P_n / d_n,
-    then replaces R by P_n[n] R - R_n P_n (which clears entry n) over e P_n[n],
-    reduced by one gcd.  The c_n are brought over the lcm of their
-    denominators and reduced once, so den > 0.
-    """
-    if p.degree >= len(polys):
-        raise ValueError(
-            f"cannot expand a degree-{p.degree} polynomial in a basis of order {len(polys) - 1}"
-        )
-    out = [(0, 1)] * len(polys)
-    res, den = list(p._num), p._den
-    for n in range(len(res) - 1, -1, -1):
-        r = res[n]
-        if not r:
-            continue
-        basis = polys[n]
-        lead = basis._num[n]
-        q = den * lead
-        out[n] = (r * basis._den, q) if q > 0 else (-r * basis._den, -q)
-        res = [lead * v - r * w for v, w in zip(res[:n], basis._num)]
-        res, den = lowest_terms(res, q)
-    return lowest_terms(*over_lcm(out))
-
-
 def three_term(basis: OrthoBasis) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
     """Extract the (A_n, B_n, C_n) recurrence triples from the polynomials alone.
 
-    The independent route to the stored triples: expanding p_{n+1} - A_n x p_n
-    back in the family leaves only its p_n and p_{n-1} components, B_n and
-    -C_n, since every basis is built from its recurrence.  C_0 is reported as 0.
+    The independent route to the stored triples: in
+    p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1} the x^(n+1), x^n and x^(n-1)
+    coefficients give A_n, B_n and C_n in turn, each one division by a
+    leading coefficient of the full-order family.  C_0 is reported as 0.
     """
-    x = Polynomial.x()
+    polys = basis.polys
     triples = []
     for n in range(basis.order):
-        pn, pn1 = basis.polys[n], basis.polys[n + 1]
-        a = pn1.leading / pn.leading
-        num, den = _expand_in_basis(pn1 - a * (x * pn), basis.polys[: n + 1])
-        triples.append((a, Fraction(num[n], den), Fraction(-num[n - 1] if n else 0, den)))
+        cur, nxt = polys[n], polys[n + 1]
+        a = nxt.leading / cur.leading
+        b = (nxt.coefficient(n) - a * cur.coefficient(n - 1)) / cur.leading
+        c = Fraction(0)
+        if n:
+            rest = a * cur.coefficient(n - 2) + b * cur.coefficient(n - 1) - nxt.coefficient(n - 1)
+            c = rest / polys[n - 1].leading
+        triples.append((a, b, c))
     return tuple(triples)
 
 

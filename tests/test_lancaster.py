@@ -29,6 +29,8 @@ from poslab.moments import MomentSequence, builtin, is_pm
 from poslab.orthopoly import OrthoBasis, Polynomial, basis_from_moments, hermite
 from poslab.rationals import rational_sqrt
 from tests_support import (
+    catalog_instances,
+    expand_by_polynomial_ops,
     grid_verdicts_by_fractions,
     halved_hermite,
     necessary_conditions_by_fractions,
@@ -577,8 +579,41 @@ class TestFullOrderCheck:
         scaled = [F(7, 3) * p for p in base]
         assert full_order_check(base, h) == full_order_check(scaled, h)
 
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            pytest.param(basis_from_moments(seq, 6, allow_truncation=True), id=seq.label)
+            for seq in catalog_instances(13)
+        ]
+        # p_0 = 3/2
+        + [pytest.param(rescaled(hermite(6), [F(3, n + 2) for n in range(7)]), id="rescaled He")],
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_degree_test_is_the_expansion_rule(self, basis, data):
+        small = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+        polys = []
+        for n in range(data.draw(st.integers(0, basis.order + 1))):
+            degree = data.draw(st.one_of(st.just(n), st.integers(-1, basis.order)))
+            lower = data.draw(st.lists(small, min_size=degree, max_size=degree)) if degree > 0 else []
+            top = [data.draw(small.filter(bool))] if degree >= 0 else []
+            polys.append(Polynomial(lower + top))
+        # the rule in the family's coordinates: component n nonzero and none above it
+        expected = []
+        for n, h in enumerate(polys):
+            gamma = expand_by_polynomial_ops(h, basis.polys)
+            expected.append(gamma[n] != 0 and not any(gamma[n + 1 :]))
+        assert full_order_check(polys, basis) == tuple(expected)
+
+    def test_a_degree_above_the_basis_order_is_refused(self):
+        h = hermite(2)
+        message = "^cannot expand a degree-3 polynomial in a basis of order 2$"
+        for polys in ([Polynomial.monomial(3)], [h.polys[0], h.polys[1], Polynomial.monomial(3)]):
+            with pytest.raises(ValueError, match=message):
+                full_order_check(polys, h)
+
     def test_report_flags_are_the_check_of_c_n_beta_n(self):
-        # lancaster_report sets pc_flags[n] = (c_n != 0) without expanding
+        # lancaster_report sets pc_flags[n] = (c_n != 0): deg(c_n beta_n) = n iff c_n != 0
         cat = basis_from_moments(builtin("catalan", 13), 6)
         for beta, coeffs in (
             (hermite(6), (F(1), F(0), F(1, 4), F(0), F(0), F(-1, 32), F(1, 64))),

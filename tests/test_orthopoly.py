@@ -17,7 +17,6 @@ from poslab.orthopoly import (
     ConnectionMatrix,
     OrthoBasis,
     Polynomial,
-    _expand_in_basis,
     _family,
     _hermite_addition_sides,
     _solve_lower,
@@ -296,9 +295,11 @@ class TestNormsAndRecurrence:
         assert basis.norms[1] == F(2) - F(1) ** 2  # m_2 - m_1^2
 
     def test_extraction_matches_stored_triples(self):
-        for seq in (builtin("catalan", 17), builtin("factorial", 17)):
-            basis = basis_from_moments(seq, 8)
-            assert three_term(basis) == basis.recurrence
+        bases = [basis_from_moments(seq, 8, allow_truncation=True) for seq in catalog_instances(17)]
+        # non-monic: He_n / 2^n, and s_n He_n with p_0 = 3/2
+        bases += [halved_hermite(8), rescaled(hermite(8), [F(3, n + 2) for n in range(9)])]
+        for basis in bases:
+            assert three_term(basis) == basis.recurrence, basis.source_moments.label
 
     def test_catalan_triple_at_one(self):
         basis = basis_from_moments(builtin("catalan", 9), 4)
@@ -387,7 +388,7 @@ class TestOneBuild:
 
 
 class TestFusedStepsAgainstPolynomialOps:
-    """The integer steps of the recurrence, the expansion and the connection check
+    """The integer steps of the recurrence and the connection check
     against the same steps taken with Polynomial arithmetic."""
 
     @settings(max_examples=100, deadline=None)
@@ -414,17 +415,6 @@ class TestFusedStepsAgainstPolynomialOps:
             message = rf"^\$: recurrence triple at n={n} does not rebuild p_{n + 1}$"
             with pytest.raises(SchemaError, match=message):
                 OrthoBasis.from_json_dict(doc)
-
-    @settings(max_examples=100, deadline=None)
-    @given(families(), st.lists(small, max_size=8))
-    def test_expansion(self, family, coeffs):
-        polys = tuple(_family(*family))
-        p = Polynomial(coeffs[: len(polys)])
-        num, den = _expand_in_basis(p, polys)
-        assert den > 0 and gcd(den, *num) == 1
-        got = [F(v, den) for v in num]
-        assert got == expand_by_polynomial_ops(p, polys)
-        assert combination_by_polynomial_ops(got, polys) == p
 
     @settings(max_examples=60, deadline=None)
     @given(families(), families(), st.data())
@@ -704,11 +694,13 @@ class TestConnection:
 
 
 def rows_by_back_substitution(src, dst):
-    """The connection rows as :func:`_expand_in_basis` gives them, one expansion per row."""
-    return tuple(
-        (tuple(num), den)
-        for num, den in (_expand_in_basis(p, dst.polys[: n + 1]) for n, p in enumerate(src.polys))
-    )
+    """The connection rows as back substitution of each p_n gives them, in lowest terms."""
+    rows = []
+    for n, p in enumerate(src.polys):
+        gamma = expand_by_polynomial_ops(p, dst.polys[: n + 1])
+        num, den = lowest_terms(*over_lcm([c.as_integer_ratio() for c in gamma]))
+        rows.append((tuple(num), den))
+    return tuple(rows)
 
 
 class TestConnectionByRecurrence:
@@ -747,21 +739,6 @@ class TestConnectionByRecurrence:
         for n, src in enumerate(bases):
             dst = bases[(n + 1) % len(bases)]
             assert connection(src, dst)._rows == rows_by_back_substitution(src, dst), keys[n]
-
-    def test_connection_runs_no_back_substitution(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return _expand_in_basis(*args)
-
-        monkeypatch.setattr(orthopoly, "_expand_in_basis", counted)
-        src, dst = hermite(8), basis_from_moments(builtin("catalan", 19), 9)
-        connection(src, dst)
-        assert calls == []
-        # three_term stays the independent route: one expansion per order
-        three_term(dst)
-        assert len(calls) == dst.order
 
 
 def times_x_in(basis):
