@@ -9,24 +9,17 @@ parameter spaces:
     3  insufficient moments / order, or a report value past the int-string or float range
 
 A report depends only on the arguments and the input files, so identical
-inputs always produce byte-identical reports; float diagnostics are
-written at 17 significant digits by :func:`poslab.rationals.float_str`.
-Rationals are accepted only as strings, "p/q", "p" or an exact decimal
-like "0.3": JSON numbers, booleans, floats and exponent notation are
-rejected.  A schema error in an input file reads ``FILE: $.field[i]:
-reason``; each file is read by the reader beside its type, where every
-object passes :func:`poslab.rationals.json_object` (an object, with no
-unknown key).  An empty grid, in a file or in ``--grid``, is an error;
-leave it out for the default grid.
-
-``main`` builds one argument parser per process, on its first call, and
-reuses it for every later request: nothing in the parser depends on the
-request, and argparse keeps no state between ``parse_args`` calls.
-``build_parser`` still returns a fresh parser to any other caller.
-
-Every JSON report is written by :func:`_dump_json`, which emits the bytes
-of ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline from
-its own small recursive writer.
+inputs always produce byte-identical reports (JSON ones by
+:func:`_dump_json`); float diagnostics are written at 17 significant
+digits by :func:`poslab.rationals.float_str`.  Rationals are accepted only
+as strings in one ASCII grammar, "p/q", "p" or an exact decimal like
+"0.3", read alike on every Python version: JSON numbers, booleans and
+exponent notation are rejected, and so is a repeated key.  A schema error
+in an input file reads ``FILE: $.field[i]: reason``; each file is read by
+the reader beside its type, where every object passes
+:func:`poslab.rationals.json_object` (an object, with no unknown key).
+``--grid`` reads every comma-separated part; an empty grid, there or in a
+file, is an error; leave it out for the default grid.
 """
 
 from __future__ import annotations
@@ -138,15 +131,24 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         out.append(json.dumps(value))
 
 
+def _unique_keys(pairs) -> dict:
+    """The ``object_pairs_hook`` of input files: a repeated key is an error, not an overwrite."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"duplicate key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return out
+
+
 def _load_json(path: str):
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: cannot read input file ({exc})")
     try:
-        return json.loads(raw)
+        return json.loads(raw, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
-        # bad syntax, a number past the int-string limit, or nesting past the recursion limit
+        # bad syntax, a repeated key, a number past the int-string limit, or nesting too deep
         raise SchemaError(f"{path}: not valid JSON ({exc})")
 
 
@@ -160,7 +162,8 @@ def _load(path: str, loader):
 
 
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
-    return rational_list([part for part in text.split(",") if part.strip()], "--grid")
+    """Every comma-separated part of ``--grid``; commas and blanks alone are an empty grid."""
+    return rational_list(text.split(",") if text.replace(",", "").strip() else [], "--grid")
 
 
 def _pm_text(label: str, order: int, report: PmReport) -> str:
@@ -418,7 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` reuses: built on the first request, not at import."""
+    """The parser ``main`` reuses: built on the first request, not at import.
+
+    Nothing in it depends on the request, and argparse keeps no state
+    between ``parse_args`` calls; ``build_parser`` returns a fresh one.
+    """
     return build_parser()
 
 

@@ -1,24 +1,22 @@
 """Exact rational helpers: parsing, formatting, square roots, small combinatorics.
 
-Scalar quantities that carry mathematical meaning in this package are
-``fractions.Fraction`` values; polynomials and moment sequences hold
-integer numerators over one denominator, reduced by :func:`lowest_terms`.
-Floats are rejected by the parsers: a float argument is almost always a
-silent loss of exactness.
-:func:`json_object` is the one check of a JSON input object: an object,
-with no key outside the reader's list.
-:func:`_rat_pair` is the one parser of rational strings, straight to an
-integer pair; :func:`rat` and :func:`rational_list`, the one reader of
-rational lists in JSON input, build Fractions from it, and
-:func:`rational_row` reads the same input as integer numerators over one
-denominator.  :func:`over_lcm` brings integer pairs over their lcm, and
-:func:`wire_row`, the one ``"p/q"`` writer, writes numerators back, so a
-vector entry is never a Fraction on the way in or out.  :func:`float_str`
-is the one writer of float diagnostics, at 17 significant digits, which
-round-trip any double.  A value past Python's int-string limit (4300
-digits by default), or a float diagnostic past the float range
-(:func:`report_float`, which every float diagnostic passes), raises
-``ReportLimitError``.
+Scalars that carry mathematical meaning are ``fractions.Fraction`` values;
+polynomials and moment sequences hold integer numerators over one
+denominator, reduced by :func:`lowest_terms`.  Floats are rejected: a
+float argument is almost always a silent loss of exactness.
+:func:`_rat_pair`, the one parser of rational strings, reads one ASCII
+grammar (``p``, ``p/q`` or an exact decimal like ``0.3``) the same on every
+Python version, straight to an integer pair: :func:`rat` makes a Fraction
+of it, and :func:`rational_list`, the one reader of rational lists in JSON
+input, Fractions, or :func:`rational_row` numerators over their lcm
+(:func:`over_lcm`).  :func:`json_object` is the one check of a JSON input
+object: an object, with no key outside the reader's list.  :func:`wire_row`,
+the one ``"p/q"`` writer, writes numerators back, so a vector entry is
+never a Fraction on the way in or out, and :func:`float_str` writes float
+diagnostics at 17 significant digits, which round-trip any double.  A
+value past Python's int-string limit (4300 digits by default), or a float
+diagnostic past the float range (:func:`report_float`, which every float
+diagnostic passes), raises ``ReportLimitError``.
 """
 
 from __future__ import annotations
@@ -33,39 +31,34 @@ from .errors import ReportLimitError, SchemaError
 def _rat_pair(value: str) -> tuple[int, int]:
     """Read a rational string as an integer pair (p, q) with q > 0, not reduced.
 
-    The wire form ``"p/q"`` (ASCII digits, an optional sign on ``p``) and a
-    plain ``"p"`` are read with ``int`` directly; every other string goes
-    through ``Fraction(text)``'s parser.  Both routes end in the same
-    ``not a rational string`` error, for ``q = 0`` and for digit strings past
-    Python's int-string limit too.  Exponent notation is rejected:
-    ``Fraction("1e10000000")`` builds a ten-million-digit integer, so a few
-    bytes of input could stall a run.
+    One ASCII grammar after ``strip()``, the same on every Python version (D
+    a digit 0-9): ``[+-]?D+``, ``[+-]?D+/D+`` with q != 0, or the exact
+    decimal ``[+-]?D*.D*`` with a digit, over 10^k.  No exponent: a few bytes
+    never build a huge integer.  Any other string, or a digit string past
+    the int-string limit, raises the one ``not a rational string`` error.
     """
     text = value.strip()
     num, slash, den = text.partition("/")
     digits = num[1:] if num[:1] in ("+", "-") else num
-    wire = digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit())
-    if not wire and ("e" in text or "E" in text):
-        raise ValueError(f"not a rational string: {value!r} (no exponent notation)")
     try:
-        if wire:
+        if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
             q = int(den) if slash else 1
-            if not q:
-                raise ZeroDivisionError(value)
-            return int(num), q
-        f = Fraction(text)
-        return f.numerator, f.denominator
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational string: {value!r}") from exc
+            if q:
+                return int(num), q
+        elif not slash:
+            whole, _, frac = digits.partition(".")
+            if (whole + frac).isascii() and (whole + frac).isdigit():
+                return int(num.replace(".", "", 1)), 10 ** len(frac)
+    except ValueError:
+        pass
+    raise ValueError(f"not a rational string: {value!r}")
 
 
 def rat(value) -> Fraction:
     """Coerce ``value`` to an exact Fraction.
 
-    Accepts int, Fraction, and strings: ``"p/q"``, ``"p"``, or an exact
-    decimal literal like ``"0.3"`` (which is 3/10, exactly), read by
-    :func:`_rat_pair`.  Float values are rejected: a binary double has
-    already lost exactness.
+    Accepts int, Fraction, and strings in :func:`_rat_pair`'s grammar
+    (``"0.3"`` is 3/10).  Floats are rejected: a double has lost exactness.
     """
     if isinstance(value, Fraction):
         return value
@@ -109,9 +102,8 @@ def _pairs(raw, where: str, length: int | None) -> list[tuple[int, int]]:
 def rational_list(raw, where: str, length: int | None = None) -> tuple[Fraction, ...]:
     """Read a JSON list of rational strings: ``length`` of them if given, else at least one.
 
-    Only strings are accepted (no JSON numbers or booleans), each read by
-    :func:`rat`'s rules.  Any failure raises :class:`SchemaError` naming
-    ``where``, or ``where[i]`` for a bad entry.
+    Only strings (no JSON numbers or booleans), each in :func:`_rat_pair`'s
+    grammar; a failure raises :class:`SchemaError` naming ``where[i]`` or ``where``.
     """
     return tuple(Fraction(p, q) for p, q in _pairs(raw, where, length))
 

@@ -105,6 +105,21 @@ class TestCheckPm:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path}: not valid JSON (")
 
+    def test_a_repeated_key_names_the_file(self, capsys, tmp_path):
+        # json.loads would keep the last "values" and drop the refuted first one (d_1 = -24)
+        path = tmp_path / "dup.json"
+        path.write_text(
+            '{"label": "x", "values": ["1/1", "-5/1", "1/1"], "values": ["1/1", "0/1", "1/1"]}'
+        )
+        code, out, err = run(capsys, "check-pm", "--in", str(path), "--order", "1")
+        assert (code, out, err) == (2, "", f"error: {path}: not valid JSON (duplicate key 'values')\n")
+        # a repeated key inside a nested object too
+        text = json.dumps(preset_problem("mehler", 4, F(1, 2)).to_json_dict())
+        path.write_text(text.replace('"support_flags": {', '"support_flags": {"same_marginals": true, '))
+        code, out, err = run(capsys, "lancaster", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: not valid JSON (duplicate key 'same_marginals')\n"
+
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no int-string digit limit"
     )
@@ -415,6 +430,15 @@ class TestLancaster:
             )
             assert (code, out) == (2, "")
             assert err == "error: --grid: expected a non-empty list of rational strings\n"
+
+    def test_every_grid_part_is_read(self, capsys):
+        # as a file's grid is read: a blank part is a bad entry, not a gap
+        for grid, i, part in ((",oops", 0, ""), ("1,,2", 1, ""), ("0,1/2, ", 2, " ")):
+            code, out, err = run(
+                capsys, "lancaster", "--preset", "harmonic", "--problem-order", "6", "--grid", grid
+            )
+            assert (code, out) == (2, "")
+            assert err == f"error: --grid[{i}]: not a rational string: {part!r}\n"
 
     def test_a_beta_family_in_other_terms_gives_the_same_report(self, capsys, tmp_path):
         # beta no longer equals alpha as an object, so it is read as its own family

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 import sys
 from fractions import Fraction as F
 
@@ -21,7 +22,7 @@ from poslab.moments import MomentSequence, builtin, is_pm
 from poslab.orthopoly import OrthoBasis, Polynomial, basis_from_moments, connection, hermite
 from poslab.positivity import OrthogonalSeries
 from poslab.rationals import (
-    float_str, lowest_terms, rat, rat_str, rational_list, rational_row, report_float, wire_row,
+    _rat_pair, float_str, lowest_terms, rat, rat_str, rational_list, rational_row, report_float, wire_row,
 )
 
 rationals = st.fractions(
@@ -59,6 +60,22 @@ class TestRationalStrings:
     def test_float_strings_round_trip_every_double(self, q):
         assert float(float_str(q)) == float(q)
 
+    # one grammar on every supported Python: Fraction(text) reads "1_000" from
+    # 3.11, "1 / 2" from 3.12, and non-ASCII digits on all of them
+    GRAMMAR_TABLE = [
+        ("0.3", (3, 10)), (".5", (5, 10)), ("1.", (1, 1)), ("-0", (0, 1)), ("007/010", (7, 10)),
+        (" 3/4 ", (3, 4)), ("1_000", None), ("1 / 2", None), ("\u0663/4", None), ("1e3", None),
+        ("3/0", None), ("1.5/2", None), (".", None),
+    ]
+
+    @pytest.mark.parametrize("text, pair", GRAMMAR_TABLE, ids=lambda v: ascii(v))
+    def test_one_grammar_on_every_python(self, text, pair):
+        if pair is None:
+            with pytest.raises(ValueError, match=f"^not a rational string: {re.escape(repr(text))}$"):
+                rat(text)
+        else:
+            assert _rat_pair(text) == pair and rat(text) == F(*pair)
+
     def test_parse_rejects_exponent_notation(self):
         # Fraction("1e10000000") alone takes seconds; larger exponents never end
         for text in ("1e10000000", "1E5", "2.5e-3", "1/1e3"):
@@ -66,12 +83,24 @@ class TestRationalStrings:
                 rat(text)
 
 
+# the documented grammar of rational strings, after strip(): p, p/q, or an exact decimal
+GRAMMAR = re.compile(r"[+-]?(\d+(/\d+)?|\d+\.\d*|\.\d+)", re.ASCII)
+
+
 def reference_rat(value):
-    """``rat`` on a string through ``Fraction(text)`` alone, with its exponent rule."""
+    """``rat`` on a string by the documented grammar: a full match, then ``Fraction(text)``.
+
+    ``Fraction`` gives the same value on every Python version for a string
+    that matches.  A decimal is read as one integer over 10^k, so its digits
+    together must be within the int-string limit.
+    """
     text = value.strip()
-    if "e" in text or "E" in text:
-        raise ValueError(f"not a rational string: {value!r} (no exponent notation)")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     try:
+        if not GRAMMAR.fullmatch(text):
+            raise ValueError(text)
+        if "." in text and 0 < limit < sum(c.isdigit() for c in text):
+            raise ValueError(text)
         return F(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational string: {value!r}") from exc
@@ -153,7 +182,7 @@ class TestWireRow:
 
 
 class TestRatParity:
-    """``rat``'s ``p/q`` fast path gives what ``Fraction(text)`` gives, or the same error."""
+    """``rat`` gives what the documented grammar gives (``reference_rat``), or the same error."""
 
     CASES = [
         "3/4", "+3/4", "-3/4", "-0", "+0/5", "0/7", "007/010", " 3/4 ", "\t-7\n", "12",
@@ -161,6 +190,7 @@ class TestRatParity:
         "3/+4", "3 /4", "3/ 4", "- 3/4", "+-3", "--3", "0.5", "-.5", "1.", "1.5/2", "",
         "  ", "/", "3/", "/4", "3/4/5", "x", "1e3", "\u00b2", "3/\u00b2",
         LONG, "-" + LONG, "1/" + LONG, LONG + "/3", "4" * 4300 + "/" + "3" * 4300,
+        "0." + LONG, "-." + "0" * 4300 + "1", "7" * 2200 + "." + "7" * 2200, "7" * 2150 + ".7",
     ]
 
     @pytest.mark.parametrize(
@@ -173,7 +203,7 @@ class TestRatParity:
         not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit before 3.10.7"
     )
     def test_long_digit_strings_keep_the_rat_error(self):
-        for text in (LONG, "1/" + LONG):
+        for text in (LONG, "1/" + LONG, "7" * 2200 + "." + "7" * 2200):
             with pytest.raises(ValueError, match="^not a rational string: ") as info:
                 rat(text)
             assert "Exceeds the limit" not in str(info.value)
