@@ -11,7 +11,9 @@ E once, each grid point p/q is then one integer dot product per moment over
 E q^d, and the numerators go straight into a
 :class:`~poslab.moments.MomentSequence`, whose Hankel battery reads them as
 they are.  When the two sides share their moment polynomials and their
-grid, side b takes side a's sequences, and only the batteries run twice.
+grid, side b takes side a's sequences.  The batteries still run once per
+side and point (``bench/test_bench.py`` counts the calls), and the report
+writer writes each distinct Hankel report, and a shared moment table, once.
 
 Orthonormal families carry 1/sqrt(norm) scale factors, but the pipeline
 reads only the monic-frame coefficients e_n = c_n sqrt(h_n / k_n), h_n and
@@ -234,12 +236,9 @@ class GridVerdict:
     point: Fraction
     report: PmReport
 
-    def to_json_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "point": rat_str(self.point),
-            "report": self.report.to_json_dict(),
-        }
+    def to_json_dict(self, report: dict) -> dict:
+        """The verdict's JSON around ``report``, the JSON of :attr:`report`."""
+        return {"side": self.side, "point": rat_str(self.point), "report": report}
 
 
 @dataclass(frozen=True)
@@ -367,10 +366,31 @@ class LancasterReport:
         return f"positive-to-order {self.order}"
 
     def to_json_dict(self) -> dict:
+        """The report's JSON, each distinct Hankel report and moment table written once.
+
+        Grid verdicts whose reports hold the same integers share one report
+        dict, built by the first of them; side b of a symmetric problem
+        repeats side a's, and shares the ``conditional_moments_a`` list when
+        ``mb is ma``.  The table lives for this call only.  The returned dict
+        therefore shares subobjects and is to be treated as read-only: copy
+        it (``copy.deepcopy``) before editing one entry.
+        """
+        polys = self.moment_polys
+        rows_a = [wire_row(p._num, p._den) for p in polys.ma]
+        rows_b = rows_a if polys.mb is polys.ma else [wire_row(p._num, p._den) for p in polys.mb]
+        written: dict[tuple, dict] = {}
+
+        def write(report: PmReport) -> dict:
+            key = (report._dets, report._shifted, report._den)
+            doc = written.get(key)
+            if doc is None:
+                doc = written[key] = report.to_json_dict()
+            return doc
+
         return {
-            "conditional_moments_a": [wire_row(p._num, p._den) for p in self.moment_polys.ma],
-            "conditional_moments_b": [wire_row(p._num, p._den) for p in self.moment_polys.mb],
-            "grid_verdicts": [v.to_json_dict() for v in self.grid_verdicts],
+            "conditional_moments_a": rows_a,
+            "conditional_moments_b": rows_b,
+            "grid_verdicts": [v.to_json_dict(write(v.report)) for v in self.grid_verdicts],
             "necessary_conditions": self.necessary.to_json_dict(),
             "pc_flags": list(self.pc_flags),
             "order": self.order,
@@ -395,9 +415,11 @@ def lancaster_report(prob: LancasterProblem, order: int | None = None) -> Lancas
     the same moments.  When both sides have the same moment polynomials
     (``mb is ma``) and the same grid, side b takes side a's sequences, so
     each point is evaluated once; :func:`is_pm` still runs once per side
-    and point.  Grid evaluations are independent and the aggregation does
-    not depend on their order.  The grids come from ``prob``, which holds
-    at least one point.
+    and point, as ``bench/test_bench.py`` pins, and
+    :meth:`LancasterReport.to_json_dict` writes each distinct report once.
+    Grid evaluations are independent and the aggregation does not depend
+    on their order.  The grids come from ``prob``, which holds at least
+    one point.
     ``pc_flags[n]`` is ``c_n != 0``, which is :func:`full_order_check` of
     h_n = c_n beta_n: deg(c_n beta_n) = n exactly when c_n != 0.
     """

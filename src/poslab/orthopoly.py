@@ -399,9 +399,9 @@ def basis_from_moments(
     22, 1968).  The family requires every Hankel determinant d_0..d_order to be
     strictly positive; since d_k = h_0 ... h_k, the first nonpositive h_k
     marks a zero or negative d_k, meaning the measure is degenerate (finite
-    support) or signed, and construction stops there.  With
-    ``allow_truncation`` the basis built so far is returned with an
-    explanatory status instead of raising.
+    support) or signed, and construction stops there (at d_0, no family
+    exists).  With ``allow_truncation`` the basis built so far is returned
+    with an explanatory status instead of raising.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -416,9 +416,8 @@ def basis_from_moments(
     bad = next((k for k, hk in enumerate(h) if hk <= 0), None)
     if bad is not None:
         kind = "zero" if h[bad] == 0 else "negative"
-        status = (
-            f"Hankel determinant d_{bad} of {m.label or 'input'} is {kind}; "
-            f"orthogonal family stops at order {bad - 1}"
+        status = f"Hankel determinant d_{bad} of {m.label or 'input'} is {kind}; " + (
+            f"orthogonal family stops at order {bad - 1}" if bad else "no orthogonal family exists"
         )
         if not (allow_truncation and bad >= 1):
             raise DegenerateMeasureError(bad, status)
@@ -599,7 +598,9 @@ def connection(from_basis: OrthoBasis, to_basis: OrthoBasis) -> ConnectionMatrix
     :func:`_family` in the target's coordinates, O(n) integer work per row
     and O(N^2) per matrix, where back substitution of each p_n would be
     O(N^3).  The target's (1/A'_j, -B'_j/A'_j, C'_j/A'_j), j < N, are put
-    over one denominator once per call; C'_0 multiplies q_{-1} = 0.
+    over one denominator once per call, as unreduced integer pairs read off
+    the triples' numerators and denominators (a monic target divides
+    nothing); C'_0 multiplies q_{-1} = 0.
     """
     order = from_basis.order
     if to_basis.order < order:
@@ -607,8 +608,12 @@ def connection(from_basis: OrthoBasis, to_basis: OrthoBasis) -> ConnectionMatrix
             f"target basis order {to_basis.order} < source order {order}"
         )
     # x q_j = (up[j] q_{j+1} + mid[j] q_j + down[j] q_{j-1}) / xden
-    steps = (v for a, b, c in to_basis.recurrence[:order] for v in (1 / a, -b / a, c / a))
-    scaled, xden = over_lcm([v.as_integer_ratio() for v in steps])
+    steps = []
+    for a, b, c in to_basis.recurrence[:order]:
+        # 1/A' = u/v with v = |A'.numerator| > 0; B'/A' and C'/A' then share u and v
+        u, v = (a.denominator, a.numerator) if a.numerator > 0 else (-a.denominator, -a.numerator)
+        steps += [(u, v), (-b.numerator * u, b.denominator * v), (c.numerator * u, c.denominator * v)]
+    scaled, xden = over_lcm(steps)
     up, mid, down = scaled[0::3], scaled[1::3], scaled[2::3]
 
     def times_x(num):

@@ -203,6 +203,17 @@ class TestBuildBasisAndConnect:
         assert code == 1
         assert "d_1" in err
 
+    @pytest.mark.parametrize("values, kind", [(["0", "0", "0"], "zero"), (["-1", "0", "1"], "negative")])
+    def test_no_family_when_d0_is_not_positive(self, capsys, tmp_path, values, kind):
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps({"label": "z", "values": values}))
+        code, out, err = run(capsys, "build-basis", "--in", str(path), "--order", "1")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"refused by the mathematics: Hankel determinant d_0 of z is {kind}; "
+            "no orthogonal family exists\n"
+        )
+
     def test_hermite_basis_content(self, capsys, tmp_path):
         out_path = tmp_path / "basis.json"
         run(capsys, "build-basis", "--seq", "gaussian", "--order", "3", "--out", str(out_path))

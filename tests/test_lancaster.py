@@ -22,12 +22,13 @@ from poslab.lancaster import (
     mehler_moments,
     moment_polynomials,
     necessary_conditions,
+    parse_problem_json,
     preset_names,
     preset_problem,
 )
 from poslab.moments import MomentSequence, builtin, is_pm
 from poslab.orthopoly import OrthoBasis, Polynomial, basis_from_moments, hermite
-from poslab.rationals import rational_sqrt
+from poslab.rationals import rat_str, rational_sqrt, wire_row
 from tests_support import (
     catalog_instances,
     expand_by_polynomial_ops,
@@ -465,6 +466,81 @@ class TestIntegerGridPath:
         side_a, side_b = seqs[:points_a], seqs[points_a : points_a + points_b]
         assert not {id(s) for s in side_a} & {id(s) for s in side_b}
         assert report.grid_verdicts == grid_verdicts_by_fractions(prob, report.order)
+
+
+def _file_problem():
+    """A problem read back from its file, whose ``beta`` object is the ``alpha`` object."""
+    basis = basis_from_moments(builtin("catalan", 17), 8)
+    prob = LancasterProblem(basis, basis, tuple(F(1, n + 1) for n in range(9)), ALL_FLAGS)
+    return parse_problem_json(prob.to_json_dict())
+
+
+WRITER_PROBLEMS = {
+    "symmetric-preset": lambda: preset_problem("mehler", 8, F(1, 2)),
+    "beta-equals-alpha-file": _file_problem,
+    # every side-b report is some side-a report, at another position
+    "reversed-grid": lambda: GRID_PROBLEMS["perturbed-hermite"],
+    "other-grid": lambda: LancasterProblem(
+        hermite(8), hermite(8), tuple(F(1, 2) ** n for n in range(9)),
+        grid_a=(F(-1), F(1, 3)), grid_b=(F(2), F(-5, 2), F(0)),
+    ),
+    "distinct-families": lambda: LancasterProblem(
+        hermite(8), halved_hermite(8), tuple(F(3, 4) ** n for n in range(9)), ALL_FLAGS
+    ),
+    # side b repeats two of side a's points and adds one of its own
+    "overlapping-grids": lambda: LancasterProblem(
+        hermite(8), hermite(8), (1,) + tuple(F(-2, 3) ** n + F(20, 1000) for n in range(1, 9)),
+        grid_a=(F(0), F(1, 2), F(3)), grid_b=(F(1, 2), F(-3, 2), F(0)),
+    ),
+}
+
+
+def distinct_dicts(objs):
+    return len({id(o) for o in objs})
+
+
+class TestReportWriter:
+    """LancasterReport.to_json_dict writes each distinct Hankel report once.
+
+    Verdicts whose reports hold the same integers share one report dict;
+    every verdict must still read exactly its own report's dict, so the
+    table can never merge two unequal reports.
+    """
+
+    @pytest.mark.parametrize("name", WRITER_PROBLEMS)
+    def test_every_verdict_writes_its_own_report(self, name):
+        report = lancaster_report(WRITER_PROBLEMS[name]())
+        doc = report.to_json_dict()
+        assert doc["grid_verdicts"] == [
+            {"side": v.side, "point": rat_str(v.point), "report": v.report.to_json_dict()}
+            for v in report.grid_verdicts
+        ]
+        polys = report.moment_polys
+        assert doc["conditional_moments_a"] == [wire_row(p._num, p._den) for p in polys.ma]
+        assert doc["conditional_moments_b"] == [wire_row(p._num, p._den) for p in polys.mb]
+
+    def test_the_fixtures_reach_shared_and_own_reports(self):
+        def reports(name):
+            doc = lancaster_report(WRITER_PROBLEMS[name]()).to_json_dict()
+            sides = {"a": [], "b": []}
+            for v in doc["grid_verdicts"]:
+                sides[v["side"]].append(v["report"])
+            return doc, sides["a"], sides["b"]
+
+        for name in ("symmetric-preset", "beta-equals-alpha-file"):
+            doc, side_a, side_b = reports(name)
+            assert all(a is b for a, b in zip(side_a, side_b))
+            assert doc["conditional_moments_b"] is doc["conditional_moments_a"]
+        doc, side_a, side_b = reports("reversed-grid")
+        assert all(a is b for a, b in zip(side_a, side_b[::-1]))
+        doc, side_a, side_b = reports("other-grid")
+        assert distinct_dicts(side_a + side_b) == len(side_a) + len(side_b)
+        doc, side_a, side_b = reports("distinct-families")
+        assert doc["conditional_moments_b"] is not doc["conditional_moments_a"]
+        doc, side_a, side_b = reports("overlapping-grids")
+        assert side_b[0] is side_a[1] and side_b[2] is side_a[0]
+        assert distinct_dicts(side_a + side_b) == 4
+        assert side_b[1] not in side_a  # a report of its own, unequal to every side-a report
 
 
 def norm_pairs():

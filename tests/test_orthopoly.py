@@ -252,6 +252,17 @@ class TestBasisFromMoments:
                 f"orthogonal family stops at order {order - 1}"
             )
 
+    @pytest.mark.parametrize("values, kind", [(["0", "0", "0"], "zero"), (["-1", "0", "1"], "negative")])
+    def test_no_family_when_d0_is_not_positive(self, values, kind):
+        seq = MomentSequence.from_json_dict({"label": "z", "values": values})
+        for allow in (False, True):
+            with pytest.raises(DegenerateMeasureError) as err:
+                basis_from_moments(seq, 1, allow_truncation=allow)
+            assert err.value.order == 0
+            assert str(err.value) == (
+                f"Hankel determinant d_0 of z is {kind}; no orthogonal family exists"
+            )
+
     def test_degenerate_measure_truncates_on_request(self):
         basis = basis_from_moments(builtin("geometric", 9, 2), 4, allow_truncation=True)
         assert basis.order == 0
