@@ -35,7 +35,7 @@ print("=" * 72)
 cert = certify_positive(OrthogonalSeries(basis, (F(0), F(1), F(0))), 1)
 print(f"recovered moments: {[str(v) for v in cert.recovered_moments.values[:3]]}")
 print(f"Hankel determinants: {[str(d) for d in cert.pm_report.hankel_dets]}")
-print(f"verdict: {cert.verdict_label}")
+print(f"verdict: {cert.verdict.label}")
 print("and indeed the partial sum x is negative at x = -1:",
       OrthogonalSeries(basis, (F(0), F(1))).partial_sum()(F(-1)))
 
@@ -51,7 +51,7 @@ cert = certify_positive(OrthogonalSeries(basis, coeffs), 4)
 print(f"coefficients: {[str(c) for c in coeffs[:5]]} ...")
 print(f"recovered moments (of N(1/2, 3/4)): {[str(v) for v in cert.recovered_moments.values[:5]]} ...")
 print(f"Hankel determinants: {[str(d) for d in cert.pm_report.hankel_dets]}")
-print(f"verdict: {cert.verdict_label}")
+print(f"verdict: {cert.verdict.label}")
 
 print()
 print("=" * 72)
@@ -62,7 +62,7 @@ print("=" * 72)
 series = OrthogonalSeries(basis, (F(1), F(1, 2)))
 for order in (1, 2, 3):
     cert = certify_positive(series, order)
-    print(f"  order {order}: {cert.verdict_label}")
+    print(f"  order {order}: {cert.verdict.label}")
 print("moral: a certificate is only as deep as its order.")
 
 print()
@@ -75,7 +75,7 @@ print(f"series coefficients of the point mass at 0: {[str(c) for c in cs[:5]]} .
 back = moments_from_coefficients(OrthogonalSeries(basis, cs))
 print(f"moments recovered exactly: {back.values == point_mass.values}")
 cert = certify_positive(OrthogonalSeries(basis, cs), 2)
-print(f"verdict: {cert.verdict_label}   (zero determinant: finite support, not a refutation)")
+print(f"verdict: {cert.verdict.label}   (zero determinant: finite support, not a refutation)")
 
 print()
 print("=" * 72)

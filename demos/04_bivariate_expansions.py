@@ -49,7 +49,7 @@ print(f"grid points: {len(report.grid_verdicts)} "
       f"(both conditional directions, default grid -2..2 step 1/2)")
 print(f"all Hankel determinants strictly positive: "
       f"{all(v.report.strictly_positive for v in report.grid_verdicts)}")
-print(f"verdict: {report.verdict_label}")
+print(f"verdict: {report.verdict.label}")
 
 nec = report.necessary
 print()
@@ -71,7 +71,7 @@ bad = LancasterProblem(basis, basis, tuple(F(2) ** n for n in range(5)),
 bad_report = lancaster_report(bad, order=1)
 origin = bad_report.grid_verdicts[0].report
 print(f"c_n = 2^n: at y = 0 the conditional variance is {origin.hankel_dets[1]} < 0")
-print(f"verdict: {bad_report.verdict_label}")
+print(f"verdict: {bad_report.verdict.label}")
 
 print()
 print("=" * 72)
@@ -96,7 +96,7 @@ print("=" * 72)
 for name in ("harmonic", "catalan-ratio", "fibonacci-scaled"):
     p = preset_problem(name, 8)
     rep = lancaster_report(p, order=2)
-    print(f"  {name:>17}: {rep.verdict_label}")
+    print(f"  {name:>17}: {rep.verdict.label}")
 
 print()
 print("=" * 72)

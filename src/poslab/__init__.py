@@ -8,8 +8,10 @@ arithmetic.  The same machinery extends to bivariate expansions over two
 orthonormal families, with the correlated-Gaussian (Hermite) instance wired
 in as a fully worked, exactly checkable reference.
 
-Everything mathematical is a ``fractions.Fraction``; floats appear only in
-clearly marked diagnostics that never feed a verdict.
+Everything mathematical is exact: a row of rationals (moment sequence,
+polynomial, Hankel report, connection row) is integer numerators over one
+denominator, and a single value is a ``fractions.Fraction``; floats appear
+only in clearly marked diagnostics that never feed a verdict.
 """
 
 from .errors import (

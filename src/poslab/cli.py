@@ -4,7 +4,7 @@ Exit codes separate mathematics from operations so scripts can sweep
 parameter spaces:
 
     0  success (certified / positive / completed)
-    1  refuted or degenerate input measure -- a valid mathematical outcome
+    1  a refuted verdict, or a degenerate input measure -- a valid mathematical outcome
     2  input, schema, or usage error
     3  insufficient moments / order, or a report value past the int-string or float range
 
@@ -48,15 +48,11 @@ from .lancaster import (
     preset_problem,
 )
 from .moments import (
-    MomentSequence,
-    PmReport,
-    builtin,
-    catalog_entries,
-    is_pm,
+    POSITIVE, REFUTED, MomentSequence, PmReport, Verdict, builtin, catalog_entries, is_pm,
     parse_catalog_key,
 )
 from .orthopoly import OrthoBasis, basis_from_moments, connection
-from .positivity import REFUTED, OrthogonalSeries, certify_positive
+from .positivity import OrthogonalSeries, certify_positive
 from .rationals import rat, rat_str, rational_list
 
 EXIT_OK = 0
@@ -177,14 +173,13 @@ def _pm_text(label: str, order: int, report: PmReport) -> str:
         f"strictly positive: {'yes' if report.strictly_positive else 'no'}",
         f"nonnegative-support compatible: {'yes' if report.nonneg_support else 'no'}",
     ]
-    for note in report.notes:
-        lines.append(f"note: {note}")
-    verdict = "pm" if report.is_pm else f"not pm (first negative at order {report.first_negative_order})"
-    lines.append(f"verdict: {verdict}")
+    verdict = report.verdict
+    lines += [f"note: {note}" for note in verdict.notes]
+    lines.append(f"verdict: {verdict.label}")
     return "\n".join(lines) + "\n"
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args) -> None:
     entries = catalog_entries()
     if args.json:
         payload = {
@@ -205,7 +200,6 @@ def _cmd_catalog(args) -> int:
             key = e.name + (f"({e.param_name})" if e.needs_param else "")
             lines.append(f"  {key:<{width + 3}} {e.description}")
         _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
 
 
 def _sequence_from_args(args, needed: int) -> MomentSequence:
@@ -219,7 +213,7 @@ def _sequence_from_args(args, needed: int) -> MomentSequence:
     raise SchemaError("a sequence is required: pass --seq KEY or --in FILE")
 
 
-def _cmd_check_pm(args) -> int:
+def _cmd_check_pm(args) -> Verdict:
     seq = _sequence_from_args(args, needed=2 * args.order + 2)
     report = is_pm(seq, args.order)
     if args.json:
@@ -227,32 +221,31 @@ def _cmd_check_pm(args) -> int:
         _emit(_dump_json(payload), args.out)
     else:
         _emit(_pm_text(seq.label or "(unlabeled)", args.order, report), args.out)
-    return EXIT_OK if report.is_pm else EXIT_REFUTED
+    return report.verdict
 
 
-def _cmd_build_basis(args) -> int:
+def _cmd_build_basis(args) -> None:
     seq = _sequence_from_args(args, needed=2 * args.order + 1)
     basis = basis_from_moments(seq, args.order)
     _emit(_dump_json(basis.to_json_dict()), args.out)
-    return EXIT_OK
 
 
-def _cmd_connect(args) -> int:
+def _cmd_connect(args) -> None:
     from_basis = _load(args.infile, OrthoBasis.from_json_dict)
     to_basis = _load(args.to, OrthoBasis.from_json_dict)
     cm = connection(from_basis, to_basis)
     _emit(_dump_json(cm.to_json_dict()), args.out)
-    return EXIT_OK
 
 
 def _load_series(path: str) -> OrthogonalSeries:
     return _load(path, OrthogonalSeries.from_json_dict)
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> Verdict:
     series = _load_series(args.infile)
     order = args.order if args.order is not None else series.basis.order // 2
     cert = certify_positive(series, order)
+    verdict = cert.verdict
     if args.json:
         _emit(_dump_json(cert.to_json_dict()), args.out)
     else:
@@ -261,15 +254,14 @@ def _cmd_certify(args) -> int:
             "recovered moments: "
             + ", ".join(cert.recovered_moments.prefix(2 * order + 1).to_json_dict()["values"]),
             "hankel determinants: " + ", ".join(cert.pm_report.to_json_dict()["hankel_dets"]),
-            f"verdict: {cert.verdict_label}",
+            f"verdict: {verdict.label}",
+            *(f"note: {note}" for note in verdict.notes),
         ]
-        for note in cert.notes:
-            lines.append(f"note: {note}")
         _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_REFUTED if cert.verdict == REFUTED else EXIT_OK
+    return verdict
 
 
-def _cmd_lancaster(args) -> int:
+def _cmd_lancaster(args) -> Verdict:
     if args.infile and args.preset:
         raise SchemaError("give either --in or --preset, not both")
     grid = _parse_grid(args.grid) if args.grid is not None else None
@@ -295,14 +287,17 @@ def _cmd_lancaster(args) -> int:
         for v in report.grid_verdicts:
             mark = "ok" if v.report.is_pm else f"NEGATIVE at order {v.report.first_negative_order}"
             lines.append(f"  side {v.side} @ {rat_str(v.point)}: {mark}")
-        lines.append(f"verdict: {report.verdict_label}")
+        lines.append(f"verdict: {report.verdict.label}")
         _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_REFUTED if report.verdict == REFUTED else EXIT_OK
+    return report.verdict
 
 
-def _cmd_mehler_demo(args) -> int:
+def _cmd_mehler_demo(args) -> Verdict:
     rho = rat(args.rho)
     results = mehler_demo_battery(rho, args.order)
+    passed = sum(r.passed for r in results)
+    status = POSITIVE if passed == len(results) else REFUTED
+    verdict = Verdict(status, args.order, f"{passed}/{len(results)} checks passed")
     if args.json:
         payload = {
             "rho": rat_str(rho),
@@ -310,7 +305,7 @@ def _cmd_mehler_demo(args) -> int:
             "checks": [
                 {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
             ],
-            "all_passed": all(r.passed for r in results),
+            "all_passed": status == POSITIVE,
         }
         _emit(_dump_json(payload), args.out)
     else:
@@ -319,10 +314,9 @@ def _cmd_mehler_demo(args) -> int:
             tag = "PASS" if r.passed else "FAIL"
             detail = f"  ({r.detail})" if r.detail else ""
             lines.append(f"{tag}  {r.name}{detail}")
-        passed = sum(r.passed for r in results)
-        lines.append(f"{passed}/{len(results)} checks passed")
+        lines.append(verdict.label)
         _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if all(r.passed for r in results) else EXIT_REFUTED
+    return verdict
 
 
 class _Parser(argparse.ArgumentParser):
@@ -340,10 +334,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _order(text: str) -> int:
-    """argparse type of every ``--order`` and ``--problem-order``: a nonnegative integer."""
+    """argparse type of every ``--order`` and ``--problem-order``: a nonnegative ASCII integer."""
     try:
-        value = int(text)
-    except ValueError:
+        value = int(text) if re.fullmatch(r"[+-]?[0-9]+", text.strip()) else -1
+    except ValueError:  # past the int-string limit
         value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
@@ -436,7 +430,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors, matching the input-error convention
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # a command returns the verdict it reported, or None if it reports none
+        verdict = args.func(args)
     except (InsufficientMomentsError, ReportLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT
@@ -446,6 +441,7 @@ def main(argv=None) -> int:
     except (PoslabError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_REFUTED if verdict is not None and verdict.status == REFUTED else EXIT_OK
 
 
 def entry() -> None:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import InsufficientMomentsError, SchemaError
-from .moments import MomentSequence, PmReport, builtin, is_pm
+from .moments import POSITIVE, REFUTED, MomentSequence, PmReport, Verdict, builtin, is_pm
 from .orthopoly import (
     OrthoBasis,
     Polynomial,
@@ -45,7 +45,7 @@ from .orthopoly import (
     basis_from_moments,
     hermite,
 )
-from .positivity import CERTIFIED, REFUTED, OrthogonalSeries, certify_positive
+from .positivity import CERTIFIED, OrthogonalSeries, certify_positive
 from .rationals import (
     double_factorial, float_str, json_object, over_lcm, rat, rat_str, rational_list, rational_sqrt,
     wire_row,
@@ -342,9 +342,6 @@ def full_order_check(h_polys, basis: OrthoBasis) -> tuple[bool, ...]:
     return tuple(h.degree == n for n, h in enumerate(h_polys))
 
 
-POSITIVE = "positive"
-
-
 @dataclass(frozen=True)
 class LancasterReport:
     """Aggregated grid positivity evidence; refuted iff a grid point's battery is not pm."""
@@ -356,14 +353,11 @@ class LancasterReport:
     order: int
 
     @property
-    def verdict(self) -> str:
-        return POSITIVE if all(v.report.is_pm for v in self.grid_verdicts) else REFUTED
-
-    @property
-    def verdict_label(self) -> str:
-        if self.verdict == REFUTED:
-            return "refuted"
-        return f"positive-to-order {self.order}"
+    def verdict(self) -> Verdict:
+        negative = [v.report.first_negative_order for v in self.grid_verdicts if not v.report.is_pm]
+        if negative:
+            return Verdict(REFUTED, min(negative), "refuted")
+        return Verdict(POSITIVE, self.order, f"positive-to-order {self.order}")
 
     def to_json_dict(self) -> dict:
         """The report's JSON, each distinct Hankel report and moment table written once.
@@ -387,6 +381,7 @@ class LancasterReport:
                 doc = written[key] = report.to_json_dict()
             return doc
 
+        verdict = self.verdict
         return {
             "conditional_moments_a": rows_a,
             "conditional_moments_b": rows_b,
@@ -394,8 +389,8 @@ class LancasterReport:
             "necessary_conditions": self.necessary.to_json_dict(),
             "pc_flags": list(self.pc_flags),
             "order": self.order,
-            "verdict": self.verdict,
-            "verdict_label": self.verdict_label,
+            "verdict": verdict.status,
+            "verdict_label": verdict.label,
         }
 
 
@@ -701,7 +696,7 @@ def mehler_demo_battery(rho, order: int = 10) -> list[CheckResult]:
 
     record(
         "grid-hankel-positivity",
-        rep.verdict == POSITIVE
+        rep.verdict.status == POSITIVE
         and all(v.report.strictly_positive for v in rep.grid_verdicts),
         f"default grid, order {rep.order}",
     )
@@ -760,11 +755,11 @@ def mehler_demo_battery(rho, order: int = 10) -> list[CheckResult]:
     for values, den in _values_at(hb.polys, ys):
         cs = tuple(rho**n * Fraction(v, den) / h for n, (v, h) in enumerate(zip(values, hb.norms)))
         cert = certify_positive(OrthogonalSeries(hb, cs), 4)
-        certs_ok &= cert.verdict == CERTIFIED and cert.pm_report.strictly_positive
+        certs_ok &= cert.verdict.status == CERTIFIED and cert.pm_report.strictly_positive
     record(
         "positivity-certificates",
-        cert_bad.verdict == REFUTED
-        and cert_bad.verdict_order == 1
+        cert_bad.verdict.status == REFUTED
+        and cert_bad.verdict.order == 1
         and cert_bad.pm_report.hankel_dets[1] == -1
         and certs_ok,
         "refutes the odd-coefficient control, certifies the Gaussian family",

@@ -172,6 +172,24 @@ def shifted_hankel_det(m: MomentSequence, n: int) -> Fraction:
     return Fraction(_hankel_window(m, n, 1), m._den ** (n + 1))
 
 
+POSITIVE = "positive"
+REFUTED = "refuted"
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """The outcome of one battery: status, the order it was decided at, verdict line, notes.
+
+    A ``refuted`` status, and only it, says a tested necessary condition
+    failed exactly; the CLI exits 1 on it and on nothing else.
+    """
+
+    status: str
+    order: int
+    label: str
+    notes: tuple[str, ...] = ()
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class PmReport:
     """Finite-order positivity report for one moment sequence.
@@ -254,9 +272,13 @@ class PmReport:
         return self.first_negative_order is None
 
     @property
-    def notes(self) -> tuple[str, ...]:
+    def verdict(self) -> Verdict:
         k = self.first_zero_order
-        return () if k is None else (f"zero Hankel determinant at order {k}: finite support possible",)
+        notes = () if k is None else (f"zero Hankel determinant at order {k}: finite support possible",)
+        k = self.first_negative_order
+        if k is None:
+            return Verdict(POSITIVE, self.order, "pm", notes)
+        return Verdict(REFUTED, k, f"not pm (first negative at order {k})", notes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -265,7 +287,7 @@ class PmReport:
             "is_pm_to_order": self.is_pm_to_order,
             "strictly_positive": self.strictly_positive,
             "nonneg_support": self.nonneg_support,
-            "notes": list(self.notes),
+            "notes": list(self.verdict.notes),
         }
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import log
 
 from .errors import InsufficientMomentsError, SchemaError
-from .moments import MomentSequence, PmReport, is_pm
+from .moments import REFUTED, MomentSequence, PmReport, Verdict, is_pm
 from .orthopoly import OrthoBasis, Polynomial, _combination, _inner, _solve_lower, hermite
 from .rationals import float_str, json_object, rat, rational_list, report_float
 
@@ -97,7 +97,6 @@ def coefficients_from_moments(basis: OrthoBasis, nu: MomentSequence) -> tuple[Fr
 
 
 CERTIFIED = "certified"
-REFUTED = "refuted"
 DEGENERATE = "degenerate"
 
 
@@ -105,15 +104,14 @@ DEGENERATE = "degenerate"
 class PositivityCertificate:
     """Outcome of the finite-order nonnegativity test for one series.
 
-    ``verdict``, ``verdict_order`` and ``notes`` are read off ``pm_report``;
-    ``verdict`` is one of:
+    ``verdict`` is read off ``pm_report``; its status is one of:
 
     * ``certified``  -- all Hankel determinants of the recovered moments are
-      strictly positive up to ``verdict_order``: every tested necessary
+      strictly positive up to its order: every tested necessary
       condition holds (evidence, not proof);
-    * ``refuted``    -- a negative determinant at ``verdict_order``: a
+    * ``refuted``    -- a negative determinant at its order: a
       definitive negative, since the condition is necessary;
-    * ``degenerate`` -- a zero determinant at ``verdict_order`` with no
+    * ``degenerate`` -- a zero determinant at its order with no
       negative one: the limit measure, if any, may have finite support.
     """
 
@@ -122,46 +120,28 @@ class PositivityCertificate:
     rm_partials: tuple[float, ...]
 
     @property
-    def verdict(self) -> str:
+    def verdict(self) -> Verdict:
         report = self.pm_report
-        if report.first_negative_order is not None:
-            return REFUTED
-        return CERTIFIED if report.first_zero_order is None else DEGENERATE
-
-    @property
-    def verdict_order(self) -> int:
-        report = self.pm_report
-        for k in (report.first_negative_order, report.first_zero_order):
-            if k is not None:
-                return k
-        return report.order
-
-    @property
-    def notes(self) -> tuple[str, ...]:
-        verdict, k = self.verdict, self.verdict_order
-        if verdict == REFUTED:
-            return (f"necessary condition violated: d_{k} < 0",)
-        if verdict == DEGENERATE:
-            return (f"d_{k} = 0: the limit measure may have finite support; not a refutation",)
-        return ()
-
-    @property
-    def verdict_label(self) -> str:
-        if self.verdict == CERTIFIED:
-            return f"certified-to-order {self.verdict_order}"
-        if self.verdict == REFUTED:
-            return f"refuted-at-order {self.verdict_order}"
-        return f"degenerate-at-order {self.verdict_order}"
+        k = report.first_negative_order
+        if k is not None:
+            note = f"necessary condition violated: d_{k} < 0"
+            return Verdict(REFUTED, k, f"refuted-at-order {k}", (note,))
+        k = report.first_zero_order
+        if k is not None:
+            note = f"d_{k} = 0: the limit measure may have finite support; not a refutation"
+            return Verdict(DEGENERATE, k, f"degenerate-at-order {k}", (note,))
+        return Verdict(CERTIFIED, report.order, f"certified-to-order {report.order}")
 
     def to_json_dict(self) -> dict:
+        verdict = self.verdict
         return {
             "recovered_moments": self.recovered_moments.to_json_dict(),
             "pm_report": self.pm_report.to_json_dict(),
-            "verdict": self.verdict,
-            "verdict_order": self.verdict_order,
-            "verdict_label": self.verdict_label,
+            "verdict": verdict.status,
+            "verdict_order": verdict.order,
+            "verdict_label": verdict.label,
             "rm_partials": [float_str(x) for x in self.rm_partials],
-            "notes": list(self.notes),
+            "notes": list(verdict.notes),
         }
 
 

@@ -140,8 +140,8 @@ def test_criterion_07_round_trip_is_exact_identity():
 
 def test_criterion_08_negative_control():
     cert = certify_positive(OrthogonalSeries(hermite(2), (F(0), F(1), F(0))), 1)
-    assert cert.verdict == "refuted"
-    assert cert.verdict_order == 1
+    assert cert.verdict.status == "refuted"
+    assert cert.verdict.order == 1
     assert cert.pm_report.hankel_dets[1] == F(-1)
     report(8, "series He_1 alone is refuted at order 1 with d_1 = -1 exactly")
 
@@ -152,8 +152,8 @@ def test_criterion_09_positive_control():
     for y in (F(-2), F(-1), F(0), F(1), F(2)):
         coeffs = tuple(rho**n * basis.polys[n](y) / basis.norms[n] for n in range(9))
         cert = certify_positive(OrthogonalSeries(basis, coeffs), 4)
-        assert cert.verdict == "certified"
-        assert cert.verdict_label == "certified-to-order 4"
+        assert cert.verdict.status == "certified"
+        assert cert.verdict.label == "certified-to-order 4"
         assert all(d > 0 for d in cert.pm_report.hankel_dets)
         assert cert.recovered_moments.values == normal_moments(rho * y, F(3, 4), 9).values
     report(9, "conditionally-Gaussian coefficients certify to order 4, all determinants positive")

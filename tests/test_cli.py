@@ -258,6 +258,10 @@ BASIS_FAULTS = {
     "norm": (("norms", 2), "100/1", f"$: {_norm_rule(2)}"),
     "negative-norm": (("norms", 1), "-1/1", "$: squared norm at order 1 must be positive, got -1"),
     "last-norm": (("norms", 4), "100/1", None),
+    "pi-not-a-list": (("pi",), "1/1", "$.pi: expected a non-empty list of coefficient rows"),
+    "recurrence-count": (
+        ("recurrence",), [["1/1", "0/1", "0/1"]], "$.recurrence: expected 4 [A, B, C] triples"
+    ),
     "status": (("status",), 3, "$.status: expected a string"),
     # a zero denominator, and an entry past Python's 4300-digit int-string limit
     "pi-zero-q": (("pi", 1, 0), "1/0", "$.pi[1][0]: not a rational string: '1/0'"),
@@ -355,6 +359,21 @@ class TestCertify:
             2,
             f"error: {path}: $.order: expected a nonnegative integer with basis 'hermite'\n",
         )
+
+    def test_a_basis_that_is_not_an_object_or_hermite(self, capsys, tmp_path):
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"basis": "legendre", "order": 2, "coeffs": ["1/1"]}))
+        code, out, err = run(capsys, "certify", "--in", str(path))
+        assert (code, out, err) == (
+            2, "", f"error: {path}: $.basis: expected a basis object or the string 'hermite'\n"
+        )
+
+    def test_more_coeffs_than_the_basis_order(self, capsys, tmp_path):
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"basis": "hermite", "order": 2, "coeffs": ["1/1"] * 4}))
+        code, out, err = run(capsys, "certify", "--in", str(path))
+        want = f"error: {path}: $.coeffs: 4 coefficients exceed basis order 2\n"
+        assert (code, out, err) == (2, "", want)
 
     def test_a_norm_off_the_recurrence_is_an_input_error(self, capsys, tmp_path):
         # h_2 A_2 = C_2 A_1 h_1 forces h_2 = 2; h_4 is not tied to any triple
@@ -577,6 +596,10 @@ class TestMehlerDemo:
         code, _, err = run(capsys, "mehler-demo", "--rho", "1e10000000")
         assert code == 2 and "not a rational string: '1e10000000'" in err
 
+    def test_an_order_below_four(self, capsys):
+        code, out, err = run(capsys, "mehler-demo", "--order", "3")
+        assert (code, out, err) == (2, "", "error: the battery needs order >= 4\n")
+
     @pytest.mark.parametrize(
         "rho",
         ["0.99999999999999999999", "-0.99999999999999999999", "0." + "9" * 400],
@@ -746,6 +769,15 @@ class TestUsageErrors:
         code, out, _ = run(capsys, "lancaster", "--preset", "harmonic", "--grid", "0")
         assert code == 0 and out.startswith("expansion problem of order 10,")
 
+    def test_lancaster_needs_exactly_one_problem_source(self, capsys, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(preset_problem("mehler", 4, F(1, 2)).to_json_dict()))
+        code, out, err = run(capsys, "lancaster", "--in", str(path), "--preset", "mehler")
+        assert (code, out, err) == (2, "", "error: give either --in or --preset, not both\n")
+        code, out, err = run(capsys, "lancaster")
+        want = "error: a problem is required: pass --in FILE or --preset NAME\n"
+        assert (code, out, err) == (2, "", want)
+
     def test_json_only_commands_reject_format_flags(self, capsys, tmp_path):
         basis = tmp_path / "basis.json"
         assert run(capsys, "build-basis", "--seq", "gaussian", "--order", "2", "--out", str(basis))[0] == 0
@@ -797,6 +829,9 @@ class TestParserReuse:
             (("lancaster", *preset), "--problem-order", "-1"),
             (("mehler-demo",), "--order", "-1"),
             (("check-pm", "--seq", "catalan"), "--order", "x"),
+            # the ASCII integers of every rational, not int()'s wider grammar
+            (("check-pm", "--seq", "catalan"), "--order", "1_0"),
+            (("check-pm", "--seq", "catalan"), "--order", "\u0663"),
         ]
         for command, option, value in cases:
             code, out, err = run(capsys, *command, option, value)
@@ -1060,3 +1095,46 @@ def test_text_and_json_reports_agree(capsys, tmp_path, name):
     json_code, out, _ = run(capsys, *argv, "--json")
     assert text_code == json_code
     assert text.splitlines() == text_from_json(argv[0], json.loads(out))
+
+
+def returned_verdicts(monkeypatch):
+    """The list of verdicts that the commands hand back to ``main``, last call last."""
+    seen = []
+
+    def keep(command):
+        def wrapper(args):
+            seen.append(command(args))
+            return seen[-1]
+        return wrapper
+
+    for name in ("_cmd_check_pm", "_cmd_certify", "_cmd_lancaster", "_cmd_mehler_demo"):
+        monkeypatch.setattr(cli, name, keep(getattr(cli, name)))
+    monkeypatch.setattr(cli, "_parser", build_parser)  # a parser bound to the wrappers
+    return seen
+
+
+# 12/13 checks pass: the kernel tolerance at the term cap exceeds every density value
+FAILING_DEMO = ("mehler-demo", "--rho=99/100", "--order", "10")
+
+
+@pytest.mark.parametrize("name", [*sorted(TEXT_REPORTS), "mehler-demo-failing"])
+def test_every_command_exits_by_its_verdict(capsys, tmp_path, monkeypatch, name):
+    # one rule for every command: exit 1 exactly when the verdict is refuted
+    argv = report_argv(tmp_path, name) if name in TEXT_REPORTS else list(FAILING_DEMO)
+    want_code = TEXT_REPORTS[name][1] if name in TEXT_REPORTS else 1
+    seen = returned_verdicts(monkeypatch)
+    code, text, err = run(capsys, *argv, "--text")
+    (verdict,) = seen
+    assert (code, err) == (want_code, "")
+    assert (verdict.status == "refuted") == (code == 1)
+    line = verdict.label if argv[0] == "mehler-demo" else f"verdict: {verdict.label}"
+    assert line in text.splitlines()
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err, seen[1:]) == (want_code, "", [verdict])
+    doc = json.loads(out)
+    if argv[0] == "certify":
+        assert (doc["verdict"], doc["verdict_order"], doc["verdict_label"], doc["notes"]) == (
+            verdict.status, verdict.order, verdict.label, list(verdict.notes)
+        )
+    elif argv[0] == "lancaster":
+        assert (doc["verdict"], doc["verdict_label"]) == (verdict.status, verdict.label)

@@ -251,7 +251,7 @@ class TestProblemValidation:
             assert mp.ma[0] == mp.mb[0] == Polynomial.one()
             assert mp.ma == mp.mb == mehler_moments(rho, 4)
             report = lancaster_report(prob)
-            assert report.verdict == "positive"
+            assert report.verdict.status == "positive"
             assert all(v.report.hankel_dets[0] == 1 for v in report.grid_verdicts)
 
 
@@ -299,7 +299,7 @@ class TestProblemGrids:
 class TestGridReport:
     def test_mehler_grid_is_strictly_positive(self):
         report = lancaster_report(mehler_problem(F(1, 2), 10), order=3)
-        assert report.verdict == "positive"
+        assert report.verdict.status == "positive"
         assert len(report.grid_verdicts) == 2 * len(DEFAULT_GRID)
         for v in report.grid_verdicts:
             assert v.report.strictly_positive
@@ -322,7 +322,7 @@ class TestGridReport:
             basis, basis, tuple(F(2) ** n for n in range(5)), grid_a=(F(0),), grid_b=(F(0),)
         )
         report = lancaster_report(prob, order=1)
-        assert report.verdict == "refuted"
+        assert report.verdict.status == "refuted"
         origin = report.grid_verdicts[0].report
         assert origin.hankel_dets[1] == -3
 
@@ -332,7 +332,7 @@ class TestGridReport:
         basis = hermite(4)
         prob = LancasterProblem(basis, basis, (F(1), F(2), F(1, 4), F(1, 8), F(1, 16)))
         report = lancaster_report(prob, order=1)
-        assert report.verdict == "refuted"
+        assert report.verdict.status == "refuted"
         by_point = {(v.side, v.point): v.report for v in report.grid_verdicts}
         assert by_point[("a", F(0))].is_pm  # the origin alone does not betray it
         assert not by_point[("a", F(1))].is_pm
@@ -410,7 +410,7 @@ class TestIntegerGridPath:
     def test_the_fixtures_reach_each_branch(self):
         flat = lancaster_report(GRID_PROBLEMS["x-equals-y"]).grid_verdicts
         assert all(v.report.first_zero_order == 1 for v in flat)
-        assert lancaster_report(GRID_PROBLEMS["perturbed-hermite"]).verdict == "refuted"
+        assert lancaster_report(GRID_PROBLEMS["perturbed-hermite"]).verdict.status == "refuted"
         assert any(p.is_zero for p in moment_polynomials(GRID_PROBLEMS["product-measure"]).ma)
         with mock.patch.object(moments, "_hankel_window", wraps=moments._hankel_window) as det:
             lancaster_report(GRID_PROBLEMS["bareiss-fallback"])
@@ -763,7 +763,7 @@ class TestPresetsAndBattery:
         for name in ("harmonic", "catalan-ratio", "fibonacci-scaled"):
             prob = preset_problem(name, 8)
             report = lancaster_report(prob, order=2)
-            assert report.verdict == "positive", name
+            assert report.verdict.status == "positive", name
 
     def test_mehler_preset_needs_rho(self):
         with pytest.raises(ValueError):

@@ -98,7 +98,7 @@ class TestIsPm:
         assert rep.hankel_dets == (F(1), F(0), F(0))
         assert rep.is_pm and rep.is_pm_to_order == 2
         assert not rep.strictly_positive
-        assert any("finite support" in note for note in rep.notes)
+        assert any("finite support" in note for note in rep.verdict.notes)
 
     def test_gaussian_strictly_positive_but_signed_support(self):
         rep = is_pm(builtin("gaussian", 7), 3)
@@ -223,7 +223,7 @@ class TestBatteryEngine:
         for values, shifted in (((1, 0, 0, 0, -1), (0, 0)), ((1, 1, 1, 1, 2), (1, 0))):
             rep = is_pm(ms(values), 2)
             assert rep.hankel_dets == (1, 0, 0) and rep.shifted_dets == shifted
-            assert rep.is_pm_to_order == 2 and rep.notes == notes
+            assert rep.is_pm_to_order == 2 and rep.verdict.notes == notes
             assert rep.nonneg_support and not rep.strictly_positive
 
     def test_closed_forms_at_order_80(self):

@@ -96,14 +96,14 @@ class TestMomentRecovery:
 class TestCertify:
     def test_trivial_series_certifies_with_base_moments(self, hermite8):
         cert = certify_positive(OrthogonalSeries(hermite8, (F(1),)), 3)
-        assert cert.verdict == "certified"
-        assert cert.verdict_label == "certified-to-order 3"
+        assert cert.verdict.status == "certified"
+        assert cert.verdict.label == "certified-to-order 3"
         assert cert.recovered_moments.values[:7] == builtin("gaussian", 7).values
 
     def test_odd_control_is_refuted_at_order_one(self, hermite8):
         cert = certify_positive(OrthogonalSeries(hermite8, (F(0), F(1), F(0))), 1)
-        assert cert.verdict == "refuted"
-        assert cert.verdict_order == 1
+        assert cert.verdict.status == "refuted"
+        assert cert.verdict.order == 1
         assert cert.pm_report.hankel_dets == (F(0), F(-1))
 
     def test_refutation_matches_a_pointwise_negative_value(self, hermite8):
@@ -116,16 +116,16 @@ class TestCertify:
         for y in (F(-2), F(-1), F(0), F(1), F(2)):
             cs = tuple(rho**n * hermite8.polys[n](y) / hermite8.norms[n] for n in range(9))
             cert = certify_positive(OrthogonalSeries(hermite8, cs), 4)
-            assert cert.verdict == "certified"
+            assert cert.verdict.status == "certified"
             assert cert.pm_report.strictly_positive
 
     def test_degenerate_verdict_on_point_mass_recovery(self, hermite8):
         # coefficients of the point mass at 0: recovered moments [1,0,0,...]
         cs = coefficients_from_moments(hermite8, builtin("geometric", 9, 0))
         cert = certify_positive(OrthogonalSeries(hermite8, cs), 2)
-        assert cert.verdict == "degenerate"
-        assert cert.verdict_order == 1
-        assert any("finite support" in note for note in cert.notes)
+        assert cert.verdict.status == "degenerate"
+        assert cert.verdict.order == 1
+        assert any("finite support" in note for note in cert.verdict.notes)
 
     def test_catalog_measures_always_certify(self, hermite8):
         # infinite-support catalog measures certify outright
@@ -133,14 +133,14 @@ class TestCertify:
             nu = builtin(name, 9)
             cs = coefficients_from_moments(hermite8, nu)
             cert = certify_positive(OrthogonalSeries(hermite8, cs), 4)
-            assert cert.verdict == "certified"
+            assert cert.verdict.status == "certified"
             assert cert.recovered_moments.values == nu.values
         # a finite-support one comes back degenerate, never refuted
         nu = builtin("geometric", 9, 2)
         cert = certify_positive(
             OrthogonalSeries(hermite8, coefficients_from_moments(hermite8, nu)), 4
         )
-        assert cert.verdict == "degenerate"
+        assert cert.verdict.status == "degenerate"
         assert cert.pm_report.is_pm
 
     def test_a_negative_order_is_refused_in_the_batterys_words(self, hermite8):
@@ -179,7 +179,7 @@ def test_verdicts_are_read_off_the_determinants(row):
     assert report.nonneg_support is False
     assert report.is_pm_to_order == pm_order
     assert report.is_pm == (negative is None)
-    assert report.notes == notes
+    assert report.verdict.notes == notes
     assert report.to_json_dict() == {
         "hankel_dets": [f"{d.numerator}/{d.denominator}" for d in dets],
         "shifted_dets": ["3/1", "-1/2"],
@@ -190,11 +190,11 @@ def test_verdicts_are_read_off_the_determinants(row):
     }
 
     cert = PositivityCertificate(MomentSequence((F(1),)), report, ())
-    assert (cert.verdict, cert.verdict_order) == (verdict, verdict_order)
-    assert cert.notes == (() if cert_note is None else (cert_note,))
+    assert (cert.verdict.status, cert.verdict.order) == (verdict, verdict_order)
+    assert cert.verdict.notes == (() if cert_note is None else (cert_note,))
     label = {CERTIFIED: "certified-to-order", REFUTED: "refuted-at-order",
              DEGENERATE: "degenerate-at-order"}[verdict]
-    assert cert.verdict_label == f"{label} {verdict_order}"
+    assert cert.verdict.label == f"{label} {verdict_order}"
 
 
 class TestRmDiagnostic:
