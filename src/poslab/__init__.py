@@ -12,6 +12,12 @@ Everything mathematical is exact: a row of rationals (moment sequence,
 polynomial, Hankel report, connection row) is integer numerators over one
 denominator, and a single value is a ``fractions.Fraction``; floats appear
 only in clearly marked diagnostics that never feed a verdict.
+
+Every value type is immutable.  The ten plain records, such as ``Verdict``
+and ``LancasterReport``, are ``collections.namedtuple`` subclasses with
+``__slots__ = ()``, which every command builds at start-up several times
+faster than dataclasses; the six types with their own ``__init__`` or a
+``__post_init__`` check stay frozen dataclasses.  The README lists both.
 """
 
 from .errors import (

@@ -29,7 +29,8 @@ moments, conditional density, and truncated kernel for cross-checking.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from collections import namedtuple
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -54,21 +55,23 @@ from .rationals import (
 DEFAULT_GRID = tuple(Fraction(k, 2) for k in range(-4, 5))
 
 
-@dataclass(frozen=True)
-class SupportFlags:
-    """Declared support properties of the marginal measures.
+class SupportFlags(
+    namedtuple(
+        "SupportFlags",
+        "zero_in_supp_mu mu_unbounded nu_unbounded same_marginals",
+        defaults=(False, False, False, False),
+    )
+):
+    """Declared support properties of the marginal measures, four booleans, each False by default.
 
     Moments alone cannot decide these at finite order, so the necessary-
     condition battery only runs the checks the caller vouches for.
     """
 
-    zero_in_supp_mu: bool = False
-    mu_unbounded: bool = False
-    nu_unbounded: bool = False
-    same_marginals: bool = False
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_json_dict(cls, data: dict, where: str = "$") -> "SupportFlags":
@@ -77,7 +80,7 @@ class SupportFlags:
         A misspelled flag would otherwise read as undeclared and silently
         switch its necessary-condition check off.
         """
-        data = json_object(data, where, [field.name for field in fields(cls)])
+        data = json_object(data, where, cls._fields)
         for key, val in data.items():
             if not isinstance(val, bool):
                 raise SchemaError(f"{where}.{key}: expected a boolean")
@@ -193,12 +196,13 @@ def parse_problem_json(data: dict, where: str = "$", grid=None) -> LancasterProb
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class MomentPolynomials:
-    """Conditional moment polynomials: ma[n] = E[X^n | Y=y] in y, mb[n] = E[Y^n | X=x] in x."""
+class MomentPolynomials(namedtuple("MomentPolynomials", "ma mb")):
+    """Conditional moment polynomials: ma[n] = E[X^n | Y=y] in y, mb[n] = E[Y^n | X=x] in x.
 
-    ma: tuple[Polynomial, ...]
-    mb: tuple[Polynomial, ...]
+    Each side is a tuple of :class:`~poslab.orthopoly.Polynomial`.
+    """
+
+    __slots__ = ()
 
 
 def moment_polynomials(prob: LancasterProblem) -> MomentPolynomials:
@@ -228,37 +232,39 @@ def moment_polynomials(prob: LancasterProblem) -> MomentPolynomials:
     return MomentPolynomials(ma, solve(beta, rhs))
 
 
-@dataclass(frozen=True)
-class GridVerdict:
-    """Hankel report of the conditional moment sequence at one grid point."""
+class GridVerdict(namedtuple("GridVerdict", "side point report")):
+    """Hankel report of the conditional moment sequence at one grid point.
 
-    side: str  # "a": moments of X given Y = point; "b": moments of Y given X = point
-    point: Fraction
-    report: PmReport
+    ``side`` is "a" for the moments of X given Y = ``point`` and "b" for the
+    moments of Y given X = ``point``; ``point`` is a Fraction and ``report``
+    a :class:`~poslab.moments.PmReport`.
+    """
+
+    __slots__ = ()
 
     def to_json_dict(self, report: dict) -> dict:
         """The verdict's JSON around ``report``, the JSON of :attr:`report`."""
         return {"side": self.side, "point": rat_str(self.point), "report": report}
 
 
-@dataclass(frozen=True)
-class NecessaryConditions:
+class NecessaryConditions(
+    namedtuple("NecessaryConditions", "square_sum_partials origin_sum ratio_pm coeff_pm")
+):
     """Cheap necessary conditions every positive expansion must satisfy.
 
-    * square_sum_partials: partial sums of c_n^2 (must stay bounded);
-    * origin_sum: the sum of c_n a_{n,0} b_{n,0} over n <= N (nonnegative
-      limit when 0 lies in the support of mu); None unless declared;
-    * ratio_pm: Hankel report of {c_n a_nn/b_nn} (a moment sequence when mu
-      has unbounded support); None unless declared;
-    * coeff_pm: Hankel report of {c_n sign(a_nn b_nn)}, which is {c_n} when
-      both leads share a sign (equal marginals with unbounded support); None
-      unless declared.
+    * square_sum_partials: partial sums of c_n^2, a tuple of Fractions (must
+      stay bounded);
+    * origin_sum: the sum of c_n a_{n,0} b_{n,0} over n <= N, a Fraction
+      (nonnegative limit when 0 lies in the support of mu); None unless
+      declared;
+    * ratio_pm: :class:`~poslab.moments.PmReport` of {c_n a_nn/b_nn} (a
+      moment sequence when mu has unbounded support); None unless declared;
+    * coeff_pm: :class:`~poslab.moments.PmReport` of {c_n sign(a_nn b_nn)},
+      which is {c_n} when both leads share a sign (equal marginals with
+      unbounded support); None unless declared.
     """
 
-    square_sum_partials: tuple[Fraction, ...]
-    origin_sum: Fraction | None
-    ratio_pm: PmReport | None
-    coeff_pm: PmReport | None
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -342,15 +348,17 @@ def full_order_check(h_polys, basis: OrthoBasis) -> tuple[bool, ...]:
     return tuple(h.degree == n for n, h in enumerate(h_polys))
 
 
-@dataclass(frozen=True)
-class LancasterReport:
-    """Aggregated grid positivity evidence; refuted iff a grid point's battery is not pm."""
+class LancasterReport(
+    namedtuple("LancasterReport", "moment_polys grid_verdicts necessary pc_flags order")
+):
+    """Aggregated grid positivity evidence; refuted iff a grid point's battery is not pm.
 
-    moment_polys: MomentPolynomials
-    grid_verdicts: tuple[GridVerdict, ...]
-    necessary: NecessaryConditions
-    pc_flags: tuple[bool, ...]
-    order: int
+    Holds the :class:`MomentPolynomials`, a tuple of :class:`GridVerdict`,
+    the :class:`NecessaryConditions`, a tuple of bool ``pc_flags`` and the
+    int Hankel ``order`` tested at each grid point.
+    """
+
+    __slots__ = ()
 
     @property
     def verdict(self) -> Verdict:
@@ -542,7 +550,7 @@ def preset_problem(name: str, order: int, rho=None, grid=None) -> LancasterProbl
         raise ValueError(f"preset {name!r} takes no correlation parameter")
     coeffs = build(order, _check_rho(rho) if takes_rho else None)
     basis = hermite(order)
-    flags = SupportFlags(**{field.name: True for field in fields(SupportFlags)})
+    flags = SupportFlags(*[True] * len(SupportFlags._fields))
     grids = {} if grid is None else {"grid_a": grid, "grid_b": grid}
     return LancasterProblem(basis, basis, coeffs, flags, **grids)
 
@@ -551,11 +559,10 @@ def preset_problem(name: str, order: int, rho=None, grid=None) -> LancasterProbl
 # Reference battery: every exact identity the Gaussian instance must satisfy
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",))):
+    """One named check of :func:`mehler_demo_battery`: its str name, bool outcome and str detail."""
+
+    __slots__ = ()
 
 
 def _hermite_sum_formula(n: int) -> Polynomial:

@@ -47,7 +47,7 @@ safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -176,18 +176,16 @@ POSITIVE = "positive"
 REFUTED = "refuted"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "status order label notes", defaults=((),))):
     """The outcome of one battery: status, the order it was decided at, verdict line, notes.
 
-    A ``refuted`` status, and only it, says a tested necessary condition
-    failed exactly; the CLI exits 1 on it and on nothing else.
+    ``status`` and ``label`` are strings, ``order`` an int and ``notes`` a
+    tuple of strings.  A ``refuted`` status, and only it, says a tested
+    necessary condition failed exactly; the CLI exits 1 on it and on
+    nothing else.
     """
 
-    status: str
-    order: int
-    label: str
-    notes: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -598,18 +596,16 @@ def _fib_scaled(length: int) -> tuple[list[int], int]:
     return [f * 3 ** (length - 1 - n) for n, f in enumerate(fibonacci(length))], 3 ** (length - 1)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(
+    namedtuple("CatalogEntry", "name description builder param_name", defaults=("",))
+):
     """A builtin sequence; ``builder(length)``, or ``builder(length, param)`` with a ``param_name``.
 
     The builder returns the first ``length`` moments as (numerators, den):
     integers over one positive denominator, not necessarily in lowest terms.
     """
 
-    name: str
-    description: str
-    builder: Callable[..., tuple[list[int], int]]
-    param_name: str = ""
+    __slots__ = ()
 
     @property
     def needs_param(self) -> bool:

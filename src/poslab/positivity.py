@@ -14,12 +14,13 @@ it as far as they were tested (finite-order evidence, never a proof).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log
 
 from .errors import InsufficientMomentsError, SchemaError
-from .moments import REFUTED, MomentSequence, PmReport, Verdict, is_pm
+from .moments import REFUTED, MomentSequence, Verdict, is_pm
 from .orthopoly import OrthoBasis, Polynomial, _combination, _inner, _solve_lower, hermite
 from .rationals import float_str, json_object, rat, rational_list, report_float
 
@@ -100,9 +101,14 @@ CERTIFIED = "certified"
 DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
-class PositivityCertificate:
+class PositivityCertificate(
+    namedtuple("PositivityCertificate", "recovered_moments pm_report rm_partials")
+):
     """Outcome of the finite-order nonnegativity test for one series.
+
+    Holds the :class:`~poslab.moments.MomentSequence` recovered from the
+    series, its :class:`~poslab.moments.PmReport` and the float
+    ``rm_partials`` of :func:`rademacher_menshov_partials`.
 
     ``verdict`` is read off ``pm_report``; its status is one of:
 
@@ -115,9 +121,7 @@ class PositivityCertificate:
       negative one: the limit measure, if any, may have finite support.
     """
 
-    recovered_moments: MomentSequence
-    pm_report: PmReport
-    rm_partials: tuple[float, ...]
+    __slots__ = ()
 
     @property
     def verdict(self) -> Verdict:
@@ -185,12 +189,13 @@ def rademacher_menshov_partials(series: OrthogonalSeries) -> tuple[float, ...]:
     return log_weighted_partials(energies)
 
 
-@dataclass(frozen=True)
-class KernelProjection:
-    """Image of a polynomial under the truncated reproducing map, with a loss flag."""
+class KernelProjection(namedtuple("KernelProjection", "image lossy")):
+    """Image of a polynomial under the truncated reproducing map, with a loss flag.
 
-    image: Polynomial
-    lossy: bool
+    ``image`` is a :class:`~poslab.orthopoly.Polynomial` and ``lossy`` a bool.
+    """
+
+    __slots__ = ()
 
 
 def kernel_projection(basis: OrthoBasis, f: Polynomial, order: int) -> KernelProjection:

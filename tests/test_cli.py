@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -1138,3 +1141,37 @@ def test_every_command_exits_by_its_verdict(capsys, tmp_path, monkeypatch, name)
         )
     elif argv[0] == "lancaster":
         assert (doc["verdict"], doc["verdict_label"]) == (verdict.status, verdict.label)
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_REPORTS))
+def test_json_payloads_hold_no_record(capsys, tmp_path, monkeypatch, name):
+    # _write_json writes any tuple subclass as a list, so a record left in a
+    # payload would be written without an error; only plain containers may reach it
+    payloads = []
+    dump = cli._dump_json
+    monkeypatch.setattr(cli, "_dump_json", lambda payload: payloads.append(payload) or dump(payload))
+    code, _, err = run(capsys, *report_argv(tmp_path, name), "--json")
+    assert (code, err) == (TEXT_REPORTS[name][1], "")
+    (payload,) = payloads
+    stack = [payload]
+    while stack:
+        node = stack.pop()
+        assert type(node) in (dict, list, tuple), type(node)
+        for value in node.values() if type(node) is dict else node:
+            if value is not None and type(value) not in (str, int, float, bool):
+                stack.append(value)
+
+
+def test_importing_the_cli_does_not_load_typing():
+    # the records are collections.namedtuple subclasses, not typing.NamedTuple:
+    # importing typing would cost the start-up of every command a few ms
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, poslab.cli; print('typing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "False\n"
