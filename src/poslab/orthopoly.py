@@ -27,12 +27,12 @@ three-term recurrence: :func:`connection` is a walk of :func:`_family` in
 the target's coordinates, where multiplication by x is the target's
 tridiagonal map, O(n) integer work per row and O(N^2) per matrix.  The
 constant column of that triangle is what links series coefficients to
-recovered measure moments in :mod:`poslab.positivity`.  The rows share the
-form too: numerators over one denominator in lowest terms, which
-:class:`ConnectionMatrix` stores, checks with one integer combination each
-(the independent O(N^3) route) and writes as its ``gamma`` rows straight
-from them.  Nothing in the library runs back substitution: :func:`three_term`
-reads each triple off three coefficients of p_{n+1}, and
+recovered measure moments in :mod:`poslab.positivity`.  The rows are the
+walk's polynomials, which :class:`ConnectionMatrix` stores as built, checks
+with one integer combination each (the independent O(N^3) route) and writes
+as its ``gamma`` rows straight from their numerators.  Nothing in the
+library runs back substitution: :func:`three_term` reads each triple off
+three coefficients of p_{n+1}, and
 :func:`poslab.lancaster.full_order_check` is a degree test.
 Systems Pi x = r through the monomial triangle Pi of a family, for recovered
 moments and for conditional moments, share one forward substitution,
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, lcm
 from operator import mul
 
 from .errors import (
@@ -526,24 +526,23 @@ class ConnectionMatrix:
 
     ``ConnectionMatrix(rows, from_basis, to_basis)``, the one constructor,
     takes one row per source polynomial, no more than the target has, and
-    row n as a pair (numerators, den) of integers with den > 0, in
-    lowest terms (one gcd per row checks it), as :func:`connection` builds
-    them by the source's recurrence: gamma_{n,j} = numerators[j] / den, and
+    row n as the :class:`Polynomial` sum_j gamma_{n,j} t^j of degree n, as
+    :func:`connection` builds them by the source's recurrence:
     from_basis.polys[n] = sum_j gamma_{n,j} to_basis.polys[j] exactly.  The
     reconstruction is re-verified on construction, one integer combination
     per row and O(N^3) per matrix, independent of the recurrence that built
-    the rows.  Lowest terms over a positive denominator is unique, so equal
-    rows write equal ``gamma`` strings.  ``rows`` builds the Fractions on each
-    read.  The constant column gamma_{n,0} equals the integral of p_n
-    against the measure that the target family is orthogonal with respect to.
+    the rows.  A polynomial is stored in lowest terms, so equal rows write
+    equal ``gamma`` strings.  ``rows`` builds the Fractions on each read.
+    The constant column gamma_{n,0} equals the integral of p_n against the
+    measure that the target family is orthogonal with respect to.
     """
 
-    _rows: tuple[tuple[tuple[int, ...], int], ...]
+    _rows: tuple[Polynomial, ...]
     from_basis: OrthoBasis
     to_basis: OrthoBasis
 
     def __init__(self, rows, from_basis: OrthoBasis, to_basis: OrthoBasis):
-        rows = tuple((tuple(num), den) for num, den in rows)
+        rows = tuple(rows)
         if not len(rows) == from_basis.order + 1 <= to_basis.order + 1:
             raise ValueError(
                 f"a connection needs {from_basis.order + 1} rows, one per source polynomial "
@@ -555,34 +554,30 @@ class ConnectionMatrix:
         target = to_basis.polys[: len(rows)]
         common = lcm(*(q._den for q in target))
         scaled = [[v * (common // q._den) for v in q._num] for q in target]
-        for n, (num, den) in enumerate(rows):
-            if len(num) != n + 1 or not num[n]:
+        for n, row in enumerate(rows):
+            if row.degree != n:
                 raise ValueError(f"connection row {n} is not triangular with nonzero diagonal")
-            if den <= 0 or gcd(den, *num) != 1:
-                raise ValueError(
-                    f"connection row {n} is not in lowest terms over a positive denominator"
-                )
             out = [0] * (n + 1)
-            for c, row in zip(num, scaled):
+            for c, t in zip(row._num, scaled):
                 if c:
-                    for i, v in enumerate(row):
+                    for i, v in enumerate(t):
                         out[i] += c * v
-            # out / (den E) must equal p_n = P / d: cross-multiplied, entry by entry
-            p, scale = from_basis.polys[n], den * common
-            if len(p._num) != n + 1 or any(u * p._den != v * scale for u, v in zip(out, p._num)):
+            # out / (row._den E) must equal p_n = P / d, also of degree n: cross-multiplied
+            p, scale = from_basis.polys[n], row._den * common
+            if any(u * p._den != v * scale for u, v in zip(out, p._num)):
                 raise ValueError(f"connection row {n} does not reconstruct the source polynomial")
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(v, den) for v in num) for num, den in self._rows)
+        return tuple(row.coeffs for row in self._rows)
 
     @property
     def constant_column(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(num[0], den) for num, den in self._rows)
+        return tuple(row.coefficient(0) for row in self._rows)
 
     def to_json_dict(self) -> dict:
         return {
-            "gamma": [wire_row(num, den) for num, den in self._rows],
+            "gamma": [wire_row(row._num, row._den) for row in self._rows],
             "from_basis": self.from_basis.to_json_dict(),
             "to_basis": self.to_basis.to_json_dict(),
         }
@@ -627,8 +622,7 @@ def connection(from_basis: OrthoBasis, to_basis: OrthoBasis) -> ConnectionMatrix
         return out
 
     g0 = Polynomial((from_basis.p0 / to_basis.p0,))
-    rows = _family(g0, from_basis.recurrence, times_x, xden)
-    return ConnectionMatrix([(g._num, g._den) for g in rows], from_basis, to_basis)
+    return ConnectionMatrix(_family(g0, from_basis.recurrence, times_x, xden), from_basis, to_basis)
 
 
 def hermite(order: int) -> OrthoBasis:

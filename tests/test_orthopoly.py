@@ -434,17 +434,17 @@ class TestFusedStepsAgainstPolynomialOps:
         if dst.order < src.order:
             src, dst = dst, src
         cm = connection(src, dst)
-        for n, (num, den) in enumerate(cm._rows):
+        for n, (num, den) in enumerate(row_pairs(cm)):
             assert den > 0 and gcd(den, *num) == 1
             want = expand_by_polynomial_ops(src.polys[n], dst.polys[: n + 1])
             assert [F(v, den) for v in num] == want
         n = data.draw(st.integers(0, src.order))
         j = data.draw(st.integers(0, n))
         rows = list(cm._rows)
-        entries = [F(v, rows[n][1]) for v in rows[n][0]]
+        entries = list(rows[n].coeffs)
         shift = data.draw(nonzero)
         entries[j] += shift if entries[j] + shift else 2 * shift  # keep the diagonal nonzero
-        rows[n] = lowest_terms(*over_lcm([e.as_integer_ratio() for e in entries]))
+        rows[n] = Polynomial(entries)
         message = f"^connection row {n} does not reconstruct the source polynomial$"
         with pytest.raises(ValueError, match=message):
             ConnectionMatrix(rows, src, dst)
@@ -661,31 +661,59 @@ class TestConnection:
     def test_the_constructor_rejects_a_changed_row(self):
         # He_n / 2^n in the Catalan family: row 3 is (2, 6, 5, 1) / 8
         src, dst = halved_hermite(4), basis_from_moments(builtin("catalan", 9), 4)
-        rows = list(connection(src, dst)._rows)
-        assert rows[3] == ((2, 6, 5, 1), 8)
+        cm = connection(src, dst)
+        rows = list(cm._rows)
+        assert row_pairs(cm)[3] == ((2, 6, 5, 1), 8)
         triangular = "is not triangular with nonzero diagonal"
-        lowest = "is not in lowest terms over a positive denominator"
-        for n, row, message in [
+        for n, (num, den), message in [
             (3, ((3, 6, 5, 1), 8), "does not reconstruct the source polynomial"),
             (3, ((2, 6, 5, 0), 8), triangular),
             (3, ((2, 6, 5), 8), triangular),
-            (3, ((2, 6, 5, 1, 0), 8), triangular),
-            # the same values, written with a negative or a common factor
-            (3, ((-2, -6, -5, -1), -8), lowest),
-            (3, ((4, 12, 10, 2), 16), lowest),
-            (0, ((-1,), -1), lowest),
+            (3, ((2, 6, 5, 1, 1), 8), triangular),
         ]:
-            changed = rows[:n] + [row] + rows[n + 1 :]
+            changed = rows[:n] + [Polynomial(F(v, den) for v in num)] + rows[n + 1 :]
             with pytest.raises(ValueError, match=f"^connection row {n} {message}$"):
                 ConnectionMatrix(changed, src, dst)
-        assert ConnectionMatrix(rows, src, dst) == connection(src, dst)
+        assert ConnectionMatrix(rows, src, dst) == cm
+        assert ConnectionMatrix([Polynomial(row) for row in cm.rows], src, dst) == cm
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SOLVE_BASES), st.sampled_from(SOLVE_BASES), st.data())
+    def test_a_changed_catalog_row_is_refused(self, source, target, data):
+        # the reconstruction check is exact: any nonzero change to any coefficient of a
+        # row is refused, and a row whose degree is not n is refused before it is read
+        if target.order < source.order:
+            source, target = target, source
+        rows = list(connection(source, target)._rows)
+        n = data.draw(st.integers(0, source.order), label="row")
+        coeffs = list(rows[n].coeffs)
+        coeffs[data.draw(st.integers(0, n), label="coefficient")] += data.draw(
+            st.fractions().filter(bool), label="change"
+        )
+        changed = Polynomial(coeffs)
+        if changed.degree == n:
+            message = "does not reconstruct the source polynomial"
+        else:  # the diagonal entry was changed to 0
+            message = "is not triangular with nonzero diagonal"
+        with pytest.raises(ValueError, match=f"^connection row {n} {message}$"):
+            ConnectionMatrix(rows[:n] + [changed] + rows[n + 1 :], source, target)
+        degree = data.draw(st.integers(-1, n + 2).filter(lambda d: d != n), label="degree")
+        if degree < n:
+            changed = Polynomial(coeffs[: degree + 1])
+        else:
+            changed = rows[n] + Polynomial.monomial(degree, data.draw(nonzero, label="lead"))
+        assert changed.degree != n
+        with pytest.raises(
+            ValueError, match=f"^connection row {n} is not triangular with nonzero diagonal$"
+        ):
+            ConnectionMatrix(rows[:n] + [changed] + rows[n + 1 :], source, target)
 
     def test_the_constructor_checks_the_row_count(self):
         # one row per source polynomial, and no more rows than the target has polynomials
         src, cat4 = hermite(4), basis_from_moments(builtin("catalan", 9), 4)
         cat3 = basis_from_moments(builtin("catalan", 7), 3)
         rows = list(connection(src, cat4)._rows)
-        extra = ((0,) * 5 + (1,), 1)
+        extra = Polynomial.monomial(5)
         for changed, target, got in [
             (rows + [extra], cat4, 6),
             (rows[:3], cat4, 3),
@@ -702,6 +730,11 @@ class TestConnection:
         # x^3 = He_3 + 3 He_1
         h = hermite(3)
         assert Polynomial.monomial(3) == h.polys[3] + 3 * h.polys[1]
+
+
+def row_pairs(cm):
+    """The stored rows of ``cm`` as (numerators, den) pairs."""
+    return tuple((g._num, g._den) for g in cm._rows)
 
 
 def rows_by_back_substitution(src, dst):
@@ -724,7 +757,7 @@ class TestConnectionByRecurrence:
         src, dst = family_basis(*source), family_basis(*target)
         if dst.order < src.order:
             src, dst = dst, src
-        assert connection(src, dst)._rows == rows_by_back_substitution(src, dst)
+        assert row_pairs(connection(src, dst)) == rows_by_back_substitution(src, dst)
 
     def test_a_non_monic_family_with_a_nonzero_c0_into_a_longer_target(self):
         # p_0 = -3/2, A_0 < 0 with C_0 != 0 (it multiplies p_(-1) = 0), then signs that
@@ -736,10 +769,10 @@ class TestConnectionByRecurrence:
         )
         src = family_basis(Polynomial((F(-3, 2),)), triples)
         for dst in (halved_hermite(5), basis_from_moments(builtin("catalan", 11), 5), src):
-            rows = connection(src, dst)._rows
+            rows = row_pairs(connection(src, dst))
             assert rows == rows_by_back_substitution(src, dst)
             assert all(den > 0 and gcd(den, *num) == 1 for num, den in rows)
-        assert connection(src, src)._rows == tuple(((0,) * n + (1,), 1) for n in range(4))
+        assert row_pairs(connection(src, src)) == tuple(((0,) * n + (1,), 1) for n in range(4))
 
     def test_the_basis_roundtrip_keys_at_order_28(self):
         keys = ("gaussian", "catalan", "factorial", "log_kernel(0)")
@@ -749,7 +782,7 @@ class TestConnectionByRecurrence:
         ]
         for n, src in enumerate(bases):
             dst = bases[(n + 1) % len(bases)]
-            assert connection(src, dst)._rows == rows_by_back_substitution(src, dst), keys[n]
+            assert row_pairs(connection(src, dst)) == rows_by_back_substitution(src, dst), keys[n]
 
 
 def times_x_in(basis):
