@@ -8,9 +8,12 @@ parameter spaces:
     2  input, schema, or usage error
     3  insufficient moments / order, or a report value past the int-string or float range
 
-A report depends only on the arguments and the input files, so identical
-inputs always produce byte-identical reports (JSON ones by
-:func:`_dump_json`); float diagnostics are written at 17 significant
+Each command returns its verdict (None if it has none) and its report: the
+JSON payload dict, or the text itself under ``--text``.  :func:`main` is the
+one writer of every report, to stdout or ``--out``, and reads the exit code
+off the verdict.  A report depends only on the arguments and the input
+files, so identical inputs always produce byte-identical reports (JSON ones
+by :func:`_dump_json`); float diagnostics are written at 17 significant
 digits by :func:`poslab.rationals.float_str`.  Rationals are accepted only
 as strings in one ASCII grammar, "p/q", "p" or an exact decimal like
 "0.3", read alike on every Python version: JSON numbers, booleans and
@@ -179,27 +182,21 @@ def _pm_text(label: str, order: int, report: PmReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_catalog(args) -> None:
+def _cmd_catalog(args) -> tuple[None, dict | str]:
     entries = catalog_entries()
     if args.json:
-        payload = {
+        return None, {
             "catalog": [
-                {
-                    "name": e.name,
-                    "description": e.description,
-                    "parameter": e.param_name or None,
-                }
+                {"name": e.name, "description": e.description, "parameter": e.param_name or None}
                 for e in entries
             ]
         }
-        _emit(_dump_json(payload), args.out)
-    else:
-        width = max(len(e.name) for e in entries) + 2
-        lines = ["builtin moment sequences:"]
-        for e in entries:
-            key = e.name + (f"({e.param_name})" if e.needs_param else "")
-            lines.append(f"  {key:<{width + 3}} {e.description}")
-        _emit("\n".join(lines) + "\n", args.out)
+    width = max(len(e.name) for e in entries) + 2
+    lines = ["builtin moment sequences:"]
+    for e in entries:
+        key = e.name + (f"({e.param_name})" if e.needs_param else "")
+        lines.append(f"  {key:<{width + 3}} {e.description}")
+    return None, "\n".join(lines) + "\n"
 
 
 def _sequence_from_args(args, needed: int) -> MomentSequence:
@@ -213,55 +210,50 @@ def _sequence_from_args(args, needed: int) -> MomentSequence:
     raise SchemaError("a sequence is required: pass --seq KEY or --in FILE")
 
 
-def _cmd_check_pm(args) -> Verdict:
+def _cmd_check_pm(args) -> tuple[Verdict, dict | str]:
     seq = _sequence_from_args(args, needed=2 * args.order + 2)
     report = is_pm(seq, args.order)
     if args.json:
-        payload = {"sequence": seq.label, "order": args.order, "report": report.to_json_dict()}
-        _emit(_dump_json(payload), args.out)
-    else:
-        _emit(_pm_text(seq.label or "(unlabeled)", args.order, report), args.out)
-    return report.verdict
+        return report.verdict, {
+            "sequence": seq.label, "order": args.order, "report": report.to_json_dict()
+        }
+    return report.verdict, _pm_text(seq.label or "(unlabeled)", args.order, report)
 
 
-def _cmd_build_basis(args) -> None:
+def _cmd_build_basis(args) -> tuple[None, dict]:
     seq = _sequence_from_args(args, needed=2 * args.order + 1)
-    basis = basis_from_moments(seq, args.order)
-    _emit(_dump_json(basis.to_json_dict()), args.out)
+    return None, basis_from_moments(seq, args.order).to_json_dict()
 
 
-def _cmd_connect(args) -> None:
+def _cmd_connect(args) -> tuple[None, dict]:
     from_basis = _load(args.infile, OrthoBasis.from_json_dict)
     to_basis = _load(args.to, OrthoBasis.from_json_dict)
-    cm = connection(from_basis, to_basis)
-    _emit(_dump_json(cm.to_json_dict()), args.out)
+    return None, connection(from_basis, to_basis).to_json_dict()
 
 
 def _load_series(path: str) -> OrthogonalSeries:
     return _load(path, OrthogonalSeries.from_json_dict)
 
 
-def _cmd_certify(args) -> Verdict:
+def _cmd_certify(args) -> tuple[Verdict, dict | str]:
     series = _load_series(args.infile)
     order = args.order if args.order is not None else series.basis.order // 2
     cert = certify_positive(series, order)
     verdict = cert.verdict
     if args.json:
-        _emit(_dump_json(cert.to_json_dict()), args.out)
-    else:
-        lines = [
-            f"series over basis of order {series.basis.order}, Hankel battery to order {order}",
-            "recovered moments: "
-            + ", ".join(cert.recovered_moments.prefix(2 * order + 1).to_json_dict()["values"]),
-            "hankel determinants: " + ", ".join(cert.pm_report.to_json_dict()["hankel_dets"]),
-            f"verdict: {verdict.label}",
-            *(f"note: {note}" for note in verdict.notes),
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return verdict
+        return verdict, cert.to_json_dict()
+    lines = [
+        f"series over basis of order {series.basis.order}, Hankel battery to order {order}",
+        "recovered moments: "
+        + ", ".join(cert.recovered_moments.prefix(2 * order + 1).to_json_dict()["values"]),
+        "hankel determinants: " + ", ".join(cert.pm_report.to_json_dict()["hankel_dets"]),
+        f"verdict: {verdict.label}",
+        *(f"note: {note}" for note in verdict.notes),
+    ]
+    return verdict, "\n".join(lines) + "\n"
 
 
-def _cmd_lancaster(args) -> Verdict:
+def _cmd_lancaster(args) -> tuple[Verdict, dict | str]:
     if args.infile and args.preset:
         raise SchemaError("give either --in or --preset, not both")
     grid = _parse_grid(args.grid) if args.grid is not None else None
@@ -276,47 +268,41 @@ def _cmd_lancaster(args) -> Verdict:
     else:
         raise SchemaError("a problem is required: pass --in FILE or --preset NAME")
     report = lancaster_report(problem, args.order)
+    verdict = report.verdict
     if args.json:
-        _emit(_dump_json(report.to_json_dict()), args.out)
-    else:
-        lines = [
-            f"expansion problem of order {problem.order}, grid Hankel order {report.order}",
-            f"grid points tested: {len(report.grid_verdicts)}",
-            f"full-order flags: {sum(report.pc_flags)}/{len(report.pc_flags)} pass",
-        ]
-        for v in report.grid_verdicts:
-            mark = "ok" if v.report.is_pm else f"NEGATIVE at order {v.report.first_negative_order}"
-            lines.append(f"  side {v.side} @ {rat_str(v.point)}: {mark}")
-        lines.append(f"verdict: {report.verdict.label}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return report.verdict
+        return verdict, report.to_json_dict()
+    lines = [
+        f"expansion problem of order {problem.order}, grid Hankel order {report.order}",
+        f"grid points tested: {len(report.grid_verdicts)}",
+        f"full-order flags: {sum(report.pc_flags)}/{len(report.pc_flags)} pass",
+    ]
+    for v in report.grid_verdicts:
+        mark = "ok" if v.report.is_pm else f"NEGATIVE at order {v.report.first_negative_order}"
+        lines.append(f"  side {v.side} @ {rat_str(v.point)}: {mark}")
+    lines.append(f"verdict: {verdict.label}")
+    return verdict, "\n".join(lines) + "\n"
 
 
-def _cmd_mehler_demo(args) -> Verdict:
+def _cmd_mehler_demo(args) -> tuple[Verdict, dict | str]:
     rho = rat(args.rho)
     results = mehler_demo_battery(rho, args.order)
     passed = sum(r.passed for r in results)
     status = POSITIVE if passed == len(results) else REFUTED
     verdict = Verdict(status, args.order, f"{passed}/{len(results)} checks passed")
     if args.json:
-        payload = {
+        return verdict, {
             "rho": rat_str(rho),
             "order": args.order,
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-            ],
+            "checks": [r._asdict() for r in results],
             "all_passed": status == POSITIVE,
         }
-        _emit(_dump_json(payload), args.out)
-    else:
-        lines = [f"reference battery at rho = {rat_str(rho)}, order {args.order}"]
-        for r in results:
-            tag = "PASS" if r.passed else "FAIL"
-            detail = f"  ({r.detail})" if r.detail else ""
-            lines.append(f"{tag}  {r.name}{detail}")
-        lines.append(verdict.label)
-        _emit("\n".join(lines) + "\n", args.out)
-    return verdict
+    lines = [f"reference battery at rho = {rat_str(rho)}, order {args.order}"]
+    for r in results:
+        tag = "PASS" if r.passed else "FAIL"
+        detail = f"  ({r.detail})" if r.detail else ""
+        lines.append(f"{tag}  {r.name}{detail}")
+    lines.append(verdict.label)
+    return verdict, "\n".join(lines) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -376,13 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", metavar="FILE", help="moment sequence JSON file")
     p.add_argument("--order", type=_order, required=True, help="highest polynomial order")
     add_out(p)
-    p.set_defaults(func=_cmd_build_basis)
+    p.set_defaults(func=_cmd_build_basis, json=True)
 
     p = sub.add_parser("connect", help="connection coefficients between two basis files")
     p.add_argument("--in", dest="infile", metavar="FILE", required=True, help="source basis JSON")
     p.add_argument("--to", metavar="FILE", required=True, help="target basis JSON")
     add_out(p)
-    p.set_defaults(func=_cmd_connect)
+    p.set_defaults(func=_cmd_connect, json=True)
 
     p = sub.add_parser("certify", help="finite-order nonnegativity certificate for a series")
     p.add_argument("--in", dest="infile", metavar="FILE", required=True, help="series JSON file")
@@ -430,8 +416,9 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors, matching the input-error convention
         return int(exc.code or 0)
     try:
-        # a command returns the verdict it reported, or None if it reports none
-        verdict = args.func(args)
+        # a command returns its verdict (None if it has none) and the report that main writes
+        verdict, report = args.func(args)
+        _emit(_dump_json(report) if args.json else report, args.out)
     except (InsufficientMomentsError, ReportLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT

@@ -13,7 +13,8 @@ E q^d, and the numerators go straight into a
 they are.  When the two sides share their moment polynomials and their
 grid, side b takes side a's sequences.  The batteries still run once per
 side and point (``bench/test_bench.py`` counts the calls), and the report
-writer writes each distinct Hankel report, and a shared moment table, once.
+writer, :meth:`LancasterReport.to_json_dict`, writes every grid verdict
+itself and each distinct Hankel report, and a shared moment table, once.
 
 Orthonormal families carry 1/sqrt(norm) scale factors, but the pipeline
 reads only the monic-frame coefficients e_n = c_n sqrt(h_n / k_n), h_n and
@@ -35,7 +36,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import InsufficientMomentsError, SchemaError
-from .moments import POSITIVE, REFUTED, MomentSequence, PmReport, Verdict, builtin, is_pm
+from .moments import POSITIVE, REFUTED, MomentSequence, Verdict, builtin, is_pm
 from .orthopoly import (
     OrthoBasis,
     Polynomial,
@@ -237,14 +238,11 @@ class GridVerdict(namedtuple("GridVerdict", "side point report")):
 
     ``side`` is "a" for the moments of X given Y = ``point`` and "b" for the
     moments of Y given X = ``point``; ``point`` is a Fraction and ``report``
-    a :class:`~poslab.moments.PmReport`.
+    a :class:`~poslab.moments.PmReport`.  It defines no method:
+    :meth:`LancasterReport.to_json_dict` writes it as its three keys.
     """
 
     __slots__ = ()
-
-    def to_json_dict(self, report: dict) -> dict:
-        """The verdict's JSON around ``report``, the JSON of :attr:`report`."""
-        return {"side": self.side, "point": rat_str(self.point), "report": report}
 
 
 class NecessaryConditions(
@@ -331,21 +329,32 @@ def necessary_conditions(prob: LancasterProblem) -> NecessaryConditions:
 
 
 def full_order_check(h_polys, basis: OrthoBasis) -> tuple[bool, ...]:
-    """Flag, for each n, whether h_n expands in the family with full order n.
+    """Flag, for each n, whether h_n is a scalar multiple of beta_n, 0 included.
 
     This is the conditional-moment polynomial criterion: an expansion over
-    the two families can exist only when every conditional expectation of
-    basis polynomials has exactly full order.  The family has one polynomial
-    of each degree, so "component n nonzero and none above it" is
-    deg h_n = n, and no expansion is run.  A polynomial of degree above the
-    basis order has no expansion and is refused with ValueError.
+    the two families has E[alpha_n(X) | Y=y] = c_n beta_n(y), zero allowed.
+    No expansion is run: h_n = c beta_n exactly when lead(beta_n) h_n =
+    h_n[n] beta_n, h_n[n] the x^n coefficient of h_n; an entry past the
+    basis order has no beta_n and is flagged False.  A polynomial of degree
+    above the basis order has no expansion and is refused with ValueError.
     """
     for h in h_polys:
         if h.degree > basis.order:
             raise ValueError(
                 f"cannot expand a degree-{h.degree} polynomial in a basis of order {basis.order}"
             )
-    return tuple(h.degree == n for n, h in enumerate(h_polys))
+    betas = basis.polys
+    flags = []
+    for n, h in enumerate(h_polys):
+        # lead(beta_n) h_n = h_n[n] beta_n on the integer numerators, whose
+        # denominators cancel; h_n = 0, or deg h_n = n and each cross product agrees
+        u = h._num
+        b = betas[n]._num if n < len(betas) else None
+        flags.append(
+            b is not None
+            and (not u or len(u) == n + 1 and all(b[n] * x == u[n] * y for x, y in zip(u, b)))
+        )
+    return tuple(flags)
 
 
 class LancasterReport(
@@ -370,7 +379,8 @@ class LancasterReport(
     def to_json_dict(self) -> dict:
         """The report's JSON, each distinct Hankel report and moment table written once.
 
-        Grid verdicts whose reports hold the same integers share one report
+        One loop writes each grid verdict as ``{"side", "point", "report"}``;
+        those whose reports hold the same integers share one report
         dict, built by the first of them; side b of a symmetric problem
         repeats side a's, and shares the ``conditional_moments_a`` list when
         ``mb is ma``.  The table lives for this call only.  The returned dict
@@ -381,19 +391,18 @@ class LancasterReport(
         rows_a = [wire_row(p._num, p._den) for p in polys.ma]
         rows_b = rows_a if polys.mb is polys.ma else [wire_row(p._num, p._den) for p in polys.mb]
         written: dict[tuple, dict] = {}
-
-        def write(report: PmReport) -> dict:
+        grid = []
+        for side, point, report in self.grid_verdicts:
             key = (report._dets, report._shifted, report._den)
             doc = written.get(key)
             if doc is None:
                 doc = written[key] = report.to_json_dict()
-            return doc
-
+            grid.append({"side": side, "point": rat_str(point), "report": doc})
         verdict = self.verdict
         return {
             "conditional_moments_a": rows_a,
             "conditional_moments_b": rows_b,
-            "grid_verdicts": [v.to_json_dict(write(v.report)) for v in self.grid_verdicts],
+            "grid_verdicts": grid,
             "necessary_conditions": self.necessary.to_json_dict(),
             "pc_flags": list(self.pc_flags),
             "order": self.order,
@@ -423,8 +432,9 @@ def lancaster_report(prob: LancasterProblem, order: int | None = None) -> Lancas
     Grid evaluations are independent and the aggregation does not depend
     on their order.  The grids come from ``prob``, which holds at least
     one point.
-    ``pc_flags[n]`` is ``c_n != 0``, which is :func:`full_order_check` of
-    h_n = c_n beta_n: deg(c_n beta_n) = n exactly when c_n != 0.
+    ``pc_flags[n]`` is ``c_n != 0``.  It is not :func:`full_order_check` of
+    h_n = c_n beta_n, which passes every n, c_n = 0 included, so the flags
+    say nothing about the expansion; they stay only for the report bytes.
     """
     n = prob.order
     if order is None:

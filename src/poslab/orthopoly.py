@@ -33,7 +33,7 @@ with one integer combination each (the independent O(N^3) route) and writes
 as its ``gamma`` rows straight from their numerators.  Nothing in the
 library runs back substitution: :func:`three_term` reads each triple off
 three coefficients of p_{n+1}, and
-:func:`poslab.lancaster.full_order_check` is a degree test.
+:func:`poslab.lancaster.full_order_check` compares two scaled numerator rows.
 Systems Pi x = r through the monomial triangle Pi of a family, for recovered
 moments and for conditional moments, share one forward substitution,
 :func:`_solve_lower`, which runs on integer vectors over one shared

@@ -13,6 +13,7 @@ from poslab import cli
 from poslab.cli import build_parser, main
 from poslab.lancaster import LancasterProblem, preset_problem
 from poslab.moments import builtin
+from poslab.orthopoly import basis_from_moments
 
 
 def run(capsys, *argv):
@@ -1106,8 +1107,9 @@ def returned_verdicts(monkeypatch):
 
     def keep(command):
         def wrapper(args):
-            seen.append(command(args))
-            return seen[-1]
+            verdict, report = command(args)
+            seen.append(verdict)
+            return verdict, report
         return wrapper
 
     for name in ("_cmd_check_pm", "_cmd_certify", "_cmd_lancaster", "_cmd_mehler_demo"):
@@ -1141,6 +1143,52 @@ def test_every_command_exits_by_its_verdict(capsys, tmp_path, monkeypatch, name)
         )
     elif argv[0] == "lancaster":
         assert (doc["verdict"], doc["verdict_label"]) == (verdict.status, verdict.label)
+
+
+# every report of every command: each TEXT_REPORTS case and catalog in both
+# modes, and build-basis and connect, which write JSON only
+WRITER_CASES = [
+    *(f"{name} {mode}" for name in [*sorted(TEXT_REPORTS), "catalog"] for mode in ("--text", "--json")),
+    "build-basis",
+    "connect",
+]
+
+
+def writer_argv(tmp_path, case):
+    """The argv of one ``WRITER_CASES`` entry, with its input files written under ``tmp_path``."""
+    name, _, mode = case.partition(" ")
+    if name in TEXT_REPORTS:
+        return [*report_argv(tmp_path, name), mode]
+    if name == "catalog":
+        return ["catalog", mode]
+    if name == "build-basis":
+        return ["build-basis", "--seq", "catalan", "--order", "4"]
+    paths = []
+    for key, order in (("gaussian", 4), ("catalan", 6)):
+        paths.append(tmp_path / f"{key}-basis.json")
+        basis = basis_from_moments(builtin(key, 2 * order + 1), order)
+        paths[-1].write_text(json.dumps(basis.to_json_dict()))
+    return ["connect", "--in", str(paths[0]), "--to", str(paths[1])]
+
+
+@pytest.mark.parametrize("case", WRITER_CASES)
+def test_out_holds_the_bytes_of_stdout(capsys, tmp_path, case):
+    # main writes every report: --out moves the same bytes to the file and changes nothing else
+    argv = writer_argv(tmp_path, case)
+    code, out, err = run(capsys, *argv)
+    assert out and err == ""
+    path = tmp_path / "report"
+    assert run(capsys, *argv, "--out", str(path)) == (code, "", "")
+    assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("case", WRITER_CASES)
+def test_an_out_path_in_a_missing_directory_exits_two(capsys, tmp_path, case):
+    # exit 2 for every command, a refuted or degenerate verdict included
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *writer_argv(tmp_path, case), "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: cannot write the report (")
 
 
 @pytest.mark.parametrize("name", sorted(TEXT_REPORTS))

@@ -670,16 +670,29 @@ class TestFullOrderCheck:
         small = st.fractions(min_value=-9, max_value=9, max_denominator=12)
         polys = []
         for n in range(data.draw(st.integers(0, basis.order + 1))):
+            if data.draw(st.booleans()):
+                # c beta_n, c = 0 included
+                polys.append(data.draw(small) * basis.polys[n])
+                continue
             degree = data.draw(st.one_of(st.just(n), st.integers(-1, basis.order)))
             lower = data.draw(st.lists(small, min_size=degree, max_size=degree)) if degree > 0 else []
             top = [data.draw(small.filter(bool))] if degree >= 0 else []
             polys.append(Polynomial(lower + top))
-        # the rule in the family's coordinates: component n nonzero and none above it
+        # the rule in the family's coordinates: no component other than n
         expected = []
         for n, h in enumerate(polys):
             gamma = expand_by_polynomial_ops(h, basis.polys)
-            expected.append(gamma[n] != 0 and not any(gamma[n + 1 :]))
+            expected.append(not any(g for k, g in enumerate(gamma) if k != n))
         assert full_order_check(polys, basis) == tuple(expected)
+
+    def test_a_multiple_of_beta_n_passes_and_a_mixed_entry_fails(self):
+        # the Lancaster form E[alpha_n | Y] = c_n beta_n allows c_n = 0; degree n is not the test
+        h = hermite(4)
+        he = h.polys
+        assert full_order_check([he[0], Polynomial(), he[2] + he[1]], h) == (True, True, False)
+        assert full_order_check([he[0], F(-2, 3) * he[1], F(5) * he[2]], h) == (True,) * 3
+        # one flag per entry: past the basis order there is no beta_n, not even for h_n = 0
+        assert full_order_check([*he, Polynomial()], h) == (True,) * 5 + (False,)
 
     def test_a_degree_above_the_basis_order_is_refused(self):
         h = hermite(2)
@@ -689,16 +702,19 @@ class TestFullOrderCheck:
                 full_order_check(polys, h)
 
     def test_report_flags_are_the_check_of_c_n_beta_n(self):
-        # lancaster_report sets pc_flags[n] = (c_n != 0): deg(c_n beta_n) = n iff c_n != 0
+        # h_n = c_n beta_n passes full_order_check for every c_n, 0 included, while
+        # lancaster_report's pc_flags[n] is c_n != 0 by its own formula
         cat = basis_from_moments(builtin("catalan", 13), 6)
         for beta, coeffs in (
             (hermite(6), (F(1), F(0), F(1, 4), F(0), F(0), F(-1, 32), F(1, 64))),
             (cat, (F(1), F(1, 2), F(0), F(1, 8), F(0), F(0), F(0))),
         ):
             prob = LancasterProblem(beta, beta, coeffs)
-            expected = full_order_check([c * p for c, p in zip(coeffs, beta.polys)], beta)
-            assert lancaster_report(prob, order=1).pc_flags == expected
-            assert False in expected and True in expected
+            flags = full_order_check([c * p for c, p in zip(coeffs, beta.polys)], beta)
+            assert flags == (True,) * len(coeffs)
+            pc_flags = lancaster_report(prob, order=1).pc_flags
+            assert pc_flags == tuple(c != 0 for c in coeffs)
+            assert False in pc_flags and True in pc_flags
 
 
 class TestMehlerReference:

@@ -12,7 +12,7 @@ from poslab.errors import (
     RecurrenceError,
     SchemaError,
 )
-from poslab.moments import MomentSequence, builtin, parse_catalog_key
+from poslab.moments import MomentSequence, _recurrence, builtin, is_pm, parse_catalog_key
 from poslab.orthopoly import (
     ConnectionMatrix,
     OrthoBasis,
@@ -828,6 +828,49 @@ class TestFamilyWalk:
         for j, row in enumerate(rows):
             assert combination_by_polynomial_ops(row.coeffs, basis.polys) == Polynomial.monomial(j)
             assert basis.p0 * m[0] * row.coefficient(0) == m[j], j
+
+
+@st.composite
+def atomic_measures(draw):
+    """(m, K): the moments m_0..m_(2K) of a positive measure on r distinct rational atoms, K = r - 1."""
+    r = draw(st.integers(1, 6))
+    atoms = draw(st.lists(st.fractions(-5, 5, max_denominator=7), min_size=r, max_size=r, unique=True))
+    weights = draw(st.lists(st.fractions(F(1, 7), 3, max_denominator=7), min_size=r, max_size=r))
+    moments = [sum(w * x**n for x, w in zip(atoms, weights)) for n in range(2 * r - 1)]
+    return MomentSequence(moments), r - 1
+
+
+class TestMomentRegeneration:
+    """Favard's direction, from a recurrence back to the moments: the monic family of
+    moments._recurrence's (h, a, b), pi_(k+1) = (x - a_k) pi_k - b_k pi_(k-1), walks
+    x^0..x^K into its own coordinates, x^j = sum_k g_(j,k) pi_k, and orthogonality gives
+    every Hankel entry back, m_(i+j) = sum_k g_(i,k) g_(j,k) h_k, with no determinant."""
+
+    @staticmethod
+    def assert_regenerates(m, order):
+        h, a, b = _recurrence(m)
+        basis = OrthoBasis(h[: order + 1], [(F(1), -a_k, b_k) for a_k, b_k in zip(a, b)][:order], m)
+        rows = _family(Polynomial.one(), [(F(1), F(0), F(0))] * order, *times_x_in(basis))
+        g = [row.coeffs for row in rows]
+        for i in range(order + 1):
+            for j in range(order + 1):
+                assert sum(u * v * w for u, v, w in zip(g[i], g[j], basis.norms)) == m[i + j], (i, j)
+
+    @settings(max_examples=60, deadline=None)
+    @given(atomic_measures())
+    def test_a_measure_on_r_atoms_comes_back_to_order_r_minus_1(self, measure):
+        self.assert_regenerates(*measure)
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            pytest.param(seq, id=seq.label)
+            for seq in catalog_instances(17)
+            if is_pm(seq, 8).strictly_positive
+        ],
+    )
+    def test_strictly_positive_catalog_keys_come_back_to_order_8(self, seq):
+        self.assert_regenerates(seq, 8)
 
 
 class TestAdditionFormula:
