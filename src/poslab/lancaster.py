@@ -14,13 +14,18 @@ they are.  When the two sides share their moment polynomials and their
 grid, side b takes side a's sequences.  The batteries still run once per
 side and point (``bench/test_bench.py`` counts the calls), and the report
 writer, :meth:`LancasterReport.to_json_dict`, writes every grid verdict
-itself and each distinct Hankel report, and a shared moment table, once.
+itself and each distinct Hankel report, and a shared moment table, once;
+the CLI's JSON writer then writes the text of each shared dict and table
+once too.  The necessary conditions read the families' leads and constant
+terms as integer numerators over each polynomial's denominator, and the
+norms as integer pairs, with no Fraction per coefficient.
 
 Orthonormal families carry 1/sqrt(norm) scale factors, but the pipeline
 reads only the monic-frame coefficients e_n = c_n sqrt(h_n / k_n), h_n and
 k_n the squared norms of alpha_n and beta_n.  :class:`LancasterProblem`
-takes that one square root; it must be rational (always true for equal
-norms), or the problem is rejected rather than approximated.
+takes that one square root, of the ratio as an integer pair in lowest
+terms, and keeps c_n as e_n when the norms are equal; the root must be
+rational, or the problem is rejected rather than approximated.
 
 The correlated-Gaussian pair (Hermite families, c_n = rho^n) is wired in as
 the fully worked reference instance, with its closed-form conditional
@@ -33,7 +38,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .errors import InsufficientMomentsError, SchemaError
 from .moments import POSITIVE, REFUTED, MomentSequence, Verdict, builtin, is_pm
@@ -96,7 +101,8 @@ class LancasterProblem:
     holds the y tested for X given Y = y, ``grid_b`` the x for Y given X = x;
     each defaults to -2..2 in steps of 1/2, and one may be empty, not both.
     Construction derives ``monic_coeffs``, e_n = c_n sqrt(h_n / k_n) (every
-    root rational), and requires the order-0 conditional moments
+    root rational, taken on h_n / k_n as a reduced integer pair; e_n = c_n
+    when every h_n = k_n), and requires the order-0 conditional moments
     E[X^0 | Y=y] = e_0 q_0 / p_0 and E[Y^0 | X=x] = e_0 k_0 p_0 / (h_0 q_0),
     p_0 = alpha_0 and q_0 = beta_0, to be 1: equal masses
     h_0 / p_0^2 = k_0 / q_0^2, and c_0 = sign(p_0 q_0).
@@ -136,15 +142,21 @@ class LancasterProblem:
             raise ValueError(
                 f"both families must reach order {n}; got {self.alpha.order} and {self.beta.order}"
             )
-        monic = []
-        for k, c in enumerate(self.coeffs):
-            s = rational_sqrt(self.alpha.norms[k] / self.beta.norms[k])
-            if s is None:
-                raise ValueError(
-                    f"norm ratio at order {k} is not a perfect rational square; "
-                    "the exact orthonormal engine needs equal norms or square ratios"
-                )
-            monic.append(c * s)
+        hs, ks = self.alpha.norms[: n + 1], self.beta.norms[: n + 1]
+        monic = self.coeffs  # equal norms: every root is 1
+        if hs != ks:
+            monic = []
+            for k, (c, h, g) in enumerate(zip(self.coeffs, hs, ks)):
+                # h_k / k_k as an integer pair in lowest terms, both norms positive
+                num, den = h.numerator * g.denominator, h.denominator * g.numerator
+                common = gcd(num, den)
+                root = rational_sqrt(num // common, den // common)
+                if root is None:
+                    raise ValueError(
+                        f"norm ratio at order {k} is not a perfect rational square; "
+                        "the exact orthonormal engine needs equal norms or square ratios"
+                    )
+                monic.append(c * root)
         object.__setattr__(self, "monic_coeffs", tuple(monic))
 
     @property
@@ -281,8 +293,12 @@ def necessary_conditions(prob: LancasterProblem) -> NecessaryConditions:
 
     c_n and the monic-frame e_n are each held as integer numerators over one
     denominator: the square sums of c_n are integer prefix sums, one Fraction
-    each, and the origin sum and the ``ratio_pm`` sequence, which read e_n,
-    are integer pairs brought over one lcm, with no Fraction arithmetic.
+    each.  The origin sum and the ``ratio_pm`` sequence read e_n, the
+    constant terms and leads of the two families as their integer numerators
+    over each polynomial's denominator, and the norms as integer pairs; the
+    terms are brought over one lcm, with no Fraction arithmetic, and
+    :class:`~poslab.moments.MomentSequence` reduces each sequence to lowest
+    terms, so the batteries read the values the Fractions would give.
     """
     cs, cden = over_lcm([c.as_integer_ratio() for c in prob.coeffs])
     es, eden = over_lcm([e.as_integer_ratio() for e in prob.monic_coeffs])
@@ -299,10 +315,9 @@ def necessary_conditions(prob: LancasterProblem) -> NecessaryConditions:
     if prob.support.zero_in_supp_mu:
         # c_n a_{n,0} b_{n,0} = e_n p_n(0) q_n(0) / h_n, with h_n > 0
         terms = []
-        for n, v in enumerate(es):
-            a, b, h = pa[n].coefficient(0), pb[n].coefficient(0), hs[n]
-            terms.append((v * a.numerator * b.numerator * h.denominator,
-                          a.denominator * b.denominator * h.numerator))
+        for v, a, b, h in zip(es, pa, pb, hs):
+            h_num, h_den = h.as_integer_ratio()
+            terms.append((v * a._num[0] * b._num[0] * h_den, a._den * b._den * h_num))
         nums, den = over_lcm(terms)
         origin = Fraction(sum(nums), den * eden)
 
@@ -310,10 +325,11 @@ def necessary_conditions(prob: LancasterProblem) -> NecessaryConditions:
     if prob.support.mu_unbounded:
         # c_n a_nn / b_nn = e_n k_n a_nn / (h_n b_nn), with the sign of b_nn moved to the numerator
         terms = []
-        for n, v in enumerate(es):
-            a, b, h, k = pa[n].leading, pb[n].leading, hs[n], ks[n]
-            num = v * k.numerator * a.numerator * h.denominator * b.denominator
-            den = k.denominator * h.numerator * a.denominator * b.numerator
+        for v, a, b, h, k in zip(es, pa, pb, hs, ks):
+            h_num, h_den = h.as_integer_ratio()
+            k_num, k_den = k.as_integer_ratio()
+            num = v * k_num * a._num[-1] * h_den * b._den
+            den = k_den * h_num * a._den * b._num[-1]
             terms.append((-num, -den) if den < 0 else (num, den))
         nums, den = over_lcm(terms)
         ratio_report = is_pm(MomentSequence._from_ints(nums, den * eden), prob.order // 2)
@@ -321,8 +337,9 @@ def necessary_conditions(prob: LancasterProblem) -> NecessaryConditions:
     coeff_report = None
     flags = prob.support
     if flags.same_marginals and flags.mu_unbounded and flags.nu_unbounded:
-        # equal marginals: alpha~_n = sign(a_nn b_nn) beta~_n, so c_n sign(a_nn b_nn) must be pm
-        signed = [v if pa[n].leading * pb[n].leading > 0 else -v for n, v in enumerate(cs)]
+        # equal marginals: alpha~_n = sign(a_nn b_nn) beta~_n, so c_n sign(a_nn b_nn) must be pm;
+        # the denominators are positive, so the leads' signs are their numerators'
+        signed = [v if (a._num[-1] > 0) == (b._num[-1] > 0) else -v for v, a, b in zip(cs, pa, pb)]
         coeff_report = is_pm(MomentSequence._from_ints(signed, cden), prob.order // 2)
 
     return NecessaryConditions(tuple(partials), origin, ratio_report, coeff_report)

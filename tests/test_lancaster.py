@@ -559,6 +559,39 @@ def norm_pairs():
     )
 
 
+class TestMonicCoeffs:
+    """e_n = c_n sqrt(h_n / k_n), taken on the reduced integer pair of each norm ratio."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        norm_pairs(),
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=9), max_size=6),
+    )
+    def test_integer_route_equals_the_fraction_square_root(self, pair, tail):
+        alpha, beta = pair
+        c0 = 1 if alpha.p0 * beta.p0 > 0 else -1
+        prob = LancasterProblem(alpha, beta, (c0, *tail))
+        expected = tuple(
+            c * rational_sqrt(h / k) for c, h, k in zip(prob.coeffs, alpha.norms, beta.norms)
+        )
+        assert prob.monic_coeffs == expected
+        assert all(type(e) is F for e in prob.monic_coeffs)
+
+    @given(st.integers(0, 10**6), st.integers(1, 10**6))
+    def test_the_pair_form_of_rational_sqrt_is_the_fraction_form(self, num, den):
+        g = math.gcd(num, den)
+        assert rational_sqrt(num // g, den // g) == rational_sqrt(F(num, den))
+        square = F(num, den) ** 2
+        assert rational_sqrt(square.numerator, square.denominator) == F(num, den)
+
+    def test_a_ratio_square_only_in_lowest_terms_is_accepted(self):
+        # h_6 / k_6 = 720 / 2880 as read, 1/4 in lowest terms
+        h = hermite(6)
+        wide = OrthoBasis(h.norms[:-1] + (4 * h.norms[-1],), h.recurrence, h.source_moments)
+        prob = LancasterProblem(h, wide, (1,) + (F(2, 3),) * 6)
+        assert prob.monic_coeffs == (1,) + (F(2, 3),) * 5 + (F(1, 3),)
+
+
 class TestNecessaryConditions:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -631,6 +664,29 @@ class TestNecessaryConditions:
         assert nec.origin_sum is None
         assert nec.ratio_pm is None
         assert nec.coeff_pm is None
+
+    def test_the_request_path_builds_no_fraction_per_lead(self, monkeypatch):
+        # necessary_conditions reads leads and constant terms as integer
+        # numerators; with the Fraction accessors broken the reports stay the same
+        h = hermite(6)
+        flipped = rescaled(h, [(-1) ** n * F(n + 1, 2) for n in range(7)])
+        problems = [
+            preset_problem("mehler", 12, F(-3, 10)),
+            LancasterProblem(flipped, h, [F(1, 3) ** n for n in range(7)], ALL_FLAGS),
+            LancasterProblem(h, halved_hermite(6), [F(1, 2) ** n for n in range(7)], ALL_FLAGS),
+        ]
+        assert flipped.polys[1]._num[-1] < 0
+        expected = [lancaster_report(prob) for prob in problems]
+
+        def broken(*args):
+            raise AssertionError("a Fraction lead or coefficient was read")
+
+        monkeypatch.setattr(Polynomial, "leading", property(broken))
+        monkeypatch.setattr(Polynomial, "coefficient", broken)
+        for prob, want in zip(problems, expected):
+            got = lancaster_report(prob)
+            assert got == want
+            assert got.to_json_dict() == want.to_json_dict()
 
 
 class TestFullOrderCheck:
