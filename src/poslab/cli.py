@@ -13,14 +13,12 @@ JSON payload dict, or the text itself under ``--text``.  :func:`main` is the
 one writer of every report, to stdout or ``--out``, and reads the exit code
 off the verdict.  A report depends only on the arguments and the input
 files, so identical inputs always produce byte-identical reports (JSON ones
-by :func:`_dump_json`, which writes each list of strings with one ``join``
-and a container that the payload holds at two places, as a symmetric
-Lancaster report holds side a's report dicts for side b, once per indent);
-float diagnostics are written at 17 significant digits by
-:func:`poslab.rationals.float_str`.  Rationals are accepted only
-as strings in one ASCII grammar, "p/q", "p" or an exact decimal like
-"0.3", read alike on every Python version: JSON numbers, booleans and
-exponent notation are rejected, and so is a repeated key.  A schema error
+by :func:`_dump_json`, which writes each list of strings with one
+``join``); float diagnostics are written at 17 significant digits by
+:func:`poslab.rationals.float_str`.  Rationals are accepted only as
+strings in one ASCII grammar, "p/q", "p" or an exact decimal like "0.3",
+read alike on every Python version: JSON numbers, booleans and exponent
+notation are rejected, and so is a repeated key.  A schema error
 in an input file reads ``FILE: $.field[i]: reason``; each file is read by
 the reader beside its type, where every object passes
 :func:`poslab.rationals.json_object` (an object, with no unknown key).
@@ -83,18 +81,12 @@ def _dump_json(payload: dict) -> str:
     With ``indent`` set, ``json.dumps`` runs the pure-Python encoder; this
     writer walks the payload itself instead (tuples as lists) and writes
     each list of strings with one ``join`` over the C string encoder of
-    :mod:`json`.  Any other non-empty dict, list or tuple met again at the
-    same indent (one object shared by two places in the payload, as side b
-    of a symmetric Lancaster report shares side a's) is written once: a
-    memo local to this call, keyed on the object's identity and its indent,
-    replays the fragments written the first time.  A list of strings is
-    left out of the memo, as its one ``join`` costs about what a replay
-    does.  Booleans, ``None`` and plain ints are written as the encoder
-    writes them (``int.__repr__``); every other scalar, floats with
+    :mod:`json`.  Booleans, ``None`` and plain ints are written as the
+    encoder writes them (``int.__repr__``); every other scalar, floats with
     ``NaN``/``Infinity`` among them, goes through ``json.dumps`` itself.
     """
     out: list[str] = []
-    _write_json(payload, "\n", out, {})
+    _write_json(payload, "\n", out)
     out.append("\n")
     return "".join(out)
 
@@ -102,49 +94,35 @@ def _dump_json(payload: dict) -> str:
 _JSON_LITERALS = {True: "true", False: "false", None: "null"}
 
 
-def _write_json(value, newline: str, out: list[str], written: dict) -> None:
-    """Append ``value`` to ``out`` at the indent that ``newline`` ("\\n" and spaces) ends in.
-
-    ``written`` maps (id, indent) of each container already written to the
-    slice of ``out`` that holds it; the payload keeps every container alive
-    for the whole dump, so no id is reused.
-    """
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append ``value`` to ``out`` at the indent that ``newline`` ("\\n" and spaces) ends in."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
-    elif isinstance(value, (dict, list, tuple)):
+    elif isinstance(value, dict):
         if not value:
-            out.append("{}" if isinstance(value, dict) else "[]")
+            out.append("{}")
             return
         inner = newline + "  "
-        if not isinstance(value, dict):
-            try:
-                items = ("," + inner).join(map(encode_basestring_ascii, value))
-            except TypeError:  # an item that is not a string
-                pass
-            else:
-                out.append("[" + inner + items + newline + "]")
-                return
-        key = (id(value), newline)
-        span = written.get(key)
-        if span is not None:
-            out += out[span[0]:span[1]]
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
             return
-        start = len(out)
-        if isinstance(value, dict):
-            sep = "{" + inner
-            for name in sorted(value):
-                out.append(sep + encode_basestring_ascii(name) + ": ")
-                _write_json(value[name], inner, out, written)
-                sep = "," + inner
-            out.append(newline + "}")
-        else:
+        inner = newline + "  "
+        try:
+            out.append("[" + inner + ("," + inner).join(map(encode_basestring_ascii, value)))
+        except TypeError:  # an item that is not a string
             sep = "[" + inner
             for item in value:
                 out.append(sep)
-                _write_json(item, inner, out, written)
+                _write_json(item, inner, out)
                 sep = "," + inner
-            out.append(newline + "]")
-        written[key] = (start, len(out))
+        out.append(newline + "]")
     elif value is True or value is False or value is None:
         out.append(_JSON_LITERALS[value])
     elif type(value) is int:

@@ -14,18 +14,17 @@ they are.  When the two sides share their moment polynomials and their
 grid, side b takes side a's sequences.  The batteries still run once per
 side and point (``bench/test_bench.py`` counts the calls), and the report
 writer, :meth:`LancasterReport.to_json_dict`, writes every grid verdict
-itself and each distinct Hankel report, and a shared moment table, once;
-the CLI's JSON writer then writes the text of each shared dict and table
-once too.  The necessary conditions read the families' leads and constant
+itself and each distinct Hankel report, and a shared moment table, once.
+The necessary conditions read the families' leads and constant
 terms as integer numerators over each polynomial's denominator, and the
 norms as integer pairs, with no Fraction per coefficient.
 
 Orthonormal families carry 1/sqrt(norm) scale factors, but the pipeline
 reads only the monic-frame coefficients e_n = c_n sqrt(h_n / k_n), h_n and
 k_n the squared norms of alpha_n and beta_n.  :class:`LancasterProblem`
-takes that one square root, of the ratio as an integer pair in lowest
-terms, and keeps c_n as e_n when the norms are equal; the root must be
-rational, or the problem is rejected rather than approximated.
+takes that one square root, and keeps c_n as e_n when the norms are equal;
+the root must be rational, or the problem is rejected rather than
+approximated.
 
 The correlated-Gaussian pair (Hermite families, c_n = rho^n) is wired in as
 the fully worked reference instance, with its closed-form conditional
@@ -38,7 +37,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from .errors import InsufficientMomentsError, SchemaError
 from .moments import POSITIVE, REFUTED, MomentSequence, Verdict, builtin, is_pm
@@ -101,11 +100,10 @@ class LancasterProblem:
     holds the y tested for X given Y = y, ``grid_b`` the x for Y given X = x;
     each defaults to -2..2 in steps of 1/2, and one may be empty, not both.
     Construction derives ``monic_coeffs``, e_n = c_n sqrt(h_n / k_n) (every
-    root rational, taken on h_n / k_n as a reduced integer pair; e_n = c_n
-    when every h_n = k_n), and requires the order-0 conditional moments
-    E[X^0 | Y=y] = e_0 q_0 / p_0 and E[Y^0 | X=x] = e_0 k_0 p_0 / (h_0 q_0),
-    p_0 = alpha_0 and q_0 = beta_0, to be 1: equal masses
-    h_0 / p_0^2 = k_0 / q_0^2, and c_0 = sign(p_0 q_0).
+    root rational; e_n = c_n when every h_n = k_n), and requires the
+    order-0 conditional moments E[X^0 | Y=y] = e_0 q_0 / p_0 and
+    E[Y^0 | X=x] = e_0 k_0 p_0 / (h_0 q_0), p_0 = alpha_0 and q_0 = beta_0,
+    to be 1: equal masses h_0 / p_0^2 = k_0 / q_0^2, and c_0 = sign(p_0 q_0).
     """
 
     alpha: OrthoBasis
@@ -142,21 +140,17 @@ class LancasterProblem:
             raise ValueError(
                 f"both families must reach order {n}; got {self.alpha.order} and {self.beta.order}"
             )
-        hs, ks = self.alpha.norms[: n + 1], self.beta.norms[: n + 1]
         monic = self.coeffs  # equal norms: every root is 1
-        if hs != ks:
+        if self.alpha.norms[: n + 1] != self.beta.norms[: n + 1]:
             monic = []
-            for k, (c, h, g) in enumerate(zip(self.coeffs, hs, ks)):
-                # h_k / k_k as an integer pair in lowest terms, both norms positive
-                num, den = h.numerator * g.denominator, h.denominator * g.numerator
-                common = gcd(num, den)
-                root = rational_sqrt(num // common, den // common)
-                if root is None:
+            for k, c in enumerate(self.coeffs):
+                s = rational_sqrt(self.alpha.norms[k] / self.beta.norms[k])
+                if s is None:
                     raise ValueError(
                         f"norm ratio at order {k} is not a perfect rational square; "
                         "the exact orthonormal engine needs equal norms or square ratios"
                     )
-                monic.append(c * root)
+                monic.append(c * s)
         object.__setattr__(self, "monic_coeffs", tuple(monic))
 
     @property

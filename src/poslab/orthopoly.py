@@ -69,8 +69,10 @@ class Polynomial:
     Stored as a tuple of integer numerators over one positive common
     denominator, in lowest terms (no prime divides the denominator and every
     numerator) with trailing zeros stripped, so equal polynomials have equal
-    storage.  Arithmetic runs on the integers and reduces once per result,
-    and :func:`_values_at` is the one evaluator: call it on a whole family.
+    storage, ``_num[0] / _den`` is the constant term of a nonzero polynomial
+    and the sign of ``_num[-1]`` is the sign of its lead.  Arithmetic runs
+    on the integers and reduces once per result, and :func:`_values_at` is
+    the one evaluator: call it on a whole family.
     ``coeffs`` builds the Fraction coefficients on each read; the zero
     polynomial has no coefficients and degree -1.
     """

@@ -181,19 +181,14 @@ def float_str(value: Fraction | float) -> str:
     return f"{report_float(value):.17g}"
 
 
-def rational_sqrt(value, den: int | None = None) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if it is irrational or negative.
-
-    The rational is ``rat(value)``, or, with ``den`` given, the integer
-    pair ``value / den`` in lowest terms with ``den > 0``, so a caller that
-    holds integers builds no Fraction to ask.
-    """
-    if den is None:
-        value, den = rat(value).as_integer_ratio()
-    if value < 0:
+def rational_sqrt(value: Fraction) -> Fraction | None:
+    """Exact square root of a nonnegative rational, or None if it is irrational."""
+    q = rat(value)
+    if q < 0:
         return None
-    rn, rd = isqrt(value), isqrt(den)
-    if rn * rn == value and rd * rd == den:
+    rn = isqrt(q.numerator)
+    rd = isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
     return None
 

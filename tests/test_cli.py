@@ -709,22 +709,6 @@ json_documents = st.recursive(
 )
 
 
-@st.composite
-def shared_documents(draw):
-    """A document holding one drawn subtree at several places, at one indent and at several."""
-    shared = draw(json_documents)
-    tree = draw(
-        st.recursive(
-            st.just(shared) | json_scalars,
-            lambda kids: st.lists(kids, max_size=4)
-            | st.lists(kids, max_size=3).map(tuple)
-            | st.dictionaries(st.text(max_size=5), kids, max_size=5),
-            max_leaves=12,
-        )
-    )
-    return {"a": tree, "b": [shared, tree, {"c": shared}], "d": shared}
-
-
 class TestJsonWriter:
     """``_dump_json`` writes exactly the bytes of ``json.dumps(indent=2, sort_keys=True)``."""
 
@@ -735,27 +719,6 @@ class TestJsonWriter:
     @example({"\u00e9\u2603\U0001f600": ["\x00\x1f\x7f", "\"\\/"], "": [[], {}, ()]})
     @example({"b": (True, False, None), "a": {"c": [{}], "B": ()}})
     def test_matches_the_json_module(self, value):
-        assert cli._dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
-
-    @settings(max_examples=200, deadline=None)
-    @given(shared_documents())
-    def test_shared_subtrees_match_the_json_module(self, value):
-        assert cli._dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
-
-    def test_a_shared_container_is_written_at_each_place_and_indent(self):
-        # one dict at two indents, one list twice at one indent, and a list of strings
-        inner = {"b": [1, "x", None], "a": {"c": [2.5, "d"]}}
-        rows = [["1", "2/3"], ["-4"], [{"k": inner}]]
-        words = ["p", "q\u00e9"]
-        value = {"top": inner, "deep": {"again": inner}, "rows": rows, "more": rows,
-                 "words": [words, words, {"w": words}]}
-        assert cli._dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
-
-    def test_shared_tuples_and_empty_containers(self):
-        pair = (1, ["a"], {"z": None}, ())
-        empty_dict, empty_list = {}, []
-        value = {"a": pair, "b": [pair, pair, (pair,)], "c": [empty_dict, empty_list, empty_dict],
-                 "d": {"x": empty_list, "y": empty_dict}, "e": (empty_list, empty_list)}
         assert cli._dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
     def test_real_reports_match_the_json_module(self, capsys, tmp_path):

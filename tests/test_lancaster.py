@@ -560,14 +560,14 @@ def norm_pairs():
 
 
 class TestMonicCoeffs:
-    """e_n = c_n sqrt(h_n / k_n), taken on the reduced integer pair of each norm ratio."""
+    """e_n = c_n sqrt(h_n / k_n), and c_n itself when the norms are equal."""
 
     @settings(max_examples=100, deadline=None)
     @given(
         norm_pairs(),
         st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=9), max_size=6),
     )
-    def test_integer_route_equals_the_fraction_square_root(self, pair, tail):
+    def test_each_coefficient_is_c_times_the_root_of_its_norm_ratio(self, pair, tail):
         alpha, beta = pair
         c0 = 1 if alpha.p0 * beta.p0 > 0 else -1
         prob = LancasterProblem(alpha, beta, (c0, *tail))
@@ -576,20 +576,6 @@ class TestMonicCoeffs:
         )
         assert prob.monic_coeffs == expected
         assert all(type(e) is F for e in prob.monic_coeffs)
-
-    @given(st.integers(0, 10**6), st.integers(1, 10**6))
-    def test_the_pair_form_of_rational_sqrt_is_the_fraction_form(self, num, den):
-        g = math.gcd(num, den)
-        assert rational_sqrt(num // g, den // g) == rational_sqrt(F(num, den))
-        square = F(num, den) ** 2
-        assert rational_sqrt(square.numerator, square.denominator) == F(num, den)
-
-    def test_a_ratio_square_only_in_lowest_terms_is_accepted(self):
-        # h_6 / k_6 = 720 / 2880 as read, 1/4 in lowest terms
-        h = hermite(6)
-        wide = OrthoBasis(h.norms[:-1] + (4 * h.norms[-1],), h.recurrence, h.source_moments)
-        prob = LancasterProblem(h, wide, (1,) + (F(2, 3),) * 6)
-        assert prob.monic_coeffs == (1,) + (F(2, 3),) * 5 + (F(1, 3),)
 
 
 class TestNecessaryConditions:
